@@ -73,8 +73,8 @@ def interface_gram(eta: InterfaceSignal, M_gamma, s: float, tau: float) -> Inter
     if eta.kind != "primal":
         raise ValueError("interface pairing acts on primal signals")
     coef = robin_coefficient(s, tau) * tau
-    ML = lumped_interface_mass(M_gamma)
-    return InterfaceSignal(coef * (eta.values @ ML.T.toarray()), "dual")
+    lumped = np.asarray(M_gamma.sum(axis=1)).ravel()   # diagonal of ML_Gamma
+    return InterfaceSignal(coef * (eta.values * lumped), "dual")
 
 
 def interface_source(solver: SubdomainSolver) -> InterfaceSignal:
@@ -115,9 +115,8 @@ def monotone_gap(S: SteklovOperator, eta_ref: InterfaceSignal,
 
 def h_norm(eta: InterfaceSignal, M_gamma, tau: float) -> float:
     """L2(interface x time) norm: sqrt(sum_k tau eta_k^T M_Gamma eta_k)."""
-    Mg = M_gamma.toarray() if hasattr(M_gamma, "toarray") else np.asarray(M_gamma)
-    vals = eta.values
-    return float(np.sqrt(max(tau * np.sum(vals * (vals @ Mg.T)), 0.0)))
+    vals = eta.values.T
+    return float(np.sqrt(max(tau * np.sum(vals * (M_gamma @ vals)), 0.0)))
 
 
 def dual_norm(sigma: InterfaceSignal, M_gamma, tau: float) -> float:
@@ -205,7 +204,7 @@ class PRReferences:
 
 
 def _run_iteration(solvers, config: IterationConfig, advance, state,
-                   references: PRReferences | None):
+                   references: PRReferences | None, chi=None):
     """Shared driver: advance the interface iterate, track diagnostics.
 
     ``advance(state)`` returns (state, eta_next).  When ``references``
@@ -213,16 +212,13 @@ def _run_iteration(solvers, config: IterationConfig, advance, state,
     the interface-parametrized fields, the monotone gaps against the
     reference trace, and the Steklov-Poincare residual pushed through
     the resolvent (the iteration's own metric); this costs two extra
-    Dirichlet solves per iteration.
+    Dirichlet solves per iteration.  ``chi`` holds the interface sources
+    (chi_1, chi_2) when the caller has computed them already.
     """
     s1, s2 = solvers
     ops = s1.ops
     tau, Mg = ops.grid.tau, ops.M_gamma
     n_steps, n_g = ops.grid.n_steps, ops.n_interface
-
-    chi_1 = interface_source(s1)
-    chi_2 = interface_source(s2)
-    chi_sum = chi_1 + chi_2
 
     eta = config.eta0.copy() if config.eta0 is not None else \
         InterfaceSignal(np.zeros((n_steps, n_g)), "primal")
@@ -230,6 +226,8 @@ def _run_iteration(solvers, config: IterationConfig, advance, state,
     report = ConvergenceReport()
     track = references is not None
     if track:
+        chi_1, chi_2 = chi or map(interface_source, solvers)
+        chi_sum = chi_1 + chi_2
         S1_ref = s1.flux_recovery(references.u1_ref, s1.ops.loads) + chi_1
         S2_ref = s2.flux_recovery(references.u2_ref, s2.ops.loads) + chi_2
 
@@ -276,7 +274,8 @@ def run_pr(solvers, config: IterationConfig,
 
     Returns (eta, report); see _run_iteration for the diagnostics.
     """
-    chi_sum = interface_source(solvers[0]) + interface_source(solvers[1])
+    chi = tuple(map(interface_source, solvers))
+    chi_sum = chi[0] + chi[1]
 
     def advance(eta):
         eta_next = pr_step(solvers, chi_sum, eta, config.s)
@@ -286,7 +285,7 @@ def run_pr(solvers, config: IterationConfig,
     n_g = solvers[0].ops.n_interface
     eta0 = config.eta0 if config.eta0 is not None else \
         InterfaceSignal(np.zeros((n_steps, n_g)), "primal")
-    return _run_iteration(solvers, config, advance, eta0, references)
+    return _run_iteration(solvers, config, advance, eta0, references, chi)
 
 
 def run_rr(solvers, config: IterationConfig,

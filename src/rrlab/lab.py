@@ -141,8 +141,8 @@ def field_error_norm(u: SpaceTimeField, u_ref: SpaceTimeField,
     """L2-in-time, H1-in-space norm of the difference of two fields."""
     if u.values.shape != u_ref.values.shape:
         raise ValueError("fields have mismatched shapes")
-    d = u.values[1:] - u_ref.values[1:]
-    total = np.sum(d * ((M + K) @ d.T).T)
+    d = (u.values[1:] - u_ref.values[1:]).T
+    total = np.sum(d * (M @ d + K @ d))
     return float(np.sqrt(max(tau * total, 0.0)))
 
 
@@ -319,6 +319,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not self.s_values or not self.mesh_levels:
             raise ConfigError("sweep lists must be nonempty")
+        if not (self.s > 0 and self.tol >= 0 and self.max_iter >= 1):
+            raise ConfigError("need s > 0, tol >= 0 and max_iter >= 1")
 
     def echo(self) -> dict:
         out = {}
@@ -352,6 +354,8 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             if key in _INT_KEYS:
                 values[key] = int(val)
@@ -537,7 +541,7 @@ def _run_mms(cfg):
     for r in run_mms_spatial(cfg.theta, levels=cfg.mesh_levels,
                              dimension=cfg.dimension):
         rows_out.append([r.h, r.tau, r.l2_error, r.x_error, r.order])
-    for r in run_mms_temporal(cfg.theta):
+    for r in run_mms_temporal(cfg.theta, dimension=cfg.dimension):
         rows_out.append([r.h, r.tau, r.l2_error, r.x_error, r.order])
     cols = ["h", "tau", "l2_error", "x_error", "observed_order"]
     return cols, rows_out, None

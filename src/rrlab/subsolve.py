@@ -10,6 +10,11 @@ operator, scaled by the temporal quadrature weight; it is the
 discretization-consistent weak normal derivative, and it makes the
 interface Schur complement of the space-time system coincide exactly
 with the Steklov-Poincare application.
+
+Each time step does only the work that depends on the previous step;
+data terms are sparse products over the whole trajectory.  Finiteness
+is checked once per trajectory: a non-finite value propagates to the
+last step, so one check sees what a check per LU solve would.
 """
 
 from __future__ import annotations
@@ -126,10 +131,14 @@ class Factorization:
             raise SolverFailure(f"singular {label}: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        out = self._lu.solve(np.asarray(rhs, dtype=float))
-        if not np.all(np.isfinite(out)):
-            raise SolverFailure(f"non-finite solution from {self.label}")
-        return out
+        return self._lu.solve(np.asarray(rhs, dtype=float))
+
+
+def _finite(u: np.ndarray, fac: Factorization) -> np.ndarray:
+    """Return the trajectory u, or raise if a solve with fac broke down."""
+    if not np.isfinite(u).all():
+        raise SolverFailure(f"non-finite solution from {fac.label}")
+    return u
 
 
 def factorize_steps(matrices, labels=None):
@@ -153,11 +162,12 @@ class SubdomainSolver:
         self.ops = ops
         self.A, self.C = build_step_operators(ops)
         nI = ops.n_interior
-        self._A_II = self.A[:nI][:, :nI].tocsc()
-        self._A_IG = self.A[:nI][:, nI:].tocsr()
+        self._A_II = self.A[:nI, :nI].tocsc()
+        self._A_IG = self.A[:nI, nI:].tocsr()
+        self._C_II = self.C[:nI, :nI].tocsr()
+        self._C_IG = self.C[:nI, nI:].tocsr()
         self._A_G = self.A[nI:].tocsr()      # interface rows of A
         self._C_G = self.C[nI:].tocsr()
-        self._C_I = self.C[:nI].tocsr()
         self._dirichlet = None
         self._robin: dict[float, Factorization] = {}
 
@@ -221,13 +231,13 @@ class SubdomainSolver:
         loads = self._check_loads(loads)
         fac = self._dirichlet_factor()
         u = np.zeros((grid.n_steps + 1, n))
+        u[1:, nI:] = eta_v
+        # f_I^k - A_IG eta^k + C_IG eta^{k-1}, for all k at once
+        rhs = (loads[:, :nI] - (self._A_IG @ eta_v.T).T
+               + (self._C_IG @ u[:-1, nI:].T).T)
         for k in range(1, grid.n_steps + 1):
-            rhs = loads[k - 1] + self.C @ u[k - 1]
-            g = eta_v[k - 1]
-            u[k, nI:] = g
-            if nI:
-                u[k, :nI] = fac.solve(rhs[:nI] - self._A_IG @ g)
-        return SpaceTimeField(u, f"omega{self.ops.index}")
+            u[k, :nI] = fac.solve(rhs[k - 1] + self._C_II @ u[k - 1, :nI])
+        return SpaceTimeField(_finite(u, fac), f"omega{self.ops.index}")
 
     def robin_solve(self, s: float, lam: InterfaceSignal | None = None,
                     loads: np.ndarray | None = None) -> SpaceTimeField:
@@ -241,12 +251,12 @@ class SubdomainSolver:
         lam_v = self._check_signal(lam, "dual")
         loads = self._check_loads(loads)
         fac = self._robin_factor(s)
+        rhs = loads.copy()
+        rhs[:, self.ops.n_interior:] += lam_v / grid.tau
         u = np.zeros((grid.n_steps + 1, n))
         for k in range(1, grid.n_steps + 1):
-            rhs = loads[k - 1] + self.C @ u[k - 1]
-            rhs[self.ops.n_interior:] += lam_v[k - 1] / grid.tau
-            u[k] = fac.solve(rhs)
-        return SpaceTimeField(u, f"omega{self.ops.index}")
+            u[k] = fac.solve(rhs[k - 1] + self.C @ u[k - 1])
+        return SpaceTimeField(_finite(u, fac), f"omega{self.ops.index}")
 
     def flux_recovery(self, u: SpaceTimeField,
                       loads: np.ndarray | None = None) -> InterfaceSignal:
@@ -259,12 +269,9 @@ class SubdomainSolver:
         if u.values.shape != (grid.n_steps + 1, self.ops.n_dofs):
             raise ValueError("field shape does not match the subdomain")
         loads = self._check_loads(loads)
-        nI = self.ops.n_interior
-        sigma = np.empty((grid.n_steps, self.ops.n_interface))
-        for k in range(1, grid.n_steps + 1):
-            res = self._A_G @ u.values[k] - self._C_G @ u.values[k - 1]
-            sigma[k - 1] = grid.tau * (res - loads[k - 1][nI:])
-        return InterfaceSignal(sigma, "dual")
+        U, nI = u.values.T, self.ops.n_interior
+        res = (self._A_G @ U[:, 1:] - self._C_G @ U[:, :-1]).T
+        return InterfaceSignal(grid.tau * (res - loads[:, nI:]), "dual")
 
 
 class MonolithicSolver:
@@ -281,7 +288,7 @@ class MonolithicSolver:
         u = np.zeros((grid.n_steps + 1, self.ops.n_dofs))
         for k in range(1, grid.n_steps + 1):
             u[k] = self._factor.solve(loads[k - 1] + self.C @ u[k - 1])
-        return SpaceTimeField(u, "global")
+        return SpaceTimeField(_finite(u, self._factor), "global")
 
     def residual(self, u: SpaceTimeField,
                  loads: np.ndarray | None = None) -> float:

@@ -1,0 +1,26 @@
+"""Smoke test: the fast demos run to completion as scripts.
+
+Demo 03 is left out: its dense probing takes tens of seconds.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", [
+    "01_convergence_study", "02_pde_vs_interface", "04_fractional_toolkit",
+    "05_manufactured_orders"])
+def test_demo_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

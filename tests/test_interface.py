@@ -10,7 +10,7 @@ from rrlab.interface import (IterationConfig, SteklovOperator, apply_riesz,
                              assemble_dense, dense_riesz, dual_norm, h_norm,
                              init_robin_sweep, interface_gram,
                              interface_source, monotone_gap, pr_step,
-                             robin_sweep, run_equivalence, run_pr,
+                             robin_sweep, run_equivalence, run_pr, run_rr,
                              solve_robin_resolvent, spectral_analysis)
 from rrlab.lab import (references_from_monolithic, setup_problem)
 from rrlab.mesh import ProblemSpec
@@ -305,6 +305,22 @@ class TestPeacemanRachford:
             norms.append(h_norm(eta, ops.M_gamma, ops.grid.tau))
         observed = (norms[-1] / norms[-11]) ** 0.1
         assert observed == pytest.approx(rho, rel=0.15)
+
+    @pytest.mark.parametrize("run", [run_pr, run_rr])
+    def test_sources_computed_once_per_run(self, run, monkeypatch):
+        # chi_1 and chi_2 cost a Dirichlet solve and a flux recovery each
+        import rrlab.interface
+        calls = []
+
+        def counted(solver):
+            calls.append(solver.ops.index)
+            return interface_source(solver)
+
+        monkeypatch.setattr(rrlab.interface, "interface_source", counted)
+        setup = small_setup()
+        refs = references_from_monolithic(setup)
+        run(setup.solvers, IterationConfig(max_iter=2), references=refs)
+        assert sorted(calls) == [1, 2]
 
     def test_iteration_config_validation(self):
         with pytest.raises(ValueError):

@@ -279,6 +279,17 @@ class TestScenarios:
                                "observed_order"]
         assert len(rep.rows) == 2 + 3      # spatial levels + temporal levels
 
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_mms_scenario_1d_rows_are_1d(self, theta):
+        cfg = small_config(scenario="mms", dimension=1, theta=theta,
+                           mesh_levels=(4, 8))
+        rows = run_scenario(cfg).report.rows
+        spatial = run_mms_spatial(theta, levels=(4, 8), dimension=1)
+        temporal = run_mms_temporal(theta, dimension=1)
+        np.testing.assert_array_equal(
+            rows, [[r.h, r.tau, r.l2_error, r.x_error, r.order]
+                   for r in spatial + temporal])
+
     def test_seed_override_recorded(self):
         result = run_scenario(small_config(scenario="equivalence",
                                            iterations=2), seed=42)
@@ -308,6 +319,16 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["run", cfg, "--out", str(out)]) == 2
         assert not (out / "warp.csv").exists()
+
+    @pytest.mark.parametrize("text", [
+        "s = 0\n", "tol = -1\n", "max_iter = 0\n", "nx = 8\nnx = 4\n"],
+        ids=["s-zero", "tol-negative", "max-iter-zero", "duplicate-key"])
+    def test_run_bad_config_value_exits_2(self, tmp_path, text, capsys):
+        cfg = self.write_config(tmp_path, "scenario = converge\n" + text)
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "invalid configuration" in capsys.readouterr().err
 
     def test_run_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 2

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rrlab.assembly import (build_subdomain_operators, lumped_interface_mass)
+from rrlab.assembly import (build_global_operators, build_step_operators,
+                            build_subdomain_operators, lumped_interface_mass)
 from rrlab.dense import (dense_space_time_matrix, dense_space_time_solve)
 from rrlab.mesh import ProblemSpec, build_mesh, decompose
-from rrlab.subsolve import (Factorization, InterfaceSignal, SolverFailure,
-                            SpaceTimeField, SubdomainSolver, factorize_steps)
+from rrlab.subsolve import (Factorization, InterfaceSignal, MonolithicSolver,
+                            SolverFailure, SpaceTimeField, SubdomainSolver,
+                            factorize_steps)
 
 
 def make_solver(spec, i=1):
@@ -241,6 +243,108 @@ class TestFluxRecovery:
         pert = solver.dirichlet_solve(loads=bumped)
         np.testing.assert_array_equal(base.values[:4], pert.values[:4])
         assert np.abs(pert.values[4:] - base.values[4:]).max() > 0
+
+
+def loop_dirichlet(solver, eta, loads):
+    """Per-step reference: C u^{k-1} on all rows, interior rows solved."""
+    nI = solver.ops.n_interior
+    A, C = solver.A.toarray(), solver.C.toarray()
+    u = np.zeros((loads.shape[0] + 1, solver.ops.n_dofs))
+    for k in range(1, u.shape[0]):
+        rhs = loads[k - 1] + C @ u[k - 1]
+        u[k, nI:] = eta[k - 1]
+        u[k, :nI] = np.linalg.solve(A[:nI, :nI],
+                                    rhs[:nI] - A[:nI, nI:] @ eta[k - 1])
+    return u
+
+
+def loop_robin(solver, s, lam, loads):
+    """Per-step reference: Robin data added to each step's interface rows."""
+    A_rob = build_step_operators(solver.ops, s=s)[0].toarray()
+    C = solver.C.toarray()
+    u = np.zeros((loads.shape[0] + 1, solver.ops.n_dofs))
+    for k in range(1, u.shape[0]):
+        rhs = loads[k - 1] + C @ u[k - 1]
+        rhs[solver.ops.n_interior:] += lam[k - 1] / solver.ops.grid.tau
+        u[k] = np.linalg.solve(A_rob, rhs)
+    return u
+
+
+def loop_flux(solver, u, loads):
+    """Per-step reference: tau * interface rows of A u^k - C u^{k-1} - f^k."""
+    nI = solver.ops.n_interior
+    A, C = solver.A.toarray(), solver.C.toarray()
+    return np.array([
+        solver.ops.grid.tau * (A @ u[k] - C @ u[k - 1] - loads[k - 1])[nI:]
+        for k in range(1, u.shape[0])])
+
+
+def assert_rel_close(actual, expected, rel=1e-13):
+    assert np.linalg.norm(actual - expected) <= rel * np.linalg.norm(expected)
+
+
+class TestTrajectoryProducts:
+    """The trajectory-wide products agree with plain per-step loops."""
+
+    @pytest.fixture(params=[(spec_1d, 1.0), (spec_1d, 0.5),
+                            (spec_2d, 1.0), (spec_2d, 0.5)],
+                    ids=["1d-theta1", "1d-theta0.5", "2d-theta1", "2d-theta0.5"])
+    def case(self, request):
+        make_spec, theta = request.param
+        solver = make_solver(make_spec(nx=8, n_steps=5, theta=theta))
+        rng = np.random.default_rng(11)
+        data = rng.standard_normal((5, solver.ops.n_interface))
+        return solver, data
+
+    def test_dirichlet_solve(self, case):
+        solver, eta = case
+        loads = solver.ops.loads
+        u = solver.dirichlet_solve(eta=primal(eta), loads=loads)
+        assert_rel_close(u.values, loop_dirichlet(solver, eta, loads))
+
+    def test_robin_solve(self, case):
+        solver, lam = case
+        loads = solver.ops.loads
+        u = solver.robin_solve(0.7, lam=dual(lam), loads=loads)
+        assert_rel_close(u.values, loop_robin(solver, 0.7, lam, loads))
+
+    def test_flux_recovery(self, case):
+        solver, eta = case
+        loads = solver.ops.loads
+        u = solver.dirichlet_solve(eta=primal(eta), loads=loads)
+        sigma = solver.flux_recovery(u, loads=loads)
+        assert_rel_close(sigma.values, loop_flux(solver, u.values, loads))
+
+
+class TestNonFiniteTrajectory:
+    """A breakdown anywhere in a time loop raises SolverFailure naming
+    the factorization, as the CLI's exit code 3 relies on."""
+
+    def nan_loads(self, shape):
+        loads = np.zeros(shape)
+        loads[2, 0] = np.nan
+        return loads
+
+    def test_dirichlet_solve(self):
+        solver = make_solver(spec_2d(n_steps=4))
+        loads = self.nan_loads(solver.ops.loads.shape)
+        with pytest.raises(SolverFailure, match="subdomain 1 Dirichlet block"):
+            solver.dirichlet_solve(loads=loads)
+
+    def test_robin_solve(self):
+        solver = make_solver(spec_2d(n_steps=4), i=2)
+        loads = self.nan_loads(solver.ops.loads.shape)
+        with pytest.raises(SolverFailure,
+                           match=r"subdomain 2 Robin matrix \(s=1.5\)"):
+            solver.robin_solve(1.5, loads=loads)
+
+    def test_monolithic_solve(self):
+        spec = spec_2d(n_steps=4)
+        mesh = build_mesh(spec)
+        ops = build_global_operators(spec, mesh, decompose(mesh, spec))
+        loads = self.nan_loads(ops.loads.shape)
+        with pytest.raises(SolverFailure, match="monolithic step matrix"):
+            MonolithicSolver(ops).solve(loads)
 
 
 class TestStabilityBound:
