@@ -19,17 +19,16 @@ from .assembly import (TimeGrid, SubdomainOperators, GlobalOperators,
                        build_step_operators, build_subdomain_operators,
                        build_global_operators, robin_coefficient)
 from .subsolve import (SpaceTimeField, InterfaceSignal, Factorization,
-                       factorize_steps, SubdomainSolver, MonolithicSolver,
-                       SolverFailure)
+                       SubdomainSolver, MonolithicSolver, SolverFailure)
 from .interface import (SteklovOperator, IterationConfig, ConvergenceReport,
-                        apply_riesz, interface_source, solve_robin_resolvent,
-                        pr_step, run_pr, init_robin_sweep, robin_sweep,
-                        run_equivalence, h_norm, dual_norm, assemble_dense,
-                        dense_riesz, spectral_analysis, monotone_gap)
+                        interface_source, solve_robin_resolvent, pr_step,
+                        run_pr, init_robin_sweep, robin_sweep,
+                        run_equivalence, h_norm, assemble_dense,
+                        spectral_analysis)
 from .fracnorm import (TimeSignal, FractionalNormConfig, fractional_norm,
                        hilbert_transform, apply_phase_rotation,
                        parabolic_coercivity, trace_space_norm)
-from .lab import (ConfigError, ThresholdViolation, LabSetup, setup_problem,
+from .lab import (ConfigError, LabSetup, setup_problem,
                   default_problem, solve_monolithic, restrict_field,
                   glue_fields, global_trace, references_from_monolithic,
                   field_error_norm, ScenarioConfig, parse_config,

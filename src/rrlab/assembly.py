@@ -48,11 +48,6 @@ class TimeGrid:
     def horizon(self) -> float:
         return self.tau * self.n_steps
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Rectangle-rule quadrature weights for temporal pairings."""
-        return np.full(self.n_steps, self.tau)
-
     def load_times(self) -> np.ndarray:
         """Sampling times of the source term, one per step."""
         k = np.arange(1, self.n_steps + 1, dtype=float)
@@ -77,9 +72,8 @@ def element_diffusion(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
     return alpha
 
 
-def _element_matrices_1d(mesh, alpha, elements):
-    h = mesh.element_measures()[elements]
-    a = alpha[elements]
+def _element_matrices_1d(h, a):
+    """Mass and stiffness of segments of lengths ``h``, diffusion ``a``."""
     ke = (a / h)[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     me = (h / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
     return me, ke
@@ -102,22 +96,31 @@ def _element_matrices_2d(mesh, alpha, elements):
     return me, ke
 
 
-def _assemble_raw(mesh: Mesh, alpha: np.ndarray, elements: np.ndarray):
-    """Mass and stiffness over ``elements`` on the full node set."""
-    if np.any(alpha[elements] <= 0):
-        raise ValueError("diffusion must be positive on every element")
-    if mesh.dimension == 1:
-        me, ke = _element_matrices_1d(mesh, alpha, elements)
-    else:
-        me, ke = _element_matrices_2d(mesh, alpha, elements)
-    conn = mesh.elements[elements]
+def _assemble_raw(conn: np.ndarray, me: np.ndarray, ke: np.ndarray, n: int):
+    """COO scatter of element mass and stiffness on connectivity ``conn``."""
     npe = conn.shape[1]
     rows = np.repeat(conn, npe, axis=1).ravel()
     cols = np.tile(conn, (1, npe)).ravel()
-    n = mesh.n_nodes
     M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return M, K
+
+
+def _assemble_mesh(mesh: Mesh, alpha: np.ndarray, elements: np.ndarray):
+    """Mass and stiffness over ``elements`` on the full node set."""
+    if mesh.dimension == 1:
+        me, ke = _element_matrices_1d(mesh.element_measures()[elements],
+                                      alpha[elements])
+    else:
+        me, ke = _element_matrices_2d(mesh, alpha, elements)
+    return _assemble_raw(mesh.elements[elements], me, ke, mesh.n_nodes)
+
+
+def _restrict(A: sp.spmatrix, idx: np.ndarray) -> sp.csr_matrix:
+    """Rows and columns ``idx`` of A, as CSR with sorted indices."""
+    A = A[idx][:, idx].tocsr()
+    A.sort_indices()
+    return A
 
 
 def assemble_mass_stiffness(mesh: Mesh, alpha: np.ndarray,
@@ -137,53 +140,36 @@ def assemble_mass_stiffness(mesh: Mesh, alpha: np.ndarray,
     dof_nodes : ndarray
         Global node ids kept as dofs, in the desired ordering.
     """
-    M, K = _assemble_raw(mesh, alpha, elements)
-    M = M[dof_nodes][:, dof_nodes].tocsr()
-    K = K[dof_nodes][:, dof_nodes].tocsr()
-    M.sort_indices()
-    K.sort_indices()
-    return M, K
+    if np.any(alpha[elements] <= 0):
+        raise ValueError("diffusion must be positive on every element")
+    M, K = _assemble_mesh(mesh, alpha, elements)
+    return _restrict(M, dof_nodes), _restrict(K, dof_nodes)
 
 
-def _interface_segments(mesh: Mesh, dec: Decomposition):
-    """Node ids along the interface line, sorted by y, endpoints included."""
+def _interface_line(mesh: Mesh, dec: Decomposition):
+    """Mass and stiffness of the line x = gamma_x (unit coefficient),
+    restricted to the interface dofs."""
     gx = mesh.nodes[dec.interface[0], 0]
     on_line = np.flatnonzero(np.abs(mesh.nodes[:, 0] - gx) <= 1e-9 * max(1.0, abs(gx)))
-    order = np.argsort(mesh.nodes[on_line, 1])
-    return on_line[order]
+    line = on_line[np.argsort(mesh.nodes[on_line, 1])]
+    h = np.diff(mesh.nodes[line, 1])
+    conn = np.column_stack([line[:-1], line[1:]])
+    M, K = _assemble_raw(conn, *_element_matrices_1d(h, np.ones_like(h)),
+                         mesh.n_nodes)
+    return _restrict(M, dec.interface), _restrict(K, dec.interface)
 
 
-def assemble_interface_mass(mesh: Mesh, dec: Decomposition,
-                            include_boundary: bool = False) -> sp.csr_matrix:
+def assemble_interface_mass(mesh: Mesh, dec: Decomposition) -> sp.csr_matrix:
     """(d-1)-dimensional mass matrix on the interface dofs.
 
     In 1D the interface is a point and the matrix is [[1]] by
-    convention.  ``include_boundary`` keeps the Dirichlet endpoint rows,
-    which is useful for exact-measure checks.
+    convention.
     """
     if dec.n_interface == 0:
         raise ValueError("empty interface")
     if mesh.dimension == 1:
         return sp.csr_matrix(np.array([[1.0]]))
-    line = _interface_segments(mesh, dec)
-    ys = mesh.nodes[line, 1]
-    h = np.diff(ys)
-    n = line.size
-    local = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    rows, cols, vals = [], [], []
-    for e in range(n - 1):
-        for a in range(2):
-            for b in range(2):
-                rows.append(e + a)
-                cols.append(e + b)
-                vals.append(h[e] * local[a, b])
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    keep_nodes = line if include_boundary else dec.interface
-    pos = {g: p for p, g in enumerate(line)}
-    idx = np.array([pos[g] for g in keep_nodes])
-    M = M[idx][:, idx].tocsr()
-    M.sort_indices()
-    return M
+    return _interface_line(mesh, dec)[0]
 
 
 def assemble_interface_stiffness(mesh: Mesh, dec: Decomposition) -> sp.csr_matrix:
@@ -194,24 +180,7 @@ def assemble_interface_stiffness(mesh: Mesh, dec: Decomposition) -> sp.csr_matri
     """
     if mesh.dimension != 2:
         raise ValueError("interface stiffness requires a 2D mesh")
-    line = _interface_segments(mesh, dec)
-    ys = mesh.nodes[line, 1]
-    h = np.diff(ys)
-    n = line.size
-    rows, cols, vals = [], [], []
-    local = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for e in range(n - 1):
-        for a in range(2):
-            for b in range(2):
-                rows.append(e + a)
-                cols.append(e + b)
-                vals.append(local[a, b] / h[e])
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    pos = {g: p for p, g in enumerate(line)}
-    idx = np.array([pos[g] for g in dec.interface])
-    K = K[idx][:, idx].tocsr()
-    K.sort_indices()
-    return K
+    return _interface_line(mesh, dec)[1]
 
 
 def assemble_loads(spec: ProblemSpec, mesh: Mesh, grid: TimeGrid,
@@ -230,7 +199,7 @@ def assemble_loads(spec: ProblemSpec, mesh: Mesh, grid: TimeGrid,
     loads = np.zeros((grid.n_steps, n))
     if spec.source is None:
         return loads
-    mass_rows = _assemble_raw(mesh, np.ones(mesh.n_elements), elements)[0][dof_nodes]
+    mass_rows = _assemble_mesh(mesh, np.ones(mesh.n_elements), elements)[0][dof_nodes]
     coords = mesh.nodes
     for k, t in enumerate(grid.load_times()):
         if spec.dimension == 1:
@@ -268,10 +237,6 @@ class SubdomainOperators:
     @property
     def n_interface(self) -> int:
         return self.n_dofs - self.n_interior
-
-    @property
-    def M_gamma_lumped(self) -> sp.csr_matrix:
-        return lumped_interface_mass(self.M_gamma)
 
     def embed_interface(self, B: sp.spmatrix) -> sp.csr_matrix:
         """Place an interface-block matrix into the (Gamma, Gamma) slot."""

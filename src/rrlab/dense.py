@@ -18,8 +18,8 @@ import numpy as np
 from .assembly import GlobalOperators, SubdomainOperators
 
 __all__ = [
-    "dense_space_time_matrix", "dense_space_time_loads",
-    "dense_space_time_solve", "dense_schur_complement",
+    "dense_space_time_matrix", "dense_space_time_solve",
+    "dense_schur_complement",
 ]
 
 
@@ -45,11 +45,6 @@ def dense_space_time_matrix(ops: SubdomainOperators | GlobalOperators) -> np.nda
             prev = slice((k - 1) * n, k * n)
             out[sl, prev] = -grid.tau * C
     return out
-
-
-def dense_space_time_loads(ops: SubdomainOperators | GlobalOperators) -> np.ndarray:
-    """Flattened duality-weighted load vector (time-major)."""
-    return (ops.grid.tau * ops.loads).ravel()
 
 
 def dense_space_time_solve(ops, loads: np.ndarray | None = None,

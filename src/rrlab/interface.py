@@ -22,11 +22,10 @@ from .subsolve import InterfaceSignal, SpaceTimeField, SubdomainSolver
 
 __all__ = [
     "SteklovOperator", "IterationConfig", "ConvergenceReport",
-    "apply_riesz", "interface_gram", "interface_source",
-    "solve_robin_resolvent", "pr_step", "run_pr", "run_rr", "run_iteration",
-    "RobinSweepState", "init_robin_sweep", "robin_sweep", "run_equivalence",
-    "h_norm", "dual_norm", "assemble_dense", "dense_riesz",
-    "spectral_analysis", "SpectralRow", "monotone_gap",
+    "interface_gram", "interface_source", "solve_robin_resolvent",
+    "pr_step", "run_pr", "run_rr", "run_iteration", "RobinSweepState",
+    "init_robin_sweep", "robin_sweep", "run_equivalence", "h_norm",
+    "assemble_dense", "spectral_analysis", "SpectralRow",
 ]
 
 DENSE_COLUMN_GUARD = 2000
@@ -41,25 +40,11 @@ class SteklovOperator:
 
     def __init__(self, solver: SubdomainSolver):
         self.solver = solver
-        self.index = solver.ops.index
 
     def apply(self, eta: InterfaceSignal) -> InterfaceSignal:
         """Flux of the homogeneous Dirichlet solve with trace eta."""
         u = self.solver.dirichlet_solve(eta=eta, loads=None)
         return self.solver.flux_recovery(u, loads=None)
-
-    __call__ = apply
-
-
-def apply_riesz(eta: InterfaceSignal, M_gamma, tau: float) -> InterfaceSignal:
-    """Riesz map of the interface L2(space-time) inner product.
-
-    (J eta)^k = tau * M_Gamma eta^k, a dual signal.
-    """
-    if eta.kind != "primal":
-        raise ValueError("Riesz map acts on primal signals")
-    Mg = M_gamma.toarray() if hasattr(M_gamma, "toarray") else np.asarray(M_gamma)
-    return InterfaceSignal(tau * (eta.values @ Mg.T), "dual")
 
 
 def interface_gram(eta: InterfaceSignal, M_gamma, s: float, tau: float) -> InterfaceSignal:
@@ -95,20 +80,6 @@ def solve_robin_resolvent(solver: SubdomainSolver, rhs: InterfaceSignal,
     return solver.trace(u)
 
 
-def monotone_gap(S: SteklovOperator, eta_ref: InterfaceSignal,
-                 eta_n: InterfaceSignal,
-                 S_eta_ref: InterfaceSignal | None = None,
-                 S_eta_n: InterfaceSignal | None = None) -> float:
-    """Monotonicity gap <S eta_ref - S eta_n, eta_ref - eta_n>.
-
-    Nonnegative for the discrete Steklov-Poincare operators; tends to
-    zero along a convergent interface iteration.
-    """
-    a = S_eta_ref if S_eta_ref is not None else S.apply(eta_ref)
-    b = S_eta_n if S_eta_n is not None else S.apply(eta_n)
-    return (a - b).pair(eta_ref - eta_n)
-
-
 # ---------------------------------------------------------------------------
 # Norms on interface signals
 # ---------------------------------------------------------------------------
@@ -117,15 +88,6 @@ def h_norm(eta: InterfaceSignal, M_gamma, tau: float) -> float:
     """L2(interface x time) norm: sqrt(sum_k tau eta_k^T M_Gamma eta_k)."""
     vals = eta.values.T
     return float(np.sqrt(max(tau * np.sum(vals * (M_gamma @ vals)), 0.0)))
-
-
-def dual_norm(sigma: InterfaceSignal, M_gamma, tau: float) -> float:
-    """Norm of a dual signal in the dual of the L2 pairing."""
-    if sigma.kind != "dual":
-        raise ValueError("dual_norm expects a dual signal")
-    Mg = M_gamma.toarray() if hasattr(M_gamma, "toarray") else np.asarray(M_gamma)
-    w = np.linalg.solve(Mg, sigma.values.T).T
-    return float(np.sqrt(max(np.sum(sigma.values * w) / tau, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +102,6 @@ class IterationConfig:
     tol: float = 1e-10
     max_iter: int = 200
     variant: str = "pr_interface"
-    eta0: InterfaceSignal | None = None
 
     def __post_init__(self):
         if self.s <= 0:
@@ -203,115 +164,6 @@ class PRReferences:
     u2_ref: SpaceTimeField
 
 
-def _run_iteration(solvers, config: IterationConfig, advance, state,
-                   references: PRReferences | None, chi=None):
-    """Shared driver: advance the interface iterate, track diagnostics.
-
-    ``advance(state)`` returns (state, eta_next).  When ``references``
-    is given, each iteration also records the subdomain X-norm errors of
-    the interface-parametrized fields, the monotone gaps against the
-    reference trace, and the Steklov-Poincare residual pushed through
-    the resolvent (the iteration's own metric); this costs two extra
-    Dirichlet solves per iteration.  ``chi`` holds the interface sources
-    (chi_1, chi_2) when the caller has computed them already.
-    """
-    s1, s2 = solvers
-    ops = s1.ops
-    tau, Mg = ops.grid.tau, ops.M_gamma
-    n_steps, n_g = ops.grid.n_steps, ops.n_interface
-
-    eta = config.eta0.copy() if config.eta0 is not None else \
-        InterfaceSignal(np.zeros((n_steps, n_g)), "primal")
-
-    report = ConvergenceReport()
-    track = references is not None
-    if track:
-        chi_1, chi_2 = chi or map(interface_source, solvers)
-        chi_sum = chi_1 + chi_2
-        S1_ref = s1.flux_recovery(references.u1_ref, s1.ops.loads) + chi_1
-        S2_ref = s2.flux_recovery(references.u2_ref, s2.ops.loads) + chi_2
-
-    scale0 = None
-    for n in range(1, config.max_iter + 1):
-        state, eta_next = advance(state)
-        inc = h_norm(eta_next - eta, Mg, tau)
-        eta = eta_next
-        report.increments.append(inc)
-
-        if track:
-            u1 = s1.dirichlet_solve(eta=eta, loads=s1.ops.loads)
-            u2 = s2.dirichlet_solve(eta=eta, loads=s2.ops.loads)
-            S1_eta = s1.flux_recovery(u1, s1.ops.loads) + chi_1
-            S2_eta = s2.flux_recovery(u2, s2.ops.loads) + chi_2
-            from .lab import field_error_norm     # local import, no cycle at load
-            report.errors_1.append(field_error_norm(
-                u1, references.u1_ref, s1.ops.M, s1.ops.K, tau))
-            report.errors_2.append(field_error_norm(
-                u2, references.u2_ref, s2.ops.M, s2.ops.K, tau))
-            diff = references.eta_ref - eta
-            report.gaps_1.append((S1_ref - S1_eta).pair(diff))
-            report.gaps_2.append((S2_ref - S2_eta).pair(diff))
-            resid = (S1_eta + S2_eta) - chi_sum
-            precond = solve_robin_resolvent(s2, resid, config.s)
-            report.residuals.append(h_norm(precond, Mg, tau))
-
-        if scale0 is None:
-            scale0 = inc
-        if not np.isfinite(inc) or (scale0 > 0 and inc > 1e6 * scale0):
-            report.status = "diverged"
-            return eta, report
-        if inc <= config.tol:
-            report.status = "converged"
-            return eta, report
-
-    report.status = "max_iter"
-    return eta, report
-
-
-def run_pr(solvers, config: IterationConfig,
-           references: PRReferences | None = None):
-    """Run the interface Peaceman-Rachford iteration.
-
-    Returns (eta, report); see _run_iteration for the diagnostics.
-    """
-    chi = tuple(map(interface_source, solvers))
-    chi_sum = chi[0] + chi[1]
-
-    def advance(eta):
-        eta_next = pr_step(solvers, chi_sum, eta, config.s)
-        return eta_next, eta_next
-
-    n_steps = solvers[0].ops.grid.n_steps
-    n_g = solvers[0].ops.n_interface
-    eta0 = config.eta0 if config.eta0 is not None else \
-        InterfaceSignal(np.zeros((n_steps, n_g)), "primal")
-    return _run_iteration(solvers, config, advance, eta0, references, chi)
-
-
-def run_rr(solvers, config: IterationConfig,
-           references: PRReferences | None = None):
-    """Run the PDE-level Robin-Robin sweep.
-
-    The interface iterate is the trace of the second subdomain's Robin
-    solution; it coincides with the Peaceman-Rachford iterate of run_pr
-    to roundoff, so the two drivers are interchangeable.
-    """
-    state0 = init_robin_sweep(solvers, config.s, eta0=config.eta0)
-
-    def advance(state):
-        state = robin_sweep(solvers, state, config.s)
-        return state, solvers[1].trace(state.u2)
-
-    return _run_iteration(solvers, config, advance, state0, references)
-
-
-def run_iteration(solvers, config: IterationConfig,
-                  references: PRReferences | None = None):
-    """Dispatch on config.variant: pr_interface or rr_pde."""
-    driver = run_pr if config.variant == "pr_interface" else run_rr
-    return driver(solvers, config, references)
-
-
 # ---------------------------------------------------------------------------
 # PDE-level Robin-Robin sweep
 # ---------------------------------------------------------------------------
@@ -338,21 +190,15 @@ def _robin_exchange(solver: SubdomainSolver, u: SpaceTimeField,
     return interface_gram(tr, ops.M_gamma, s, ops.grid.tau) - sig
 
 
-def init_robin_sweep(solvers, s: float,
-                     eta0: InterfaceSignal | None = None) -> RobinSweepState:
+def init_robin_sweep(solvers, s: float) -> RobinSweepState:
     """Initial sweep state consistent with the interface iteration.
 
-    Builds u2^0 as the Dirichlet solve with trace eta0 (zero by default)
-    and subdomain-2 loads, then extracts its Robin exchange data.
+    Builds u2^0 as the Dirichlet solve with zero trace and subdomain-2
+    loads, then extracts its Robin exchange data.
     """
-    s1, s2 = solvers
-    ops = s2.ops
-    if eta0 is None:
-        eta0 = InterfaceSignal(
-            np.zeros((ops.grid.n_steps, ops.n_interface)), "primal")
-    u2 = s2.dirichlet_solve(eta=eta0, loads=s2.ops.loads)
-    lam1 = _robin_exchange(s2, u2, s)
-    return RobinSweepState(None, u2, lam1)
+    s2 = solvers[1]
+    u2 = s2.dirichlet_solve(eta=None, loads=s2.ops.loads)
+    return RobinSweepState(None, u2, _robin_exchange(s2, u2, s))
 
 
 def robin_sweep(solvers, state: RobinSweepState, s: float) -> RobinSweepState:
@@ -370,6 +216,120 @@ def robin_sweep(solvers, state: RobinSweepState, s: float) -> RobinSweepState:
     return RobinSweepState(u1, u2, lam1)
 
 
+# ---------------------------------------------------------------------------
+# Iteration drivers shared by both realizations
+# ---------------------------------------------------------------------------
+
+def _orbit(step, x):
+    """Yield step(x), step(step(x)), ... without end."""
+    while True:
+        x = step(x)
+        yield x
+
+
+def _pr_iterates(solvers, chi_sum: InterfaceSignal, s: float):
+    """Peaceman-Rachford iterates eta^1, eta^2, ... from eta^0 = 0."""
+    ops = solvers[0].ops
+    eta0 = InterfaceSignal(np.zeros((ops.grid.n_steps, ops.n_interface)), "primal")
+    return _orbit(lambda eta: pr_step(solvers, chi_sum, eta, s), eta0)
+
+
+def _rr_iterates(solvers, s: float):
+    """Traces of u2 after each Robin sweep; the initial sweep state is
+    built at once, before the first iterate is drawn."""
+    sweeps = _orbit(lambda state: robin_sweep(solvers, state, s),
+                    init_robin_sweep(solvers, s))
+    return (solvers[1].trace(state.u2) for state in sweeps)
+
+
+def _run_iteration(solvers, config: IterationConfig, iterates,
+                   references: PRReferences | None, chi=None):
+    """Shared driver: draw interface iterates, track diagnostics.
+
+    ``iterates`` yields eta^1, eta^2, ... (eta^0 = 0); at most
+    config.max_iter of them are drawn.  When ``references`` is given,
+    each iteration also records the subdomain X-norm errors of the
+    interface-parametrized fields, the monotone gaps against the
+    reference trace, and the Steklov-Poincare residual pushed through
+    the resolvent (the iteration's own metric); this costs two extra
+    Dirichlet solves per iteration.  ``chi`` holds the interface sources
+    (chi_1, chi_2) when the caller has computed them already.
+    """
+    s1, s2 = solvers
+    ops = s1.ops
+    tau, Mg = ops.grid.tau, ops.M_gamma
+    eta = InterfaceSignal(np.zeros((ops.grid.n_steps, ops.n_interface)), "primal")
+
+    report = ConvergenceReport()
+    track = references is not None
+    if track:
+        from .lab import field_error_norm     # local import, no cycle at load
+        chi_1, chi_2 = chi or map(interface_source, solvers)
+        chi_sum = chi_1 + chi_2
+        S1_ref = s1.flux_recovery(references.u1_ref, s1.ops.loads) + chi_1
+        S2_ref = s2.flux_recovery(references.u2_ref, s2.ops.loads) + chi_2
+
+    for _, eta_next in zip(range(config.max_iter), iterates):
+        inc = h_norm(eta_next - eta, Mg, tau)
+        eta = eta_next
+        report.increments.append(inc)
+
+        if track:
+            u1 = s1.dirichlet_solve(eta=eta, loads=s1.ops.loads)
+            u2 = s2.dirichlet_solve(eta=eta, loads=s2.ops.loads)
+            S1_eta = s1.flux_recovery(u1, s1.ops.loads) + chi_1
+            S2_eta = s2.flux_recovery(u2, s2.ops.loads) + chi_2
+            report.errors_1.append(field_error_norm(
+                u1, references.u1_ref, s1.ops.M, s1.ops.K, tau))
+            report.errors_2.append(field_error_norm(
+                u2, references.u2_ref, s2.ops.M, s2.ops.K, tau))
+            diff = references.eta_ref - eta
+            report.gaps_1.append((S1_ref - S1_eta).pair(diff))
+            report.gaps_2.append((S2_ref - S2_eta).pair(diff))
+            resid = (S1_eta + S2_eta) - chi_sum
+            precond = solve_robin_resolvent(s2, resid, config.s)
+            report.residuals.append(h_norm(precond, Mg, tau))
+
+        scale0 = report.increments[0]
+        if not np.isfinite(inc) or (scale0 > 0 and inc > 1e6 * scale0):
+            report.status = "diverged"
+            break
+        if inc <= config.tol:
+            report.status = "converged"
+            break
+    return eta, report
+
+
+def run_pr(solvers, config: IterationConfig,
+           references: PRReferences | None = None):
+    """Run the interface Peaceman-Rachford iteration.
+
+    Returns (eta, report); see _run_iteration for the diagnostics.
+    """
+    chi = tuple(map(interface_source, solvers))
+    iterates = _pr_iterates(solvers, chi[0] + chi[1], config.s)
+    return _run_iteration(solvers, config, iterates, references, chi)
+
+
+def run_rr(solvers, config: IterationConfig,
+           references: PRReferences | None = None):
+    """Run the PDE-level Robin-Robin sweep.
+
+    The interface iterate is the trace of the second subdomain's Robin
+    solution; it coincides with the Peaceman-Rachford iterate of run_pr
+    to roundoff, so the two drivers are interchangeable.
+    """
+    return _run_iteration(solvers, config, _rr_iterates(solvers, config.s),
+                          references)
+
+
+def run_iteration(solvers, config: IterationConfig,
+                  references: PRReferences | None = None):
+    """Dispatch on config.variant: pr_interface or rr_pde."""
+    driver = run_pr if config.variant == "pr_interface" else run_rr
+    return driver(solvers, config, references)
+
+
 def run_equivalence(solvers, s: float, n_iterations: int):
     """Run the interface and the PDE-level iterations in lockstep.
 
@@ -378,17 +338,11 @@ def run_equivalence(solvers, s: float, n_iterations: int):
     u2, measured in the interface L2 norm.
     """
     s1, s2 = solvers
-    ops = s1.ops
-    tau, Mg = ops.grid.tau, ops.M_gamma
+    tau, Mg = s1.ops.grid.tau, s1.ops.M_gamma
     chi_sum = interface_source(s1) + interface_source(s2)
-    eta = InterfaceSignal(
-        np.zeros((ops.grid.n_steps, ops.n_interface)), "primal")
-    state = init_robin_sweep(solvers, s)
     discrepancies = []
-    for _ in range(n_iterations):
-        eta = pr_step(solvers, chi_sum, eta, s)
-        state = robin_sweep(solvers, state, s)
-        tr = s2.trace(state.u2)
+    for _, eta, tr in zip(range(n_iterations), _pr_iterates(solvers, chi_sum, s),
+                          _rr_iterates(solvers, s)):
         num = h_norm(tr - eta, Mg, tau)
         den = h_norm(eta, Mg, tau)
         discrepancies.append(num / den if den > 0 else num)
@@ -399,17 +353,16 @@ def run_equivalence(solvers, s: float, n_iterations: int):
 # Dense probing and spectral analysis
 # ---------------------------------------------------------------------------
 
-def assemble_dense(apply_fn, n_steps: int, n_interface: int,
-                   guard: int = DENSE_COLUMN_GUARD) -> np.ndarray:
+def assemble_dense(apply_fn, n_steps: int, n_interface: int) -> np.ndarray:
     """Probe a linear interface operator with unit primal signals.
 
     Column (k * n_interface + g) is the flattened output for the unit
     signal at step k, dof g (time-major flattening).
     """
     n_cols = n_steps * n_interface
-    if n_cols > guard:
-        raise ValueError(
-            f"dense probing guard exceeded: {n_cols} columns > {guard}")
+    if n_cols > DENSE_COLUMN_GUARD:
+        raise ValueError(f"dense probing guard exceeded: "
+                         f"{n_cols} columns > {DENSE_COLUMN_GUARD}")
     out = np.zeros((n_cols, n_cols))
     for j in range(n_cols):
         e = np.zeros(n_cols)
@@ -417,12 +370,6 @@ def assemble_dense(apply_fn, n_steps: int, n_interface: int,
         sig = InterfaceSignal(e.reshape(n_steps, n_interface), "primal")
         out[:, j] = apply_fn(sig).values.ravel()
     return out
-
-
-def dense_riesz(M_gamma, tau: float, n_steps: int) -> np.ndarray:
-    """Dense matrix of the Riesz map: block-diagonal tau * M_Gamma."""
-    Mg = M_gamma.toarray() if hasattr(M_gamma, "toarray") else np.asarray(M_gamma)
-    return np.kron(np.eye(n_steps), tau * Mg)
 
 
 @dataclass(frozen=True)

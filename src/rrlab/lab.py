@@ -24,21 +24,17 @@ from .subsolve import (InterfaceSignal, MonolithicSolver, SpaceTimeField,
                        SubdomainSolver)
 
 __all__ = [
-    "ConfigError", "ThresholdViolation", "LabSetup", "setup_problem",
-    "default_problem", "solve_monolithic", "restrict_field", "glue_fields",
-    "global_trace", "references_from_monolithic", "field_error_norm",
-    "space_time_l2_norm", "mms_spec", "mms_exact_nodal", "run_mms_spatial",
-    "run_mms_temporal", "least_squares_order", "ScenarioConfig",
-    "parse_config", "run_scenario", "ScenarioResult", "CsvReport",
+    "ConfigError", "LabSetup", "setup_problem", "default_problem",
+    "solve_monolithic", "restrict_field", "glue_fields", "global_trace",
+    "references_from_monolithic", "field_error_norm", "space_time_l2_norm",
+    "mms_spec", "mms_exact_nodal", "run_mms_spatial", "run_mms_temporal",
+    "least_squares_order", "ScenarioConfig", "parse_config", "run_scenario",
+    "ScenarioResult", "CsvReport",
 ]
 
 
 class ConfigError(ValueError):
     """A scenario configuration could not be understood."""
-
-
-class ThresholdViolation(RuntimeError):
-    """A scenario-level acceptance threshold was violated."""
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +205,7 @@ def _mms_errors(spec: ProblemSpec):
     exact = mms_exact_nodal(mesh, ops.dof_nodes, times, spec.dimension)
     e = u.values[1:] - exact
     l2 = space_time_l2_norm(e, ops.M, spec.tau)
-    x = np.sqrt(space_time_l2_norm(e, ops.M, spec.tau) ** 2
-                + space_time_l2_norm(e, ops.K, spec.tau) ** 2)
+    x = np.sqrt(l2 ** 2 + space_time_l2_norm(e, ops.K, spec.tau) ** 2)
     return l2, float(x)
 
 
@@ -319,6 +314,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not self.s_values or not self.mesh_levels:
             raise ConfigError("sweep lists must be nonempty")
+        # mms meshes split at x = 1/2, so each level is an even nx >= 2
+        if not (all(s > 0 for s in self.s_values)
+                and all(n >= 2 and n % 2 == 0 for n in self.mesh_levels)):
+            raise ConfigError("need every s_values entry > 0 and every "
+                              "mesh_levels entry even and >= 2")
         if not (self.s > 0 and self.tol >= 0 and self.max_iter >= 1):
             raise ConfigError("need s > 0, tol >= 0 and max_iter >= 1")
 

@@ -185,19 +185,6 @@ class Decomposition:
         pos = np.searchsorted(self.free, self.subdomain_nodes(i))
         return np.asarray(free_values)[..., pos]
 
-    def trace(self, i: int, sub_values: np.ndarray) -> np.ndarray:
-        """Interface values of a subdomain dof vector."""
-        n_int = self.interiors(i).size
-        return np.asarray(sub_values)[..., n_int:]
-
-    def lift(self, i: int, interface_values: np.ndarray) -> np.ndarray:
-        """Extend interface values by zero into subdomain i."""
-        g = np.asarray(interface_values)
-        n_int = self.interiors(i).size
-        out = np.zeros(g.shape[:-1] + (n_int + self.n_interface,), dtype=g.dtype)
-        out[..., n_int:] = g
-        return out
-
 
 def build_mesh(spec: ProblemSpec) -> Mesh:
     """Build the structured mesh described by ``spec``.

@@ -28,8 +28,8 @@ import scipy.sparse.linalg as spla
 from .assembly import GlobalOperators, SubdomainOperators, build_step_operators
 
 __all__ = [
-    "SpaceTimeField", "InterfaceSignal", "Factorization",
-    "factorize_steps", "SubdomainSolver", "MonolithicSolver",
+    "SpaceTimeField", "InterfaceSignal", "Factorization", "SubdomainSolver",
+    "MonolithicSolver", "SolverFailure",
 ]
 
 
@@ -60,9 +60,6 @@ class SpaceTimeField:
     def n_steps(self) -> int:
         return self.values.shape[0] - 1
 
-    def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.values.copy(), self.domain)
-
 
 @dataclass
 class InterfaceSignal:
@@ -86,9 +83,6 @@ class InterfaceSignal:
     @property
     def n_steps(self) -> int:
         return self.values.shape[0]
-
-    def copy(self) -> "InterfaceSignal":
-        return InterfaceSignal(self.values.copy(), self.kind)
 
     def _like(self, values) -> "InterfaceSignal":
         return InterfaceSignal(values, self.kind)
@@ -118,10 +112,8 @@ class InterfaceSignal:
 class Factorization:
     """Sparse LU of one step matrix, with provenance for error reports."""
 
-    def __init__(self, matrix: sp.spmatrix, label: str = "step matrix",
-                 spd: bool = False):
+    def __init__(self, matrix: sp.spmatrix, label: str = "step matrix"):
         self.label = label
-        self.spd = spd
         self.shape = matrix.shape
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"{label}: matrix must be square")
@@ -139,16 +131,6 @@ def _finite(u: np.ndarray, fac: Factorization) -> np.ndarray:
     if not np.isfinite(u).all():
         raise SolverFailure(f"non-finite solution from {fac.label}")
     return u
-
-
-def factorize_steps(matrices, labels=None):
-    """Factorize a collection of per-step matrices.
-
-    With a uniform time step all steps share a matrix, so callers
-    normally pass a single-element list and reuse the factorization.
-    """
-    labels = labels or [f"step matrix {i}" for i in range(len(matrices))]
-    return [Factorization(A, lab) for A, lab in zip(matrices, labels)]
 
 
 class SubdomainSolver:
@@ -176,7 +158,7 @@ class SubdomainSolver:
     def _dirichlet_factor(self) -> Factorization:
         if self._dirichlet is None:
             self._dirichlet = Factorization(
-                self._A_II, f"subdomain {self.ops.index} Dirichlet block", spd=True)
+                self._A_II, f"subdomain {self.ops.index} Dirichlet block")
         return self._dirichlet
 
     def _robin_factor(self, s: float) -> Factorization:
@@ -289,18 +271,3 @@ class MonolithicSolver:
         for k in range(1, grid.n_steps + 1):
             u[k] = self._factor.solve(loads[k - 1] + self.C @ u[k - 1])
         return SpaceTimeField(_finite(u, self._factor), "global")
-
-    def residual(self, u: SpaceTimeField,
-                 loads: np.ndarray | None = None) -> float:
-        """Relative space-time residual of a candidate field."""
-        grid = self.ops.grid
-        loads = self.ops.loads if loads is None else loads
-        num = 0.0
-        den = 0.0
-        for k in range(1, grid.n_steps + 1):
-            r = self.A @ u.values[k] - self.C @ u.values[k - 1] - loads[k - 1]
-            num += grid.tau * float(r @ r)
-            den += grid.tau * float(loads[k - 1] @ loads[k - 1])
-        if den == 0.0:
-            return np.sqrt(num)
-        return np.sqrt(num / den)

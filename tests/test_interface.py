@@ -6,11 +6,10 @@ import pytest
 
 from rrlab.assembly import lumped_interface_mass
 from rrlab.dense import dense_schur_complement
-from rrlab.interface import (IterationConfig, SteklovOperator, apply_riesz,
-                             assemble_dense, dense_riesz, dual_norm, h_norm,
-                             init_robin_sweep, interface_gram,
-                             interface_source, monotone_gap, pr_step,
-                             robin_sweep, run_equivalence, run_pr, run_rr,
+from rrlab.interface import (IterationConfig, SteklovOperator, assemble_dense,
+                             h_norm, init_robin_sweep, interface_gram,
+                             interface_source, pr_step, robin_sweep,
+                             run_equivalence, run_pr, run_rr,
                              solve_robin_resolvent, spectral_analysis)
 from rrlab.lab import (references_from_monolithic, setup_problem)
 from rrlab.mesh import ProblemSpec
@@ -108,17 +107,18 @@ class TestRieszAndGram:
     def test_zero(self):
         setup = small_setup()
         eta = InterfaceSignal(np.zeros((4, setup.ops_1.n_interface)))
-        assert not apply_riesz(eta, setup.ops_1.M_gamma, 0.25).values.any()
+        assert not interface_gram(eta, setup.ops_1.M_gamma, 1.0, 0.25).values.any()
 
     def test_constant_signal_measures_space_time_cylinder(self):
-        # with the pre-elimination interface mass, <J 1, 1> = T * |Gamma|
-        from rrlab.assembly import assemble_interface_mass
+        # ||1||_H^2 = T * (|Gamma| - 4h/3): the two Dirichlet end nodes
+        # of the interface line are eliminated, each taking its row and
+        # column sums (h/2 each) less the doubly counted diagonal (h/3)
         setup = small_setup(nx=4, n_steps=5, horizon=2.0)
-        Mg_full = assemble_interface_mass(setup.mesh, setup.dec,
-                                          include_boundary=True)
-        ones = InterfaceSignal(np.ones((5, Mg_full.shape[0])))
-        J_ones = apply_riesz(ones, Mg_full, 2.0 / 5)
-        assert J_ones.pair(ones) == pytest.approx(2.0 * 1.0, rel=1e-13)
+        ops = setup.ops_1
+        ones = InterfaceSignal(np.ones((5, ops.n_interface)))
+        expected = 2.0 * (1.0 - 4 * 0.25 / 3)
+        assert h_norm(ones, ops.M_gamma, ops.grid.tau) ** 2 == pytest.approx(
+            expected, rel=1e-13)
 
     def test_symmetry(self):
         setup = small_setup()
@@ -126,8 +126,8 @@ class TestRieszAndGram:
         n_g = setup.ops_1.n_interface
         a, b = rand_signal(rng, 4, n_g), rand_signal(rng, 4, n_g)
         Mg = setup.ops_1.M_gamma
-        assert apply_riesz(a, Mg, 0.3).pair(b) == pytest.approx(
-            apply_riesz(b, Mg, 0.3).pair(a), rel=1e-12)
+        assert interface_gram(a, Mg, 2.0, 0.3).pair(b) == pytest.approx(
+            interface_gram(b, Mg, 2.0, 0.3).pair(a), rel=1e-12)
 
     def test_gram_uses_lumped_mass(self):
         setup = small_setup()
@@ -140,13 +140,15 @@ class TestRieszAndGram:
                                    rtol=1e-13)
 
     def test_dense_riesz_block_diagonal(self):
+        # the dense J of spectral_analysis: block-diagonal s * ML_Gamma
         setup = small_setup(nx=4, n_steps=3)
         ops = setup.ops_1
         probed = assemble_dense(
-            lambda e: apply_riesz(e, ops.M_gamma, ops.grid.tau),
+            lambda e: interface_gram(e, ops.M_gamma, 2.0, ops.grid.tau),
             3, ops.n_interface)
-        np.testing.assert_allclose(
-            probed, dense_riesz(ops.M_gamma, ops.grid.tau, 3), atol=1e-14)
+        ML = lumped_interface_mass(ops.M_gamma).toarray()
+        np.testing.assert_allclose(probed, np.kron(np.eye(3), 2.0 * ML),
+                                   atol=1e-14)
 
 
 class TestInterfaceSource:
@@ -223,7 +225,8 @@ class TestMonotoneGap:
         rng = np.random.default_rng(4)
         eta = rand_signal(rng, 4, setup.ops_1.n_interface)
         S = SteklovOperator(setup.solver_1)
-        assert monotone_gap(S, eta, eta) == pytest.approx(0.0, abs=1e-14)
+        gap = (S.apply(eta) - S.apply(eta)).pair(eta - eta)
+        assert gap == pytest.approx(0.0, abs=1e-14)
 
     def test_nonnegative_and_bounded_below_by_symmetric_part(self):
         # oracle: gap = d^T S d >= lambda_min(sym S) ||d||^2
@@ -237,7 +240,7 @@ class TestMonotoneGap:
         for _ in range(100):
             a = rand_signal(rng, 3, n_g)
             b = rand_signal(rng, 3, n_g)
-            gap = monotone_gap(S, a, b)
+            gap = (S.apply(a) - S.apply(b)).pair(a - b)
             d = (a.values - b.values).ravel()
             assert gap >= lam_min * (d @ d) - 1e-12
 
@@ -248,10 +251,13 @@ class TestMonotoneGap:
         S = SteklovOperator(setup.solver_2)
         eta = rand_signal(rng, 4, n_g)
         delta = rand_signal(rng, 4, n_g)
-        g1 = monotone_gap(S, eta, eta + delta)
+
+        def gap(t):
+            b = eta + t * delta
+            return (S.apply(eta) - S.apply(b)).pair(eta - b)
+
         for t in (0.5, 2.0):
-            gt = monotone_gap(S, eta, eta + t * delta)
-            assert gt == pytest.approx(t * t * g1, rel=1e-10)
+            assert gap(t) == pytest.approx(t * t * gap(1.0), rel=1e-10)
 
 
 class TestPeacemanRachford:
@@ -322,6 +328,29 @@ class TestPeacemanRachford:
         run(setup.solvers, IterationConfig(max_iter=2), references=refs)
         assert sorted(calls) == [1, 2]
 
+    def test_one_step_drawn_per_iteration(self, monkeypatch):
+        # the shared driver stops drawing iterates at max_iter
+        import rrlab.interface
+        calls = []
+
+        def counting(name):
+            step = getattr(rrlab.interface, name)
+
+            def counted(*args):
+                calls.append(name)
+                return step(*args)
+            return counted
+
+        for name in ("pr_step", "robin_sweep"):
+            monkeypatch.setattr(rrlab.interface, name, counting(name))
+        setup = small_setup()
+        cfg = IterationConfig(tol=0.0, max_iter=3)
+        assert run_pr(setup.solvers, cfg)[1].n_iterations == 3
+        assert run_rr(setup.solvers, cfg)[1].n_iterations == 3
+        run_equivalence(setup.solvers, 1.0, 2)
+        assert calls == ["pr_step"] * 3 + ["robin_sweep"] * 3 \
+            + ["pr_step", "robin_sweep"] * 2
+
     def test_iteration_config_validation(self):
         with pytest.raises(ValueError):
             IterationConfig(s=0.0)
@@ -388,14 +417,3 @@ class TestNorms:
         Mg = ops.M_gamma.toarray()
         direct = np.sqrt(sum(ops.grid.tau * v @ Mg @ v for v in eta.values))
         assert h_norm(eta, ops.M_gamma, ops.grid.tau) == pytest.approx(direct)
-
-    def test_dual_norm_is_dual_to_h_norm(self):
-        # <sigma, eta> <= ||sigma||_* ||eta||_H with equality at the Riesz pair
-        setup = small_setup()
-        ops = setup.ops_1
-        rng = np.random.default_rng(9)
-        eta = rand_signal(rng, 4, ops.n_interface)
-        sigma = apply_riesz(eta, ops.M_gamma, ops.grid.tau)
-        hn = h_norm(eta, ops.M_gamma, ops.grid.tau)
-        dn = dual_norm(sigma, ops.M_gamma, ops.grid.tau)
-        assert sigma.pair(eta) == pytest.approx(hn * dn, rel=1e-11)

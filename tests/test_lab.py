@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rrlab.cli as cli
+from rrlab.dense import dense_space_time_matrix, dense_space_time_solve
 from rrlab.interface import IterationConfig, run_pr
 from rrlab.lab import (ConfigError, CsvReport, ScenarioConfig,
                        default_problem, field_error_norm, glue_fields,
@@ -47,12 +48,18 @@ class TestMonolithic:
         np.testing.assert_allclose(u.values[1:, 0], [u1, u2], rtol=1e-14)
 
     def test_residual_diagnostic(self):
+        # oracle: the dense space-time system, solved and applied at once
         setup = setup_problem(default_problem(nx=4, n_steps=4))
-        u = solve_monolithic(setup)
-        assert setup.mono.residual(u) < 1e-12
-        bumped = u.values.copy()
-        bumped[2, 0] += 1.0
-        assert setup.mono.residual(SpaceTimeField(bumped, "global")) > 1e-3
+        ops = setup.global_ops
+        u = solve_monolithic(setup).values[1:]
+        np.testing.assert_allclose(u, dense_space_time_solve(ops),
+                                   rtol=1e-12, atol=1e-15)
+        W = dense_space_time_matrix(ops)
+        f = (ops.grid.tau * ops.loads).ravel()
+        assert np.linalg.norm(W @ u.ravel() - f) < 1e-12 * np.linalg.norm(f)
+        bumped = u.copy()
+        bumped[1, 0] += 1.0
+        assert np.linalg.norm(W @ bumped.ravel() - f) > 1e-3 * np.linalg.norm(f)
 
     def test_monolithic_matches_converged_transmission(self):
         spec = default_problem(nx=8, n_steps=8)
@@ -321,8 +328,10 @@ class TestCli:
         assert not (out / "warp.csv").exists()
 
     @pytest.mark.parametrize("text", [
-        "s = 0\n", "tol = -1\n", "max_iter = 0\n", "nx = 8\nnx = 4\n"],
-        ids=["s-zero", "tol-negative", "max-iter-zero", "duplicate-key"])
+        "s = 0\n", "tol = -1\n", "max_iter = 0\n", "nx = 8\nnx = 4\n",
+        "s_values = -1\n", "mesh_levels = 0\n", "mesh_levels = 4,3\n"],
+        ids=["s-zero", "tol-negative", "max-iter-zero", "duplicate-key",
+             "s-values-negative", "mesh-levels-below-2", "mesh-levels-odd"])
     def test_run_bad_config_value_exits_2(self, tmp_path, text, capsys):
         cfg = self.write_config(tmp_path, "scenario = converge\n" + text)
         out = tmp_path / "out"

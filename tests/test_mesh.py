@@ -118,14 +118,6 @@ class TestDecompose:
                  for x, y in mesh.nodes[dec.interior_2]}
         assert refl_1 == set_2
 
-    def test_trace_lift_roundtrip_exact(self):
-        spec = spec_2d(nx=4, ny=4, gamma=0.25)
-        dec = decompose(build_mesh(spec), spec)
-        rng = np.random.default_rng(7)
-        for i in (1, 2):
-            g = rng.standard_normal(dec.n_interface)
-            np.testing.assert_array_equal(dec.trace(i, dec.lift(i, g)), g)
-
     def test_restriction_matrix_matches_restrict(self):
         spec = spec_2d(nx=4, ny=6, gamma=0.75)
         mesh = build_mesh(spec)

@@ -1,0 +1,87 @@
+"""Property tests of the structural identities over random geometry,
+diffusion jumps and theta: PDE/interface equivalence of the two
+Robin-Robin realizations, the causal block-Toeplitz structure of the
+probed Steklov-Poincare operators, and the resolvent round trip."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rrlab.interface import (SteklovOperator, assemble_dense, interface_gram,
+                             run_equivalence, solve_robin_resolvent)
+from rrlab.lab import setup_problem
+from rrlab.mesh import ProblemSpec
+from rrlab.subsolve import InterfaceSignal
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None,
+                             derandomize=True, database=None)
+
+
+@st.composite
+def problems(draw):
+    dimension = draw(st.sampled_from([1, 2]))
+    nx = draw(st.integers(2, 8))
+    column = draw(st.integers(1, nx - 1))
+    jump = 10.0 ** draw(st.floats(-3.0, 3.0))
+    gx = column / nx
+
+    if dimension == 1:
+        def diffusion(x):
+            return np.where(x < gx, 1.0, jump)
+
+        def source(x, t):
+            return np.cos(2 * x) + np.sin(t)
+    else:
+        def diffusion(x, y):
+            return np.where(x < gx, 1.0, jump)
+
+        def source(x, y, t):
+            return np.cos(2 * x + y) + np.sin(t)
+    return ProblemSpec(
+        dimension=dimension, nx=nx,
+        ny=draw(st.integers(2, 8)) if dimension == 2 else 0,
+        interface_x=gx, diffusion=diffusion, source=source,
+        n_steps=draw(st.integers(2, 4)),
+        theta=draw(st.sampled_from([1.0, 0.5])))
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_pde_and_interface_iterates_agree(spec):
+    setup = setup_problem(spec)
+    assert max(run_equivalence(setup.solvers, 1.0, 5)) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_steklov_operators_are_causal_block_toeplitz(spec):
+    setup = setup_problem(spec)
+    n, g = spec.n_steps, setup.ops_1.n_interface
+    for solver in setup.solvers:
+        S = assemble_dense(SteklovOperator(solver).apply, n, g)
+        blocks = S.reshape(n, g, n, g).transpose(0, 2, 1, 3)
+        scale = np.abs(S).max()
+        for k in range(n):
+            for j in range(n):
+                if j > k:
+                    assert not blocks[k, j].any()
+                else:
+                    defect = np.abs(blocks[k, j] - blocks[k - j, 0]).max()
+                    assert defect <= 1e-14 * scale
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([0.1, 1.0, 10.0]))
+def test_resolvent_inverts_robin_operator(spec, s):
+    # (sJ + S_i) applied to the resolvent of rhs gives rhs back
+    setup = setup_problem(spec)
+    ops = setup.ops_1
+    rng = np.random.default_rng(0)
+    rhs = InterfaceSignal(
+        rng.standard_normal((spec.n_steps, ops.n_interface)), "dual")
+    for solver in setup.solvers:
+        eta = solve_robin_resolvent(solver, rhs, s)
+        back = (interface_gram(eta, ops.M_gamma, s, ops.grid.tau)
+                + SteklovOperator(solver).apply(eta))
+        assert np.abs(back.values - rhs.values).max() \
+            <= 1e-10 * np.abs(rhs.values).max()

@@ -10,8 +10,7 @@ from rrlab.assembly import (build_global_operators, build_step_operators,
 from rrlab.dense import (dense_space_time_matrix, dense_space_time_solve)
 from rrlab.mesh import ProblemSpec, build_mesh, decompose
 from rrlab.subsolve import (Factorization, InterfaceSignal, MonolithicSolver,
-                            SolverFailure, SpaceTimeField, SubdomainSolver,
-                            factorize_steps)
+                            SolverFailure, SpaceTimeField, SubdomainSolver)
 
 
 def make_solver(spec, i=1):
@@ -62,11 +61,6 @@ class TestFactorization:
     def test_singular_reports_identity(self):
         with pytest.raises(SolverFailure, match="broken block"):
             Factorization(sp.csc_matrix((3, 3)), label="broken block")
-
-    def test_factorize_steps_uniform(self):
-        mats = [sp.identity(4, format="csc")]
-        facs = factorize_steps(mats, labels=["only"])
-        assert len(facs) == 1 and facs[0].label == "only"
 
 
 class TestSignalsAndFields:
