@@ -246,10 +246,13 @@ def criterion_7_contraction(art: DeskArtifacts) -> CriterionResult:
         rho = art.spectral_rows[s].rho
         ok = ok and rho < 1.0
         eta = InterfaceSignal(rng.standard_normal((n_steps, n_g)))
+        # pr_step carries the Robin datum (sJ - S2) eta + chi
+        lam = (interface_gram(eta, ops.M_gamma, s, ops.grid.tau)
+               - SteklovOperator(setup.solver_2).apply(eta) + chi0)
         norms = []
         n0 = h_norm(eta, ops.M_gamma, ops.grid.tau)
         for _ in range(400):
-            eta = pr_step(setup.solvers, chi0, eta, s)
+            eta, lam = pr_step(setup.solvers, chi0, lam, s)
             norms.append(h_norm(eta, ops.M_gamma, ops.grid.tau))
             if norms[-1] <= 1e-11 * n0:
                 break

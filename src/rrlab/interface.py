@@ -8,6 +8,13 @@ Peaceman-Rachford iteration on interface signals, and as alternating
 Robin subdomain sweeps at the PDE level.  Both paths use the same
 resolvent (one Robin solve, never an inner iteration), so their iterates
 agree to roundoff.
+
+A Peaceman-Rachford step is two Robin solves: the state it carries is
+the Robin datum lam = (sJ - S2) eta + chi, and each reflection
+(sJ - S_i) x = 2 sJ x - (sJ + S_i) x is read off the right-hand side
+of the resolvent that produced x.  S_i is applied by a Dirichlet solve
+and a flux recovery only in probing, reference tracking and the
+acceptance criteria.
 """
 
 from __future__ import annotations
@@ -131,28 +138,32 @@ class ConvergenceReport:
         return len(self.increments)
 
 
-def pr_step(solvers, chi_sum: InterfaceSignal, eta: InterfaceSignal,
-            s: float) -> InterfaceSignal:
+def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal,
+            s: float) -> tuple[InterfaceSignal, InterfaceSignal]:
     """One Peaceman-Rachford double sweep on the interface.
 
-    eta half = (sJ + S1)^-1 ((sJ - S2) eta + chi),
-    eta next = (sJ + S2)^-1 ((sJ - S1) eta half + chi),
-    where chi = chi_1 + chi_2.  With chi = 0 the map is linear and its
-    fixed point is zero; in general fixed points solve
-    (S1 + S2) eta = chi.
+    The step is carried on the Robin datum lam = (sJ - S2) eta + chi,
+    where chi = chi_1 + chi_2, and costs two Robin solves:
+
+        eta half = (sJ + S1)^-1 lam,
+        mu       = (sJ - S1) eta half + chi = 2 sJ eta half - lam + chi,
+        eta next = (sJ + S2)^-1 mu,
+        lam next = (sJ - S2) eta next + chi = 2 sJ eta next - mu + chi.
+
+    Each reflection (sJ - S_i) x = 2 sJ x - (sJ + S_i) x takes
+    (sJ + S_i) x from the right-hand side of the resolvent that gave x
+    (Lions & Mercier, SIAM J. Numer. Anal. 16, 1979), so no Dirichlet
+    solve applies S_i.  Returns (eta next, lam next).  With chi = 0 the
+    map is linear and its fixed point is zero; in general fixed points
+    solve (S1 + S2) eta = chi.
     """
     s1, s2 = solvers
-    ops = s1.ops
-    tau = ops.grid.tau
-    Mg = ops.M_gamma
+    tau, Mg = s1.ops.grid.tau, s1.ops.M_gamma
 
-    S2_eta = SteklovOperator(s2).apply(eta)
-    rhs = interface_gram(eta, Mg, s, tau) - S2_eta + chi_sum
-    eta_half = solve_robin_resolvent(s1, rhs, s)
-
-    S1_half = SteklovOperator(s1).apply(eta_half)
-    rhs = interface_gram(eta_half, Mg, s, tau) - S1_half + chi_sum
-    return solve_robin_resolvent(s2, rhs, s)
+    eta_half = solve_robin_resolvent(s1, lam, s)
+    mu = 2.0 * interface_gram(eta_half, Mg, s, tau) - lam + chi_sum
+    eta_next = solve_robin_resolvent(s2, mu, s)
+    return eta_next, 2.0 * interface_gram(eta_next, Mg, s, tau) - mu + chi_sum
 
 
 @dataclass
@@ -228,10 +239,12 @@ def _orbit(step, x):
 
 
 def _pr_iterates(solvers, chi_sum: InterfaceSignal, s: float):
-    """Peaceman-Rachford iterates eta^1, eta^2, ... from eta^0 = 0."""
-    ops = solvers[0].ops
-    eta0 = InterfaceSignal(np.zeros((ops.grid.n_steps, ops.n_interface)), "primal")
-    return _orbit(lambda eta: pr_step(solvers, chi_sum, eta, s), eta0)
+    """Peaceman-Rachford iterates eta^1, eta^2, ... from eta^0 = 0,
+    whose Robin datum is chi itself."""
+    lam = chi_sum
+    while True:
+        eta, lam = pr_step(solvers, chi_sum, lam, s)
+        yield eta
 
 
 def _rr_iterates(solvers, s: float):

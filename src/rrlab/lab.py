@@ -102,19 +102,20 @@ def glue_fields(u1: SpaceTimeField, u2: SpaceTimeField,
                 dec: Decomposition) -> SpaceTimeField:
     """Glue two subdomain fields into a monolithic field.
 
-    Interface values are averaged; for a converged transmission pair the
-    two traces agree to solver tolerance, so the average is harmless.
+    The two interface traces must be equal: a pair whose traces differ
+    (one that has not met the transmission condition) raises
+    ValueError instead of being averaged.
     """
     free = dec.free
-    out = np.zeros((u1.values.shape[0], free.size))
-    pos1 = np.searchsorted(free, dec.interior_1)
-    pos2 = np.searchsorted(free, dec.interior_2)
-    posg = np.searchsorted(free, dec.interface)
     n1 = dec.interior_1.size
     n2 = dec.interior_2.size
-    out[:, pos1] = u1.values[:, :n1]
-    out[:, pos2] = u2.values[:, :n2]
-    out[:, posg] = 0.5 * (u1.values[:, n1:] + u2.values[:, n2:])
+    trace = u1.values[:, n1:]
+    if not np.array_equal(trace, u2.values[:, n2:]):
+        raise ValueError("subdomain fields have different interface traces")
+    out = np.zeros((u1.values.shape[0], free.size))
+    out[:, np.searchsorted(free, dec.interior_1)] = u1.values[:, :n1]
+    out[:, np.searchsorted(free, dec.interior_2)] = u2.values[:, :n2]
+    out[:, np.searchsorted(free, dec.interface)] = trace
     return SpaceTimeField(out, "global")
 
 

@@ -126,11 +126,17 @@ class Factorization:
         return self._lu.solve(np.asarray(rhs, dtype=float))
 
 
-def _finite(u: np.ndarray, fac: Factorization) -> np.ndarray:
-    """Return the trajectory u, or raise if a solve with fac broke down."""
-    if not np.isfinite(u).all():
-        raise SolverFailure(f"non-finite solution from {fac.label}")
-    return u
+def _solution(u: np.ndarray, fac: Factorization, domain: str) -> SpaceTimeField:
+    """Wrap the trajectory u, or raise if a solve with fac broke down.
+
+    The field's own finiteness check is the one scan of u: a solver
+    trajectory has two axes and a zero initial slice, so a non-finite
+    value is the only reason the field can refuse it.
+    """
+    try:
+        return SpaceTimeField(u, domain)
+    except ValueError:
+        raise SolverFailure(f"non-finite solution from {fac.label}") from None
 
 
 class SubdomainSolver:
@@ -219,7 +225,7 @@ class SubdomainSolver:
                + (self._C_IG @ u[:-1, nI:].T).T)
         for k in range(1, grid.n_steps + 1):
             u[k, :nI] = fac.solve(rhs[k - 1] + self._C_II @ u[k - 1, :nI])
-        return SpaceTimeField(_finite(u, fac), f"omega{self.ops.index}")
+        return _solution(u, fac, f"omega{self.ops.index}")
 
     def robin_solve(self, s: float, lam: InterfaceSignal | None = None,
                     loads: np.ndarray | None = None) -> SpaceTimeField:
@@ -238,7 +244,7 @@ class SubdomainSolver:
         u = np.zeros((grid.n_steps + 1, n))
         for k in range(1, grid.n_steps + 1):
             u[k] = fac.solve(rhs[k - 1] + self.C @ u[k - 1])
-        return SpaceTimeField(_finite(u, fac), f"omega{self.ops.index}")
+        return _solution(u, fac, f"omega{self.ops.index}")
 
     def flux_recovery(self, u: SpaceTimeField,
                       loads: np.ndarray | None = None) -> InterfaceSignal:
@@ -270,4 +276,4 @@ class MonolithicSolver:
         u = np.zeros((grid.n_steps + 1, self.ops.n_dofs))
         for k in range(1, grid.n_steps + 1):
             u[k] = self._factor.solve(loads[k - 1] + self.C @ u[k - 1])
-        return SpaceTimeField(_finite(u, self._factor), "global")
+        return _solution(u, self._factor, "global")

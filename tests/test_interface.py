@@ -260,15 +260,31 @@ class TestMonotoneGap:
             assert gap(t) == pytest.approx(t * t * gap(1.0), rel=1e-10)
 
 
+def robin_datum(solvers, chi, eta, s):
+    """The pr_step state (sJ - S2) eta + chi of an interface trace eta."""
+    s2 = solvers[1]
+    return (interface_gram(eta, s2.ops.M_gamma, s, s2.ops.grid.tau)
+            - SteklovOperator(s2).apply(eta) + chi)
+
+
+def textbook_pr_step(solvers, chi, eta, s):
+    """The Peaceman-Rachford step written out with four solves: each
+    reflection applies S_i by a Dirichlet solve and a flux recovery."""
+    s1, s2 = solvers
+    half = solve_robin_resolvent(s1, robin_datum(solvers, chi, eta, s), s)
+    rhs = (interface_gram(half, s1.ops.M_gamma, s, s1.ops.grid.tau)
+           - SteklovOperator(s1).apply(half) + chi)
+    return solve_robin_resolvent(s2, rhs, s)
+
+
 class TestPeacemanRachford:
     def test_zero_sources_zero_iterates(self):
         setup = small_setup(source=None)
-        ops = setup.ops_1
         chi = (interface_source(setup.solver_1)
                + interface_source(setup.solver_2))
-        eta = InterfaceSignal(np.zeros((4, ops.n_interface)))
+        lam = chi
         for _ in range(3):
-            eta = pr_step(setup.solvers, chi, eta, 1.0)
+            eta, lam = pr_step(setup.solvers, chi, lam, 1.0)
             assert not eta.values.any()
 
     def test_monolithic_trace_is_fixed_point(self):
@@ -276,9 +292,45 @@ class TestPeacemanRachford:
         refs = references_from_monolithic(setup)
         chi = (interface_source(setup.solver_1)
                + interface_source(setup.solver_2))
-        out = pr_step(setup.solvers, chi, refs.eta_ref, 1.0)
+        lam = robin_datum(setup.solvers, chi, refs.eta_ref, 1.0)
+        out, _ = pr_step(setup.solvers, chi, lam, 1.0)
         num = np.abs(out.values - refs.eta_ref.values).max()
         assert num <= 1e-10 * np.abs(refs.eta_ref.values).max()
+
+    def test_step_is_two_robin_solves(self, monkeypatch):
+        from rrlab.subsolve import SubdomainSolver
+        calls = []
+
+        def counting(name):
+            method = getattr(SubdomainSolver, name)
+
+            def counted(self, *args, **kwargs):
+                calls.append(name)
+                return method(self, *args, **kwargs)
+            return counted
+
+        setup = small_setup()
+        chi = (interface_source(setup.solver_1)
+               + interface_source(setup.solver_2))
+        for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
+            monkeypatch.setattr(SubdomainSolver, name, counting(name))
+        pr_step(setup.solvers, chi, chi, 1.0)
+        assert calls == ["robin_solve"] * 2
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_matches_textbook_four_solve_step(self, dimension, theta):
+        setup = small_setup(nx=8, n_steps=6, dimension=dimension, theta=theta)
+        ops = setup.ops_1
+        chi = (interface_source(setup.solver_1)
+               + interface_source(setup.solver_2))
+        eta_ref = InterfaceSignal(np.zeros((6, ops.n_interface)))
+        lam = chi
+        for _ in range(20):
+            eta_ref = textbook_pr_step(setup.solvers, chi, eta_ref, 0.7)
+            eta, lam = pr_step(setup.solvers, chi, lam, 0.7)
+            num = np.abs(eta.values - eta_ref.values).max()
+            assert num <= 1e-12 * np.abs(eta_ref.values).max()
 
     def test_run_pr_converges_and_satisfies_speq(self):
         setup = small_setup(nx=8, n_steps=6)
@@ -305,9 +357,10 @@ class TestPeacemanRachford:
         chi = InterfaceSignal(np.zeros((4, n_g)), "dual")
         rng = np.random.default_rng(7)
         eta = rand_signal(rng, 4, n_g)
+        lam = robin_datum(setup.solvers, chi, eta, 1.0)
         norms = []
         for _ in range(30):
-            eta = pr_step(setup.solvers, chi, eta, 1.0)
+            eta, lam = pr_step(setup.solvers, chi, lam, 1.0)
             norms.append(h_norm(eta, ops.M_gamma, ops.grid.tau))
         observed = (norms[-1] / norms[-11]) ** 0.1
         assert observed == pytest.approx(rho, rel=0.15)

@@ -116,6 +116,15 @@ class TestGluing:
         reglued = glue_fields(u1, u2, setup.dec)
         np.testing.assert_array_equal(reglued.values, u.values)
 
+    def test_mismatched_traces_rejected(self):
+        setup = setup_problem(default_problem(nx=8, n_steps=4))
+        u = solve_monolithic(setup)
+        u1 = restrict_field(u, setup.dec, 1)
+        vals = restrict_field(u, setup.dec, 2).values
+        vals[-1, -1] += 1e-12
+        with pytest.raises(ValueError, match="interface traces"):
+            glue_fields(u1, SpaceTimeField(vals, "omega2"), setup.dec)
+
     def test_global_trace_matches_restrictions(self):
         setup = setup_problem(default_problem(nx=8, n_steps=4))
         u = solve_monolithic(setup)

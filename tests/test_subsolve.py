@@ -87,6 +87,13 @@ class TestSignalsAndFields:
         with pytest.raises(ValueError):
             InterfaceSignal(np.ones((2, 2)), "flux")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_signal_rejects_nonfinite(self, bad):
+        vals = np.zeros((2, 3))
+        vals[1, 2] = bad
+        with pytest.raises(ValueError):
+            InterfaceSignal(vals, "dual")
+
 
 class TestDirichletSolve:
     def test_zero_data_zero_solution(self):
@@ -339,6 +346,22 @@ class TestNonFiniteTrajectory:
         loads = self.nan_loads(ops.loads.shape)
         with pytest.raises(SolverFailure, match="monolithic step matrix"):
             MonolithicSolver(ops).solve(loads)
+
+    def test_one_scan_per_trajectory(self, monkeypatch):
+        solver = make_solver(spec_2d(n_steps=4))
+        shape = (5, solver.ops.n_dofs)
+        scans = []
+        isfinite = np.isfinite
+
+        def counted(x, *args, **kwargs):
+            if np.shape(x) == shape:
+                scans.append(1)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        solver.dirichlet_solve(loads=solver.ops.loads)
+        solver.robin_solve(1.0, loads=solver.ops.loads)
+        assert len(scans) == 2
 
 
 class TestStabilityBound:
