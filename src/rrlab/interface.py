@@ -13,13 +13,15 @@ A Peaceman-Rachford step is two Robin solves: the state it carries is
 the Robin datum lam = (sJ - S2) eta + chi, and each reflection
 (sJ - S_i) x = 2 sJ x - (sJ + S_i) x is read off the right-hand side
 of the resolvent that produced x.  S_i is applied by a Dirichlet solve
-and a flux recovery only in probing, reference tracking and the
-acceptance criteria.
+and a flux recovery only in probing, reference tracking of subdomain 1
+and the acceptance criteria; reference tracking reads the subdomain-2
+field and S2 eta off the Robin solve that gave eta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -72,9 +74,7 @@ def interface_gram(eta: InterfaceSignal, M_gamma, s: float, tau: float) -> Inter
 def interface_source(solver: SubdomainSolver) -> InterfaceSignal:
     """Interface source of one subdomain: minus the flux of the
     zero-trace solve with the assembled loads."""
-    loads = solver.ops.loads
-    u = solver.dirichlet_solve(eta=None, loads=loads)
-    sigma = solver.flux_recovery(u, loads=loads)
+    sigma = solver.flux_recovery(solver.source_field(), loads=solver.ops.loads)
     return InterfaceSignal(-sigma.values, "dual")
 
 
@@ -139,7 +139,7 @@ class ConvergenceReport:
 
 
 def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal,
-            s: float) -> tuple[InterfaceSignal, InterfaceSignal]:
+            s: float) -> tuple[InterfaceSignal, InterfaceSignal, SpaceTimeField]:
     """One Peaceman-Rachford double sweep on the interface.
 
     The step is carried on the Robin datum lam = (sJ - S2) eta + chi,
@@ -153,17 +153,20 @@ def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal,
     Each reflection (sJ - S_i) x = 2 sJ x - (sJ + S_i) x takes
     (sJ + S_i) x from the right-hand side of the resolvent that gave x
     (Lions & Mercier, SIAM J. Numer. Anal. 16, 1979), so no Dirichlet
-    solve applies S_i.  Returns (eta next, lam next).  With chi = 0 the
-    map is linear and its fixed point is zero; in general fixed points
-    solve (S1 + S2) eta = chi.
+    solve applies S_i.  Returns (eta next, lam next, w2), where w2 is
+    the homogeneous subdomain-2 Robin field whose trace is eta next.
+    With chi = 0 the map is linear and its fixed point is zero; in
+    general fixed points solve (S1 + S2) eta = chi.
     """
     s1, s2 = solvers
     tau, Mg = s1.ops.grid.tau, s1.ops.M_gamma
 
     eta_half = solve_robin_resolvent(s1, lam, s)
     mu = 2.0 * interface_gram(eta_half, Mg, s, tau) - lam + chi_sum
-    eta_next = solve_robin_resolvent(s2, mu, s)
-    return eta_next, 2.0 * interface_gram(eta_next, Mg, s, tau) - mu + chi_sum
+    w2 = s2.robin_solve(s, lam=mu)
+    eta_next = s2.trace(w2)
+    lam_next = 2.0 * interface_gram(eta_next, Mg, s, tau) - mu + chi_sum
+    return eta_next, lam_next, w2
 
 
 @dataclass
@@ -204,11 +207,11 @@ def _robin_exchange(solver: SubdomainSolver, u: SpaceTimeField,
 def init_robin_sweep(solvers, s: float) -> RobinSweepState:
     """Initial sweep state consistent with the interface iteration.
 
-    Builds u2^0 as the Dirichlet solve with zero trace and subdomain-2
+    Takes u2^0 as the Dirichlet solve with zero trace and subdomain-2
     loads, then extracts its Robin exchange data.
     """
     s2 = solvers[1]
-    u2 = s2.dirichlet_solve(eta=None, loads=s2.ops.loads)
+    u2 = s2.source_field()
     return RobinSweepState(None, u2, _robin_exchange(s2, u2, s))
 
 
@@ -238,35 +241,68 @@ def _orbit(step, x):
         yield x
 
 
-def _pr_iterates(solvers, chi_sum: InterfaceSignal, s: float):
-    """Peaceman-Rachford iterates eta^1, eta^2, ... from eta^0 = 0,
-    whose Robin datum is chi itself."""
+# Both iterate sequences yield (eta, subdomain_2): subdomain_2() returns
+# the loaded subdomain-2 field u2 with trace eta and its flux
+# sigma2 = S2 eta - chi_2, read off the Robin solve that gave eta, so
+# reference tracking needs no Dirichlet solve on subdomain 2.
+
+def _pr_iterates(solvers, chi, s: float):
+    """Peaceman-Rachford iterates from eta^0 = 0, whose Robin datum is
+    chi = chi_1 + chi_2 itself.
+
+    u2 = w2 + u2_0, with w2 the Robin field of pr_step and u2_0 the
+    source field; sigma2 = sJ eta + chi_1 - lam next, since
+    lam next = (sJ - S2) eta + chi_1 + chi_2.
+    """
+    s2 = solvers[1]
+    tau, Mg = s2.ops.grid.tau, s2.ops.M_gamma
+    chi_1, chi_2 = chi
+    chi_sum = chi_1 + chi_2
+
+    def subdomain_2(eta, lam, w2):
+        u2 = SpaceTimeField(w2.values + s2.source_field().values, w2.domain)
+        return u2, interface_gram(eta, Mg, s, tau) + chi_1 - lam
+
     lam = chi_sum
     while True:
-        eta, lam = pr_step(solvers, chi_sum, lam, s)
-        yield eta
+        eta, lam, w2 = pr_step(solvers, chi_sum, lam, s)
+        yield eta, partial(subdomain_2, eta, lam, w2)
 
 
 def _rr_iterates(solvers, s: float):
     """Traces of u2 after each Robin sweep; the initial sweep state is
-    built at once, before the first iterate is drawn."""
+    built at once, before the first iterate is drawn.
+
+    sigma2 = sJ eta - lam1, since the sweep's next Robin datum is
+    lam1 = sJ eta - sigma2.
+    """
+    s2 = solvers[1]
+    tau, Mg = s2.ops.grid.tau, s2.ops.M_gamma
+
+    def subdomain_2(eta, state):
+        return state.u2, interface_gram(eta, Mg, s, tau) - state.lam1
+
     sweeps = _orbit(lambda state: robin_sweep(solvers, state, s),
                     init_robin_sweep(solvers, s))
-    return (solvers[1].trace(state.u2) for state in sweeps)
+    for state in sweeps:
+        eta = s2.trace(state.u2)
+        yield eta, partial(subdomain_2, eta, state)
 
 
 def _run_iteration(solvers, config: IterationConfig, iterates,
                    references: PRReferences | None, chi=None):
     """Shared driver: draw interface iterates, track diagnostics.
 
-    ``iterates`` yields eta^1, eta^2, ... (eta^0 = 0); at most
-    config.max_iter of them are drawn.  When ``references`` is given,
-    each iteration also records the subdomain X-norm errors of the
-    interface-parametrized fields, the monotone gaps against the
-    reference trace, and the Steklov-Poincare residual pushed through
-    the resolvent (the iteration's own metric); this costs two extra
-    Dirichlet solves per iteration.  ``chi`` holds the interface sources
-    (chi_1, chi_2) when the caller has computed them already.
+    ``iterates`` yields eta^1, eta^2, ... (eta^0 = 0), each with its
+    subdomain-2 field and flux; at most config.max_iter of them are
+    drawn.  When ``references`` is given, each iteration also records
+    the subdomain X-norm errors of the interface-parametrized fields,
+    the monotone gaps against the reference trace, and the
+    Steklov-Poincare residual pushed through the resolvent (the
+    iteration's own metric); this costs one Dirichlet solve with a flux
+    recovery (subdomain 1) and one Robin solve (the residual) per
+    iteration.  ``chi`` holds the interface sources (chi_1, chi_2) when
+    the caller has computed them already.
     """
     s1, s2 = solvers
     ops = s1.ops
@@ -282,16 +318,16 @@ def _run_iteration(solvers, config: IterationConfig, iterates,
         S1_ref = s1.flux_recovery(references.u1_ref, s1.ops.loads) + chi_1
         S2_ref = s2.flux_recovery(references.u2_ref, s2.ops.loads) + chi_2
 
-    for _, eta_next in zip(range(config.max_iter), iterates):
+    for _, (eta_next, subdomain_2) in zip(range(config.max_iter), iterates):
         inc = h_norm(eta_next - eta, Mg, tau)
         eta = eta_next
         report.increments.append(inc)
 
         if track:
             u1 = s1.dirichlet_solve(eta=eta, loads=s1.ops.loads)
-            u2 = s2.dirichlet_solve(eta=eta, loads=s2.ops.loads)
+            u2, sigma2 = subdomain_2()
             S1_eta = s1.flux_recovery(u1, s1.ops.loads) + chi_1
-            S2_eta = s2.flux_recovery(u2, s2.ops.loads) + chi_2
+            S2_eta = sigma2 + chi_2
             report.errors_1.append(field_error_norm(
                 u1, references.u1_ref, s1.ops.M, s1.ops.K, tau))
             report.errors_2.append(field_error_norm(
@@ -320,7 +356,7 @@ def run_pr(solvers, config: IterationConfig,
     Returns (eta, report); see _run_iteration for the diagnostics.
     """
     chi = tuple(map(interface_source, solvers))
-    iterates = _pr_iterates(solvers, chi[0] + chi[1], config.s)
+    iterates = _pr_iterates(solvers, chi, config.s)
     return _run_iteration(solvers, config, iterates, references, chi)
 
 
@@ -352,10 +388,11 @@ def run_equivalence(solvers, s: float, n_iterations: int):
     """
     s1, s2 = solvers
     tau, Mg = s1.ops.grid.tau, s1.ops.M_gamma
-    chi_sum = interface_source(s1) + interface_source(s2)
+    chi = (interface_source(s1), interface_source(s2))
     discrepancies = []
-    for _, eta, tr in zip(range(n_iterations), _pr_iterates(solvers, chi_sum, s),
-                          _rr_iterates(solvers, s)):
+    for _, (eta, _), (tr, _) in zip(range(n_iterations),
+                                    _pr_iterates(solvers, chi, s),
+                                    _rr_iterates(solvers, s)):
         num = h_norm(tr - eta, Mg, tau)
         den = h_norm(eta, Mg, tau)
         discrepancies.append(num / den if den > 0 else num)

@@ -284,7 +284,7 @@ class TestPeacemanRachford:
                + interface_source(setup.solver_2))
         lam = chi
         for _ in range(3):
-            eta, lam = pr_step(setup.solvers, chi, lam, 1.0)
+            eta, lam, _ = pr_step(setup.solvers, chi, lam, 1.0)
             assert not eta.values.any()
 
     def test_monolithic_trace_is_fixed_point(self):
@@ -293,7 +293,7 @@ class TestPeacemanRachford:
         chi = (interface_source(setup.solver_1)
                + interface_source(setup.solver_2))
         lam = robin_datum(setup.solvers, chi, refs.eta_ref, 1.0)
-        out, _ = pr_step(setup.solvers, chi, lam, 1.0)
+        out, _, _ = pr_step(setup.solvers, chi, lam, 1.0)
         num = np.abs(out.values - refs.eta_ref.values).max()
         assert num <= 1e-10 * np.abs(refs.eta_ref.values).max()
 
@@ -328,7 +328,7 @@ class TestPeacemanRachford:
         lam = chi
         for _ in range(20):
             eta_ref = textbook_pr_step(setup.solvers, chi, eta_ref, 0.7)
-            eta, lam = pr_step(setup.solvers, chi, lam, 0.7)
+            eta, lam, _ = pr_step(setup.solvers, chi, lam, 0.7)
             num = np.abs(eta.values - eta_ref.values).max()
             assert num <= 1e-12 * np.abs(eta_ref.values).max()
 
@@ -360,7 +360,7 @@ class TestPeacemanRachford:
         lam = robin_datum(setup.solvers, chi, eta, 1.0)
         norms = []
         for _ in range(30):
-            eta, lam = pr_step(setup.solvers, chi, lam, 1.0)
+            eta, lam, _ = pr_step(setup.solvers, chi, lam, 1.0)
             norms.append(h_norm(eta, ops.M_gamma, ops.grid.tau))
         observed = (norms[-1] / norms[-11]) ** 0.1
         assert observed == pytest.approx(rho, rel=0.15)
@@ -380,6 +380,56 @@ class TestPeacemanRachford:
         refs = references_from_monolithic(setup)
         run(setup.solvers, IterationConfig(max_iter=2), references=refs)
         assert sorted(calls) == [1, 2]
+
+    def test_tracked_iteration_solve_counts(self, monkeypatch):
+        # a tracked iteration: 2 Robin solves in pr_step, 1 Robin solve
+        # for the residual, 1 Dirichlet solve and 1 flux for subdomain 1
+        from rrlab.subsolve import SubdomainSolver
+        calls = []
+
+        def counting(name):
+            method = getattr(SubdomainSolver, name)
+
+            def counted(self, *args, **kwargs):
+                calls.append(name)
+                return method(self, *args, **kwargs)
+            return counted
+
+        for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
+            monkeypatch.setattr(SubdomainSolver, name, counting(name))
+        per_run = []
+        for max_iter in (1, 2):
+            setup = small_setup()
+            refs = references_from_monolithic(setup)
+            calls.clear()
+            run_pr(setup.solvers, IterationConfig(tol=0.0, max_iter=max_iter),
+                   references=refs)
+            per_run.append({n: calls.count(n) for n in set(calls)})
+        per_iteration = {n: per_run[1][n] - per_run[0].get(n, 0)
+                         for n in per_run[1]}
+        assert per_iteration == {"dirichlet_solve": 1, "robin_solve": 3,
+                                 "flux_recovery": 1}
+
+    @pytest.mark.parametrize("run", [run_pr, run_rr])
+    def test_tracking_matches_dirichlet_solves(self, run):
+        # the subdomain-2 error and gap read off the Robin solves equal
+        # those of a Dirichlet solve at the iterate
+        from rrlab.lab import field_error_norm
+        setup = small_setup(nx=8, n_steps=5)
+        refs = references_from_monolithic(setup)
+        s2, ops = setup.solver_2, setup.ops_2
+        chi_2 = interface_source(s2)
+        S2_ref = s2.flux_recovery(refs.u2_ref, ops.loads) + chi_2
+        for n in (1, 2, 4):
+            eta, report = run(setup.solvers,
+                              IterationConfig(s=0.7, tol=0.0, max_iter=n),
+                              references=refs)
+            u2 = s2.dirichlet_solve(eta=eta, loads=ops.loads)
+            S2_eta = s2.flux_recovery(u2, ops.loads) + chi_2
+            err = field_error_norm(u2, refs.u2_ref, ops.M, ops.K, ops.grid.tau)
+            gap = (S2_ref - S2_eta).pair(refs.eta_ref - eta)
+            assert report.errors_2[-1] == pytest.approx(err, rel=1e-10)
+            assert report.gaps_2[-1] == pytest.approx(gap, rel=1e-9)
 
     def test_one_step_drawn_per_iteration(self, monkeypatch):
         # the shared driver stops drawing iterates at max_iter

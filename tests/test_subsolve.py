@@ -4,6 +4,7 @@ against dense space-time solves, flux recovery, causality, stability."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from rrlab.assembly import (build_global_operators, build_step_operators,
                             build_subdomain_operators, lumped_interface_mass)
@@ -61,6 +62,56 @@ class TestFactorization:
     def test_singular_reports_identity(self):
         with pytest.raises(SolverFailure, match="broken block"):
             Factorization(sp.csc_matrix((3, 3)), label="broken block")
+
+    def test_permuted_shifted_laplacian_matches_spsolve(self):
+        # a scattered sparsity pattern: RCM must recover a narrow band
+        rng = np.random.default_rng(4)
+        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(12, 12))
+        L = sp.kron(T, sp.eye(12)) + sp.kron(sp.eye(12), T) + 0.1 * sp.eye(144)
+        p = rng.permutation(144)
+        A = sp.csr_matrix(L)[p][:, p]
+        b = rng.standard_normal(144)
+        x = Factorization(A).solve(b)
+        ref = spla.spsolve(A.tocsc(), b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_unsymmetric_rejected_with_label(self):
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
+        with pytest.raises(ValueError, match="lopsided block"):
+            Factorization(A, label="lopsided block")
+
+    def test_indefinite_reports_identity(self):
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(SolverFailure, match="singular saddle block"):
+            Factorization(A, label="saddle block")
+
+    @pytest.mark.parametrize("n_rhs", [3, 5])
+    def test_rhs_length_checked(self, n_rhs):
+        fac = Factorization(sp.identity(4, format="csr"), label="small block")
+        with pytest.raises(ValueError, match="small block"):
+            fac.solve(np.ones(n_rhs))
+
+    def test_empty_block(self):
+        # the Dirichlet block of a 1D subdomain with no interior dofs
+        fac = Factorization(sp.csr_matrix((0, 0)))
+        x = fac.solve(np.zeros(0))
+        assert x.shape == (0,)
+
+    def test_one_step_solve_per_time_step(self, monkeypatch):
+        solver = make_solver(spec_2d(n_steps=5))
+        calls = []
+        solve = Factorization.solve
+
+        def counted(self, rhs):
+            calls.append(self.label)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(Factorization, "solve", counted)
+        solver.dirichlet_solve(loads=solver.ops.loads)
+        assert calls == ["subdomain 1 Dirichlet block"] * 5
+        calls.clear()
+        solver.robin_solve(2.0, loads=solver.ops.loads)
+        assert calls == ["subdomain 1 Robin matrix (s=2.0)"] * 5
 
 
 class TestSignalsAndFields:
