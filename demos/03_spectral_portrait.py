@@ -1,8 +1,10 @@
 """Spectral portrait of the interface iteration.
 
-Probes the two Steklov-Poincare operators into dense matrices, then
-reports, per Robin parameter s: the spectral radius of the
-Peaceman-Rachford error propagator, the minimum singular values
+Probes the two Steklov-Poincare operators into dense matrices (one
+probe per interface dof at step 1; the operators are causal and
+time-invariant, so that block column determines them), then reports,
+per Robin parameter s: the spectral radius of the Peaceman-Rachford
+error propagator (from its diagonal block), the minimum singular values
 certifying that sJ + S_i and S1 + S2 are invertible, and the minimum
 eigenvalues of the symmetric parts of S_i (the discrete monotonicity
 constants).
@@ -18,7 +20,8 @@ print(__doc__)
 setup = setup_problem(default_problem())
 ops = setup.ops_1
 n_steps, n_g = ops.grid.n_steps, ops.n_interface
-print(f"probing dense operators ({n_steps * n_g} columns each) ...")
+print(f"probing dense operators ({n_g} step-1 probes each, "
+      f"tiled to {n_steps * n_g} columns) ...")
 S1 = assemble_dense(SteklovOperator(setup.solver_1).apply, n_steps, n_g)
 S2 = assemble_dense(SteklovOperator(setup.solver_2).apply, n_steps, n_g)
 

@@ -173,8 +173,7 @@ def criterion_4_bijectivity(art: DeskArtifacts) -> CriterionResult:
                     rng.standard_normal((ops.grid.n_steps, ops.n_interface)),
                     "dual")
                 eta = solve_robin_resolvent(solver, rhs, s)
-                recon = interface_gram(eta, ops.M_gamma, s, ops.grid.tau) \
-                    + S.apply(eta)
+                recon = interface_gram(eta, ops, s) + S.apply(eta)
                 err = (np.abs(recon.values - rhs.values).max()
                        / np.abs(rhs.values).max())
                 worst = max(worst, err)
@@ -200,7 +199,7 @@ def criterion_5_monotonicity(art: DeskArtifacts) -> CriterionResult:
                 rng.standard_normal((ops.grid.n_steps, ops.n_interface)))
             u = solver.dirichlet_solve(eta=mu)
             sigma = solver.flux_recovery(u)
-            x_sq = field_error_norm(u, zero, ops.M, ops.K, ops.grid.tau) ** 2
+            x_sq = field_error_norm(u, zero, ops) ** 2
             worst = min(worst, sigma.pair(mu) / x_sq)
         return worst
 
@@ -247,7 +246,7 @@ def criterion_7_contraction(art: DeskArtifacts) -> CriterionResult:
         ok = ok and rho < 1.0
         eta = InterfaceSignal(rng.standard_normal((n_steps, n_g)))
         # pr_step carries the Robin datum (sJ - S2) eta + chi
-        lam = (interface_gram(eta, ops.M_gamma, s, ops.grid.tau)
+        lam = (interface_gram(eta, ops, s)
                - SteklovOperator(setup.solver_2).apply(eta) + chi0)
         norms = []
         n0 = h_norm(eta, ops.M_gamma, ops.grid.tau)
@@ -343,7 +342,7 @@ def criterion_10_gluing(art: DeskArtifacts) -> CriterionResult:
     u1 = setup.solver_1.dirichlet_solve(eta=eta, loads=setup.ops_1.loads)
     u2 = setup.solver_2.dirichlet_solve(eta=eta, loads=setup.ops_2.loads)
     glued = glue_fields(u1, u2, dec)
-    resid = field_error_norm(glued, u_ref, glob.M, glob.K, glob.grid.tau)
+    resid = field_error_norm(glued, u_ref, glob)
 
     ok = (k_err <= 1e-12 and m_err <= 1e-12 and roundtrip == 0.0
           and resid <= 10 * TOL)

@@ -14,6 +14,7 @@ plain dot products summed over steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -213,8 +214,17 @@ def assemble_loads(spec: ProblemSpec, mesh: Mesh, grid: TimeGrid,
     return loads
 
 
+class _SpaceOperators:
+    """Matrices derived lazily, on first use, from M and K."""
+
+    @cached_property
+    def MK(self) -> sp.csr_matrix:
+        """M + K, the Gram matrix of the H1 norm in space."""
+        return (self.M + self.K).tocsr()
+
+
 @dataclass(frozen=True)
-class SubdomainOperators:
+class SubdomainOperators(_SpaceOperators):
     """Assembled spatial operators and loads of one subdomain.
 
     Dof ordering is interior-first, interface-last.  ``loads[k-1]``
@@ -238,6 +248,11 @@ class SubdomainOperators:
     def n_interface(self) -> int:
         return self.n_dofs - self.n_interior
 
+    @cached_property
+    def lumped_gamma(self) -> np.ndarray:
+        """Diagonal of the lumped interface mass ML_Gamma."""
+        return lumped_interface_mass(self.M_gamma).diagonal()
+
     def embed_interface(self, B: sp.spmatrix) -> sp.csr_matrix:
         """Place an interface-block matrix into the (Gamma, Gamma) slot."""
         n, g = self.n_dofs, self.n_interface
@@ -248,7 +263,7 @@ class SubdomainOperators:
 
 
 @dataclass(frozen=True)
-class GlobalOperators:
+class GlobalOperators(_SpaceOperators):
     """Assembled operators of the undecomposed (monolithic) problem."""
 
     dof_nodes: np.ndarray

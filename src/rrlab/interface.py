@@ -26,7 +26,8 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .assembly import lumped_interface_mass, robin_coefficient
+from .assembly import (SubdomainOperators, lumped_interface_mass,
+                       robin_coefficient)
 from .subsolve import InterfaceSignal, SpaceTimeField, SubdomainSolver
 
 __all__ = [
@@ -56,19 +57,20 @@ class SteklovOperator:
         return self.solver.flux_recovery(u, loads=None)
 
 
-def interface_gram(eta: InterfaceSignal, M_gamma, s: float, tau: float) -> InterfaceSignal:
+def interface_gram(eta: InterfaceSignal, ops: SubdomainOperators,
+                   s: float) -> InterfaceSignal:
     """The s-weighted interface pairing used by the Robin exchange.
 
     Returns the dual signal robin_coefficient(s, tau) * tau *
-    ML_Gamma eta^k with ML_Gamma the lumped interface mass, i.e. the
-    "s J" term of the resolvent and reflection operators under the
-    package's Robin pairing convention.
+    ML_Gamma eta^k with ML_Gamma the lumped interface mass of ``ops``
+    (its diagonal is computed once per subdomain), i.e. the "s J" term
+    of the resolvent and reflection operators under the package's Robin
+    pairing convention.
     """
     if eta.kind != "primal":
         raise ValueError("interface pairing acts on primal signals")
-    coef = robin_coefficient(s, tau) * tau
-    lumped = np.asarray(M_gamma.sum(axis=1)).ravel()   # diagonal of ML_Gamma
-    return InterfaceSignal(coef * (eta.values * lumped), "dual")
+    coef = robin_coefficient(s, ops.grid.tau) * ops.grid.tau
+    return InterfaceSignal(coef * (eta.values * ops.lumped_gamma), "dual")
 
 
 def interface_source(solver: SubdomainSolver) -> InterfaceSignal:
@@ -159,13 +161,12 @@ def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal,
     general fixed points solve (S1 + S2) eta = chi.
     """
     s1, s2 = solvers
-    tau, Mg = s1.ops.grid.tau, s1.ops.M_gamma
 
     eta_half = solve_robin_resolvent(s1, lam, s)
-    mu = 2.0 * interface_gram(eta_half, Mg, s, tau) - lam + chi_sum
+    mu = 2.0 * interface_gram(eta_half, s1.ops, s) - lam + chi_sum
     w2 = s2.robin_solve(s, lam=mu)
     eta_next = s2.trace(w2)
-    lam_next = 2.0 * interface_gram(eta_next, Mg, s, tau) - mu + chi_sum
+    lam_next = 2.0 * interface_gram(eta_next, s1.ops, s) - mu + chi_sum
     return eta_next, lam_next, w2
 
 
@@ -201,7 +202,7 @@ def _robin_exchange(solver: SubdomainSolver, u: SpaceTimeField,
     ops = solver.ops
     tr = solver.trace(u)
     sig = solver.flux_recovery(u, ops.loads)
-    return interface_gram(tr, ops.M_gamma, s, ops.grid.tau) - sig
+    return interface_gram(tr, ops, s) - sig
 
 
 def init_robin_sweep(solvers, s: float) -> RobinSweepState:
@@ -255,13 +256,12 @@ def _pr_iterates(solvers, chi, s: float):
     lam next = (sJ - S2) eta + chi_1 + chi_2.
     """
     s2 = solvers[1]
-    tau, Mg = s2.ops.grid.tau, s2.ops.M_gamma
     chi_1, chi_2 = chi
     chi_sum = chi_1 + chi_2
 
     def subdomain_2(eta, lam, w2):
         u2 = SpaceTimeField(w2.values + s2.source_field().values, w2.domain)
-        return u2, interface_gram(eta, Mg, s, tau) + chi_1 - lam
+        return u2, interface_gram(eta, s2.ops, s) + chi_1 - lam
 
     lam = chi_sum
     while True:
@@ -277,10 +277,9 @@ def _rr_iterates(solvers, s: float):
     lam1 = sJ eta - sigma2.
     """
     s2 = solvers[1]
-    tau, Mg = s2.ops.grid.tau, s2.ops.M_gamma
 
     def subdomain_2(eta, state):
-        return state.u2, interface_gram(eta, Mg, s, tau) - state.lam1
+        return state.u2, interface_gram(eta, s2.ops, s) - state.lam1
 
     sweeps = _orbit(lambda state: robin_sweep(solvers, state, s),
                     init_robin_sweep(solvers, s))
@@ -328,10 +327,10 @@ def _run_iteration(solvers, config: IterationConfig, iterates,
             u2, sigma2 = subdomain_2()
             S1_eta = s1.flux_recovery(u1, s1.ops.loads) + chi_1
             S2_eta = sigma2 + chi_2
-            report.errors_1.append(field_error_norm(
-                u1, references.u1_ref, s1.ops.M, s1.ops.K, tau))
-            report.errors_2.append(field_error_norm(
-                u2, references.u2_ref, s2.ops.M, s2.ops.K, tau))
+            report.errors_1.append(
+                field_error_norm(u1, references.u1_ref, s1.ops))
+            report.errors_2.append(
+                field_error_norm(u2, references.u2_ref, s2.ops))
             diff = references.eta_ref - eta
             report.gaps_1.append((S1_ref - S1_eta).pair(diff))
             report.gaps_2.append((S2_ref - S2_eta).pair(diff))
@@ -404,21 +403,32 @@ def run_equivalence(solvers, s: float, n_iterations: int):
 # ---------------------------------------------------------------------------
 
 def assemble_dense(apply_fn, n_steps: int, n_interface: int) -> np.ndarray:
-    """Probe a linear interface operator with unit primal signals.
+    """Dense matrix of a causal, time-invariant linear interface operator.
 
-    Column (k * n_interface + g) is the flattened output for the unit
-    signal at step k, dof g (time-major flattening).
+    The operator is assumed to act on signals with uniform steps and
+    zero initial data, as every Steklov-Poincare operator and interface
+    pairing of the package does, so it is block lower-triangular
+    Toeplitz in time (Lubich & Ostermann, BIT 27, 1987): its first
+    block column determines it.  Only the n_interface unit primal
+    signals at step 1 are probed; that column is tiled down the block
+    diagonals.  Column (k * n_interface + g) is the flattened output for
+    the unit signal at step k, dof g (time-major flattening).
+    DENSE_COLUMN_GUARD bounds n_steps * n_interface, the side of the
+    square output.
     """
     n_cols = n_steps * n_interface
     if n_cols > DENSE_COLUMN_GUARD:
         raise ValueError(f"dense probing guard exceeded: "
                          f"{n_cols} columns > {DENSE_COLUMN_GUARD}")
+    first = np.empty((n_cols, n_interface))
+    for g in range(n_interface):
+        e = np.zeros((n_steps, n_interface))
+        e[0, g] = 1.0
+        first[:, g] = apply_fn(InterfaceSignal(e, "primal")).values.ravel()
     out = np.zeros((n_cols, n_cols))
-    for j in range(n_cols):
-        e = np.zeros(n_cols)
-        e[j] = 1.0
-        sig = InterfaceSignal(e.reshape(n_steps, n_interface), "primal")
-        out[:, j] = apply_fn(sig).values.ravel()
+    for k in range(n_steps):
+        lo = k * n_interface
+        out[lo:, lo:lo + n_interface] = first[:n_cols - lo]
     return out
 
 
@@ -440,25 +450,38 @@ def spectral_analysis(S1: np.ndarray, S2: np.ndarray, M_gamma, tau: float,
     """Dense spectral portrait of the Peaceman-Rachford iteration.
 
     For each s: spectral radius of the linear part
-    (sJ + S2)^-1 (sJ - S1) (sJ + S1)^-1 (sJ - S2), minimum singular
+    T = (sJ + S2)^-1 (sJ - S1) (sJ + S1)^-1 (sJ - S2), minimum singular
     values of sJ + S_i and S1 + S2, and minimum eigenvalues of the
     symmetric parts of S_i.  J here is the interface pairing actually
     used by the iteration (the Robin-weight convention).
+
+    S1 and S2 are dense matrices from assemble_dense, so they are
+    causal and block Toeplitz in time (uniform steps, zero initial
+    data) and at most DENSE_COLUMN_GUARD wide.  T is then block lower
+    triangular with the diagonal block
+    T_0 = (J_0 + S2_0)^-1 (J_0 - S1_0) (J_0 + S1_0)^-1 (J_0 - S2_0),
+    where S_i_0 and J_0 are the step-1 diagonal blocks, and the spectrum
+    of T is that of T_0.  rho is taken from T_0: the full T is
+    defective, and its computed eigenvalues move by O(eps^(1/n_steps))
+    (Trefethen & Embree, Spectra and Pseudospectra, 2005).  The singular
+    values and symmetric-part eigenvalues come from the full matrices.
     """
-    n_steps = S1.shape[0] // (M_gamma.shape[0])
+    n_g = M_gamma.shape[0]
+    n_steps = S1.shape[0] // n_g
     ML = lumped_interface_mass(M_gamma).toarray()
+    S1_0, S2_0 = S1[:n_g, :n_g], S2[:n_g, :n_g]
     sym1 = scipy.linalg.eigvalsh(0.5 * (S1 + S1.T)).min()
     sym2 = scipy.linalg.eigvalsh(0.5 * (S2 + S2.T)).min()
     sv_sum = scipy.linalg.svdvals(S1 + S2).min()
     rows = []
     for s in s_values:
-        coef = robin_coefficient(s, tau) * tau
-        J = np.kron(np.eye(n_steps), coef * ML)
-        T = np.linalg.solve(J + S2, (J - S1) @ np.linalg.solve(J + S1, (J - S2)))
-        rho = float(np.abs(np.linalg.eigvals(T)).max())
+        J_0 = robin_coefficient(s, tau) * tau * ML
+        T_0 = np.linalg.solve(
+            J_0 + S2_0, (J_0 - S1_0) @ np.linalg.solve(J_0 + S1_0, J_0 - S2_0))
+        J = np.kron(np.eye(n_steps), J_0)
         rows.append(SpectralRow(
             s=float(s),
-            rho=rho,
+            rho=float(np.abs(np.linalg.eigvals(T_0)).max()),
             sv_min_sJ_S1=float(scipy.linalg.svdvals(J + S1).min()),
             sv_min_sJ_S2=float(scipy.linalg.svdvals(J + S2).min()),
             sv_min_S1_S2=float(sv_sum),

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .assembly import (GlobalOperators, build_global_operators,
-                       build_subdomain_operators)
+from .assembly import (GlobalOperators, SubdomainOperators,
+                       build_global_operators, build_subdomain_operators)
 from .interface import (IterationConfig, PRReferences, SteklovOperator,
                         assemble_dense, run_equivalence, run_iteration,
                         spectral_analysis)
@@ -134,13 +134,14 @@ def references_from_monolithic(setup: LabSetup) -> PRReferences:
 
 
 def field_error_norm(u: SpaceTimeField, u_ref: SpaceTimeField,
-                     M, K, tau: float) -> float:
-    """L2-in-time, H1-in-space norm of the difference of two fields."""
+                     ops: SubdomainOperators | GlobalOperators) -> float:
+    """L2-in-time, H1-in-space norm of the difference of two fields on
+    the dofs of ``ops``, with the Gram matrix M + K."""
     if u.values.shape != u_ref.values.shape:
         raise ValueError("fields have mismatched shapes")
     d = (u.values[1:] - u_ref.values[1:]).T
-    total = np.sum(d * (M @ d + K @ d))
-    return float(np.sqrt(max(tau * total, 0.0)))
+    total = np.sum(d * (ops.MK @ d))
+    return float(np.sqrt(max(ops.grid.tau * total, 0.0)))
 
 
 def space_time_l2_norm(values: np.ndarray, M, tau: float) -> float:

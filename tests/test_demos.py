@@ -1,7 +1,4 @@
-"""Smoke test: the fast demos run to completion as scripts.
-
-Demo 03 is left out: its dense probing takes tens of seconds.
-"""
+"""Smoke test: every demo runs to completion as a script."""
 
 import os
 import subprocess
@@ -14,8 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", [
-    "01_convergence_study", "02_pde_vs_interface", "04_fractional_toolkit",
-    "05_manufactured_orders"])
+    "01_convergence_study", "02_pde_vs_interface", "03_spectral_portrait",
+    "04_fractional_toolkit", "05_manufactured_orders"])
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

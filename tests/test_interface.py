@@ -11,7 +11,8 @@ from rrlab.interface import (IterationConfig, SteklovOperator, assemble_dense,
                              interface_source, pr_step, robin_sweep,
                              run_equivalence, run_pr, run_rr,
                              solve_robin_resolvent, spectral_analysis)
-from rrlab.lab import (references_from_monolithic, setup_problem)
+from rrlab.lab import (default_problem, references_from_monolithic,
+                       setup_problem)
 from rrlab.mesh import ProblemSpec
 from rrlab.subsolve import InterfaceSignal
 
@@ -92,6 +93,24 @@ class TestSteklovOperator:
             schur = dense_schur_complement(ops)
             np.testing.assert_allclose(probed, schur, rtol=1e-10, atol=1e-14)
 
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_dense_equals_column_by_column_probe(self, theta):
+        # reference: one probe per column of the desk problem, assuming
+        # no structure; the tiled step-1 probes reproduce it bit for bit
+        setup = setup_problem(default_problem(theta=theta))
+        n_steps, n_g = setup.ops_1.grid.n_steps, setup.ops_1.n_interface
+        n_cols = n_steps * n_g
+        for solver in setup.solvers:
+            apply = SteklovOperator(solver).apply
+            full = np.empty((n_cols, n_cols))
+            for j in range(n_cols):
+                e = np.zeros(n_cols)
+                e[j] = 1.0
+                sig = InterfaceSignal(e.reshape(n_steps, n_g), "primal")
+                full[:, j] = apply(sig).values.ravel()
+            np.testing.assert_array_equal(
+                assemble_dense(apply, n_steps, n_g), full)
+
     def test_dense_lower_block_triangular(self):
         # causality: block (k, l) vanishes for l > k
         setup = small_setup(nx=4, n_steps=3)
@@ -107,7 +126,7 @@ class TestRieszAndGram:
     def test_zero(self):
         setup = small_setup()
         eta = InterfaceSignal(np.zeros((4, setup.ops_1.n_interface)))
-        assert not interface_gram(eta, setup.ops_1.M_gamma, 1.0, 0.25).values.any()
+        assert not interface_gram(eta, setup.ops_1, 1.0).values.any()
 
     def test_constant_signal_measures_space_time_cylinder(self):
         # ||1||_H^2 = T * (|Gamma| - 4h/3): the two Dirichlet end nodes
@@ -125,16 +144,16 @@ class TestRieszAndGram:
         rng = np.random.default_rng(1)
         n_g = setup.ops_1.n_interface
         a, b = rand_signal(rng, 4, n_g), rand_signal(rng, 4, n_g)
-        Mg = setup.ops_1.M_gamma
-        assert interface_gram(a, Mg, 2.0, 0.3).pair(b) == pytest.approx(
-            interface_gram(b, Mg, 2.0, 0.3).pair(a), rel=1e-12)
+        ops = setup.ops_1
+        assert interface_gram(a, ops, 2.0).pair(b) == pytest.approx(
+            interface_gram(b, ops, 2.0).pair(a), rel=1e-12)
 
     def test_gram_uses_lumped_mass(self):
         setup = small_setup()
         rng = np.random.default_rng(2)
         eta = rand_signal(rng, 4, setup.ops_1.n_interface)
         ops = setup.ops_1
-        out = interface_gram(eta, ops.M_gamma, 2.0, ops.grid.tau)
+        out = interface_gram(eta, ops, 2.0)
         ML = lumped_interface_mass(ops.M_gamma).toarray()
         np.testing.assert_allclose(out.values, 2.0 * eta.values @ ML.T,
                                    rtol=1e-13)
@@ -144,7 +163,7 @@ class TestRieszAndGram:
         setup = small_setup(nx=4, n_steps=3)
         ops = setup.ops_1
         probed = assemble_dense(
-            lambda e: interface_gram(e, ops.M_gamma, 2.0, ops.grid.tau),
+            lambda e: interface_gram(e, ops, 2.0),
             3, ops.n_interface)
         ML = lumped_interface_mass(ops.M_gamma).toarray()
         np.testing.assert_allclose(probed, np.kron(np.eye(3), 2.0 * ML),
@@ -198,7 +217,7 @@ class TestResolvent:
             for _ in range(20):
                 rhs = rand_signal(rng, 4, ops.n_interface, "dual")
                 eta = solve_robin_resolvent(setup.solver_1, rhs, s)
-                recon = interface_gram(eta, ops.M_gamma, s, ops.grid.tau) \
+                recon = interface_gram(eta, ops, s) \
                     + S.apply(eta)
                 err = np.abs(recon.values - rhs.values).max()
                 assert err <= 1e-10 * np.abs(rhs.values).max()
@@ -263,7 +282,7 @@ class TestMonotoneGap:
 def robin_datum(solvers, chi, eta, s):
     """The pr_step state (sJ - S2) eta + chi of an interface trace eta."""
     s2 = solvers[1]
-    return (interface_gram(eta, s2.ops.M_gamma, s, s2.ops.grid.tau)
+    return (interface_gram(eta, s2.ops, s)
             - SteklovOperator(s2).apply(eta) + chi)
 
 
@@ -272,7 +291,7 @@ def textbook_pr_step(solvers, chi, eta, s):
     reflection applies S_i by a Dirichlet solve and a flux recovery."""
     s1, s2 = solvers
     half = solve_robin_resolvent(s1, robin_datum(solvers, chi, eta, s), s)
-    rhs = (interface_gram(half, s1.ops.M_gamma, s, s1.ops.grid.tau)
+    rhs = (interface_gram(half, s1.ops, s)
            - SteklovOperator(s1).apply(half) + chi)
     return solve_robin_resolvent(s2, rhs, s)
 
@@ -426,7 +445,7 @@ class TestPeacemanRachford:
                               references=refs)
             u2 = s2.dirichlet_solve(eta=eta, loads=ops.loads)
             S2_eta = s2.flux_recovery(u2, ops.loads) + chi_2
-            err = field_error_norm(u2, refs.u2_ref, ops.M, ops.K, ops.grid.tau)
+            err = field_error_norm(u2, refs.u2_ref, ops)
             gap = (S2_ref - S2_eta).pair(refs.eta_ref - eta)
             assert report.errors_2[-1] == pytest.approx(err, rel=1e-10)
             assert report.gaps_2[-1] == pytest.approx(gap, rel=1e-9)
@@ -509,6 +528,53 @@ class TestSpectralAnalysis:
             assert r.eig_min_sym_S1 > 0
             assert r.eig_min_sym_S2 > 0
             assert r.rho < 1.0
+
+
+    @staticmethod
+    def _dense_pair(nx=6, n_steps=4):
+        setup = small_setup(nx=nx, n_steps=n_steps)
+        ops = setup.ops_1
+        S1 = assemble_dense(SteklovOperator(setup.solver_1).apply,
+                            n_steps, ops.n_interface)
+        S2 = assemble_dense(SteklovOperator(setup.solver_2).apply,
+                            n_steps, ops.n_interface)
+        return ops, S1, S2
+
+    def test_rho_is_spectral_radius_of_diagonal_block(self):
+        # T_0 = (J_0 + S2_0)^-1 (J_0 - S1_0)(J_0 + S1_0)^-1 (J_0 - S2_0)
+        ops, S1, S2 = self._dense_pair()
+        n_g = ops.n_interface
+        A1, A2 = S1[:n_g, :n_g], S2[:n_g, :n_g]
+        ML = lumped_interface_mass(ops.M_gamma).toarray()
+        rows = spectral_analysis(S1, S2, ops.M_gamma, ops.grid.tau,
+                                 [0.1, 1.0, 10.0])
+        for r in rows:
+            J = r.s * ML
+            T0 = (np.linalg.inv(J + A2) @ (J - A1)
+                  @ np.linalg.inv(J + A1) @ (J - A2))
+            assert r.rho == pytest.approx(
+                np.abs(np.linalg.eigvals(T0)).max(), rel=1e-12)
+
+    def test_full_propagator_cross_check(self):
+        # the full T is block lower triangular with T_0 on every diagonal
+        # block; its eigenvalues are only a loose check of rho, since T is
+        # defective and they scatter by O(eps^(1/n_steps))
+        n_steps = 4
+        ops, S1, S2 = self._dense_pair(n_steps=n_steps)
+        n_g = ops.n_interface
+        ML = lumped_interface_mass(ops.M_gamma).toarray()
+        for r in spectral_analysis(S1, S2, ops.M_gamma, ops.grid.tau,
+                                   [0.1, 1.0, 10.0]):
+            J = np.kron(np.eye(n_steps), r.s * ML)
+            T = np.linalg.solve(J + S2,
+                                (J - S1) @ np.linalg.solve(J + S1, J - S2))
+            blocks = T.reshape(n_steps, n_g, n_steps, n_g).swapaxes(1, 2)
+            tol = 1e-12 * np.abs(T).max()
+            for k in range(n_steps):
+                assert np.abs(blocks[k, k + 1:]).max(initial=0.0) <= tol
+                assert np.abs(blocks[k, k] - blocks[0, 0]).max() <= tol
+            rho_full = np.abs(np.linalg.eigvals(T)).max()
+            assert r.rho == pytest.approx(rho_full, rel=0.05)
 
 
 class TestNorms:

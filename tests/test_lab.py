@@ -72,7 +72,7 @@ class TestMonolithic:
                 [(setup.solver_1, setup.ops_1, refs.u1_ref),
                  (setup.solver_2, setup.ops_2, refs.u2_ref)], start=1):
             u = solver.dirichlet_solve(eta=eta, loads=ops.loads)
-            err = field_error_norm(u, ref, ops.M, ops.K, ops.grid.tau)
+            err = field_error_norm(u, ref, ops)
             assert err <= 10 * cfg.tol
 
 
@@ -81,7 +81,7 @@ class TestFieldNorms:
         setup = setup_problem(default_problem(nx=4, n_steps=4))
         u = solve_monolithic(setup)
         g = setup.global_ops
-        assert field_error_norm(u, u, g.M, g.K, g.grid.tau) == 0.0
+        assert field_error_norm(u, u, g) == 0.0
 
     def test_homogeneity(self):
         setup = setup_problem(default_problem(nx=4, n_steps=4))
@@ -89,8 +89,8 @@ class TestFieldNorms:
         u = solve_monolithic(setup)
         zero = SpaceTimeField(np.zeros_like(u.values), "global")
         double = SpaceTimeField(2 * u.values, "global")
-        n1 = field_error_norm(u, zero, g.M, g.K, g.grid.tau)
-        n2 = field_error_norm(double, zero, g.M, g.K, g.grid.tau)
+        n1 = field_error_norm(u, zero, g)
+        n2 = field_error_norm(double, zero, g)
         assert n2 == pytest.approx(2 * n1, rel=1e-13)
 
     def test_matches_direct_summation(self):
@@ -103,7 +103,7 @@ class TestFieldNorms:
         zero = SpaceTimeField(np.zeros_like(vals), "global")
         MK = (g.M + g.K).toarray()
         direct = np.sqrt(sum(g.grid.tau * v @ MK @ v for v in vals[1:]))
-        assert field_error_norm(u, zero, g.M, g.K, g.grid.tau) == \
+        assert field_error_norm(u, zero, g) == \
             pytest.approx(direct, rel=1e-13)
 
 

@@ -433,7 +433,7 @@ class TestStabilityBound:
                          * np.sin(np.pi * times)[:, None])
             u = solver.dirichlet_solve(eta=eta, loads=ops.loads)
             zero = SpaceTimeField(np.zeros_like(u.values), u.domain)
-            x_norm = field_error_norm(u, zero, ops.M, ops.K, ops.grid.tau)
+            x_norm = field_error_norm(u, zero, ops)
             f_norm = np.sqrt(sum(ops.grid.tau * lk @ lk for lk in ops.loads))
             z_norm = trace_space_norm(eta, ops.M_gamma, tau=ops.grid.tau)
             return x_norm / (f_norm + z_norm)
