@@ -59,6 +59,11 @@ class DeskArtifacts:
         return setup_problem(default_problem())
 
     @cached_property
+    def fine_setup(self):
+        """The desk problem at nx = 32, for refinement checks."""
+        return setup_problem(default_problem(nx=32))
+
+    @cached_property
     def refs(self):
         return references_from_monolithic(self.setup)
 
@@ -185,9 +190,7 @@ def criterion_4_bijectivity(art: DeskArtifacts) -> CriterionResult:
 
 def criterion_5_monotonicity(art: DeskArtifacts) -> CriterionResult:
     """<S mu, mu> / ||F mu||_X^2 stays positive and refinement-stable."""
-    def min_ratio(nx, i):
-        spec = default_problem(nx=nx)
-        setup = setup_problem(spec) if nx != 16 else art.setup
+    def min_ratio(setup, i):
         solver = setup.solvers[i - 1]
         ops = solver.ops
         rng = np.random.default_rng(art.seed + i)
@@ -206,8 +209,8 @@ def criterion_5_monotonicity(art: DeskArtifacts) -> CriterionResult:
     ok = True
     details = []
     for i in (1, 2):
-        coarse = min_ratio(16, i)
-        fine = min_ratio(32, i)
+        coarse = min_ratio(art.setup, i)
+        fine = min_ratio(art.fine_setup, i)
         drift = fine / coarse
         ok = ok and coarse > 0 and fine > 0 and 0.5 <= drift <= 2.0
         details.append(f"i={i}: min ratio {coarse:.3e} -> {fine:.3e} "

@@ -57,6 +57,13 @@ def _cmd_run(args) -> int:
 
     try:
         config = parse_config(text)
+        try:
+            # before the run, so a bad --out costs no scenario
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create output directory: {exc}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
         result = run_scenario(config, seed=args.seed)
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
@@ -65,7 +72,6 @@ def _cmd_run(args) -> int:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{config.scenario}.csv")
     result.report.write(path)
     print(path)

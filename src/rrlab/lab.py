@@ -321,8 +321,10 @@ class ScenarioConfig:
                 and all(n >= 2 and n % 2 == 0 for n in self.mesh_levels)):
             raise ConfigError("need every s_values entry > 0 and every "
                               "mesh_levels entry even and >= 2")
-        if not (self.s > 0 and self.tol >= 0 and self.max_iter >= 1):
-            raise ConfigError("need s > 0, tol >= 0 and max_iter >= 1")
+        if not (self.s > 0 and self.tol >= 0 and self.max_iter >= 1
+                and self.seed >= 0):
+            raise ConfigError("need s > 0, tol >= 0, max_iter >= 1 "
+                              "and seed >= 0")
 
     def echo(self) -> dict:
         out = {}

@@ -17,8 +17,11 @@ is a narrow band: on the unit-square subdomains the half-bandwidth is
 about nx / 2 (7 to 9 at nx = 16, 31 to 33 at nx = 64).
 So each one is factored once by banded Cholesky (LAPACK dpbtrf;
 George & Liu, Computer Solution of Large Sparse Positive Definite
-Systems, 1981), and a time step is one banded triangular solve pair
-(dpbtrs).
+Systems, 1981).  Above DENSE_MAX_DOFS unknowns a time step is one
+banded triangular solve pair (dpbtrs) and one sparse product with C.
+At or below it, where a step costs more in dispatch than in
+arithmetic, the inverse is formed once from the same factor and a
+step is two dense matrix-vector products, with A^-1 and with C.
 
 Each time step does only the work that depends on the previous step;
 data terms are sparse products over the whole trajectory.  Finiteness
@@ -41,6 +44,12 @@ __all__ = [
     "SpaceTimeField", "InterfaceSignal", "Factorization", "SubdomainSolver",
     "MonolithicSolver", "SolverFailure",
 ]
+
+
+# Systems with at most this many dofs are stepped with dense A^-1 and C:
+# per Robin solve, dense / banded time is 0.62 at 120 dofs (nx = 16) and
+# 1.59 at 276 (nx = 24), so the crossover lies near 200.
+DENSE_MAX_DOFS = 200
 
 
 class SolverFailure(RuntimeError):
@@ -126,7 +135,9 @@ class Factorization:
     The matrix is permuted to reverse Cuthill-McKee order, its upper
     band is packed in LAPACK band storage and factored once (dpbtrf).
     A solve gathers the right-hand side into that order, runs the two
-    banded triangular solves (dpbtrs) and scatters the result back.
+    banded triangular solves (dpbtrs) and scatters the result back; at
+    or below DENSE_MAX_DOFS it is one product with the inverse, formed
+    once by dpbtrs on the identity.
     Cholesky reads one triangle, so a matrix that is not exactly
     symmetric is rejected (assembly adds the same element contributions
     to (i, j) and (j, i), so step matrices are); one that is not
@@ -156,6 +167,10 @@ class Factorization:
                                 f"order {info} is not positive definite")
         self._perm = perm
         self._iperm = np.argsort(perm)
+        self._inv = None
+        if 0 < n <= DENSE_MAX_DOFS:     # dpbtrs refuses a 0x0 identity
+            inv = dpbtrs(self._band, np.eye(n))[0]
+            self._inv = inv[np.ix_(self._iperm, self._iperm)]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -163,16 +178,29 @@ class Factorization:
             # the gather would silently drop the extra rows
             raise ValueError(f"{self.label}: right-hand side has "
                              f"{rhs.shape[0]} rows, not {self.shape[0]}")
+        if self._inv is not None:
+            return self._inv @ rhs
         return dpbtrs(self._band, rhs[self._perm], overwrite_b=1)[0][self._iperm]
 
 
-def _solution(u: np.ndarray, fac: Factorization, domain: str) -> SpaceTimeField:
-    """Wrap the trajectory u, or raise if a solve with fac broke down.
+def _step_operator(C: sp.spmatrix):
+    """C as the march applies it: dense at or below DENSE_MAX_DOFS."""
+    return C.toarray() if C.shape[0] <= DENSE_MAX_DOFS else C.tocsr()
 
-    The field's own finiteness check is the one scan of u: a solver
-    trajectory has two axes and a zero initial slice, so a non-finite
-    value is the only reason the field can refuse it.
+
+def _march(fac: Factorization, C, rhs: np.ndarray, u: np.ndarray,
+           domain: str, cols=slice(None)) -> SpaceTimeField:
+    """Run the theta scheme u^k = A^-1 (rhs^k + C u^{k-1}) on u[:, cols].
+
+    u has a zero row 0; the columns outside ``cols`` hold known values.
+    Each step is one ``fac.solve``.  The field's own finiteness check
+    is the one scan of u: a solver trajectory has two axes and a zero
+    initial slice, so a non-finite value, which propagates to the last
+    step, is the only reason the field can refuse it.
     """
+    x = u[:, cols]
+    for k in range(1, len(u)):
+        x[k] = fac.solve(rhs[k - 1] + C @ x[k - 1])
     try:
         return SpaceTimeField(u, domain)
     except ValueError:
@@ -192,7 +220,8 @@ class SubdomainSolver:
         self.A, self.C = build_step_operators(ops)
         nI = ops.n_interior
         self._A_IG = self.A[:nI, nI:].tocsr()
-        self._C_II = self.C[:nI, :nI].tocsr()
+        self._C_step = _step_operator(self.C)
+        self._C_II = _step_operator(self.C[:nI, :nI])
         self._C_IG = self.C[:nI, nI:].tocsr()
         self._A_G = self.A[nI:].tocsr()      # interface rows of A
         self._C_G = self.C[nI:].tocsr()
@@ -276,9 +305,8 @@ class SubdomainSolver:
         # f_I^k - A_IG eta^k + C_IG eta^{k-1}, for all k at once
         rhs = (loads[:, :nI] - (self._A_IG @ eta_v.T).T
                + (self._C_IG @ u[:-1, nI:].T).T)
-        for k in range(1, grid.n_steps + 1):
-            u[k, :nI] = fac.solve(rhs[k - 1] + self._C_II @ u[k - 1, :nI])
-        return _solution(u, fac, f"omega{self.ops.index}")
+        return _march(fac, self._C_II, rhs, u, f"omega{self.ops.index}",
+                      slice(nI))
 
     def robin_solve(self, s: float, lam: InterfaceSignal | None = None,
                     loads: np.ndarray | None = None) -> SpaceTimeField:
@@ -295,9 +323,7 @@ class SubdomainSolver:
         rhs = loads.copy()
         rhs[:, self.ops.n_interior:] += lam_v / grid.tau
         u = np.zeros((grid.n_steps + 1, n))
-        for k in range(1, grid.n_steps + 1):
-            u[k] = fac.solve(rhs[k - 1] + self.C @ u[k - 1])
-        return _solution(u, fac, f"omega{self.ops.index}")
+        return _march(fac, self._C_step, rhs, u, f"omega{self.ops.index}")
 
     def flux_recovery(self, u: SpaceTimeField,
                       loads: np.ndarray | None = None) -> InterfaceSignal:
@@ -322,11 +348,10 @@ class MonolithicSolver:
         self.ops = ops
         self.A, self.C = build_step_operators(ops)
         self._factor = Factorization(self.A, "monolithic step matrix")
+        self._C_step = _step_operator(self.C)
 
     def solve(self, loads: np.ndarray | None = None) -> SpaceTimeField:
         grid = self.ops.grid
         loads = self.ops.loads if loads is None else np.asarray(loads, dtype=float)
         u = np.zeros((grid.n_steps + 1, self.ops.n_dofs))
-        for k in range(1, grid.n_steps + 1):
-            u[k] = self._factor.solve(loads[k - 1] + self.C @ u[k - 1])
-        return _solution(u, self._factor, "global")
+        return _march(self._factor, self._C_step, loads, u, "global")

@@ -338,15 +338,40 @@ class TestCli:
 
     @pytest.mark.parametrize("text", [
         "s = 0\n", "tol = -1\n", "max_iter = 0\n", "nx = 8\nnx = 4\n",
-        "s_values = -1\n", "mesh_levels = 0\n", "mesh_levels = 4,3\n"],
+        "s_values = -1\n", "mesh_levels = 0\n", "mesh_levels = 4,3\n",
+        "seed = -1\n"],
         ids=["s-zero", "tol-negative", "max-iter-zero", "duplicate-key",
-             "s-values-negative", "mesh-levels-below-2", "mesh-levels-odd"])
+             "s-values-negative", "mesh-levels-below-2", "mesh-levels-odd",
+             "seed-negative"])
     def test_run_bad_config_value_exits_2(self, tmp_path, text, capsys):
         cfg = self.write_config(tmp_path, "scenario = converge\n" + text)
         out = tmp_path / "out"
         assert cli.main(["run", cfg, "--out", str(out)]) == 2
         assert not out.exists()
         assert "invalid configuration" in capsys.readouterr().err
+
+    def test_run_out_names_a_file_exits_2(self, tmp_path, monkeypatch,
+                                          capsys):
+        cfg = self.write_config(tmp_path, "scenario = equivalence\nnx = 4\n")
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        ran = []
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda *a, **kw: ran.append(1))
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        assert "error: cannot create output directory" \
+            in capsys.readouterr().err
+        assert not ran
+        assert out.read_text() == "not a directory"
+
+    def test_run_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path, "scenario = coercivity\nnx = 4\nny = 4\n"
+                      "n_steps = 4\nsamples = 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out), "--seed", "-3"]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (out / "coercivity.csv").exists()
 
     def test_run_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 2

@@ -1,18 +1,23 @@
 """Property tests of the structural identities over random geometry,
 diffusion jumps and theta: PDE/interface equivalence of the two
 Robin-Robin realizations, the causal block-Toeplitz structure of the
-Steklov-Poincare operators that assemble_dense relies on, and the
-resolvent round trip."""
+Steklov-Poincare operators that assemble_dense relies on, the
+resolvent round trip, and the agreement of the dense and banded time
+steps."""
+
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrlab import subsolve
 from rrlab.interface import (SteklovOperator, assemble_dense, interface_gram,
                              run_equivalence, solve_robin_resolvent)
 from rrlab.lab import setup_problem
 from rrlab.mesh import ProblemSpec
-from rrlab.subsolve import InterfaceSignal
+from rrlab.subsolve import InterfaceSignal, SubdomainSolver
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None,
                              derandomize=True, database=None)
@@ -90,3 +95,26 @@ def test_resolvent_inverts_robin_operator(spec, s):
                 + SteklovOperator(solver).apply(eta))
         assert np.abs(back.values - rhs.values).max() \
             <= 1e-10 * np.abs(rhs.values).max()
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.floats(0.1, 10.0))
+def test_dense_and_banded_steps_agree(spec, s):
+    # the same solves with every step matrix on the dense path, then on
+    # the banded path; the choice is made when a solver is built
+    setup = setup_problem(spec)
+    rng = np.random.default_rng(0)
+    shape = (spec.n_steps, setup.ops_1.n_interface)
+    eta = InterfaceSignal(rng.standard_normal(shape), "primal")
+    lam = InterfaceSignal(rng.standard_normal(shape), "dual")
+    for ops in (setup.ops_1, setup.ops_2):
+        runs = []
+        for limit in (sys.maxsize, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(subsolve, "DENSE_MAX_DOFS", limit)
+                solver = SubdomainSolver(ops)
+                runs.append([solver.dirichlet_solve(eta, ops.loads).values,
+                             solver.robin_solve(s, lam, ops.loads).values])
+        for dense, banded in zip(*runs):
+            assert np.linalg.norm(dense - banded) \
+                <= 1e-13 * np.linalg.norm(banded)

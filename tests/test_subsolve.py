@@ -10,8 +10,9 @@ from rrlab.assembly import (build_global_operators, build_step_operators,
                             build_subdomain_operators, lumped_interface_mass)
 from rrlab.dense import (dense_space_time_matrix, dense_space_time_solve)
 from rrlab.mesh import ProblemSpec, build_mesh, decompose
-from rrlab.subsolve import (Factorization, InterfaceSignal, MonolithicSolver,
-                            SolverFailure, SpaceTimeField, SubdomainSolver)
+from rrlab.subsolve import (DENSE_MAX_DOFS, Factorization, InterfaceSignal,
+                            MonolithicSolver, SolverFailure, SpaceTimeField,
+                            SubdomainSolver)
 
 
 def make_solver(spec, i=1):
@@ -63,14 +64,16 @@ class TestFactorization:
         with pytest.raises(SolverFailure, match="broken block"):
             Factorization(sp.csc_matrix((3, 3)), label="broken block")
 
-    def test_permuted_shifted_laplacian_matches_spsolve(self):
+    @pytest.mark.parametrize("side, m", [("dense", 12), ("banded", 16)])
+    def test_permuted_shifted_laplacian_matches_spsolve(self, side, m):
         # a scattered sparsity pattern: RCM must recover a narrow band
+        assert (m * m <= DENSE_MAX_DOFS) == (side == "dense")
         rng = np.random.default_rng(4)
-        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(12, 12))
-        L = sp.kron(T, sp.eye(12)) + sp.kron(sp.eye(12), T) + 0.1 * sp.eye(144)
-        p = rng.permutation(144)
+        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+        L = sp.kron(T, sp.eye(m)) + sp.kron(sp.eye(m), T) + 0.1 * sp.eye(m * m)
+        p = rng.permutation(m * m)
         A = sp.csr_matrix(L)[p][:, p]
-        b = rng.standard_normal(144)
+        b = rng.standard_normal(m * m)
         x = Factorization(A).solve(b)
         ref = spla.spsolve(A.tocsc(), b)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -97,8 +100,11 @@ class TestFactorization:
         x = fac.solve(np.zeros(0))
         assert x.shape == (0,)
 
-    def test_one_step_solve_per_time_step(self, monkeypatch):
-        solver = make_solver(spec_2d(n_steps=5))
+    @pytest.mark.parametrize("side, nx", [("dense", 4), ("banded", 24)])
+    def test_one_step_solve_per_time_step(self, monkeypatch, side, nx):
+        solver = make_solver(spec_2d(nx=nx, n_steps=5))
+        for n in (solver.ops.n_interior, solver.ops.n_dofs):
+            assert (n <= DENSE_MAX_DOFS) == (side == "dense")
         calls = []
         solve = Factorization.solve
 
