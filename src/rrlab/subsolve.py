@@ -47,8 +47,8 @@ __all__ = [
 
 
 # Systems with at most this many dofs are stepped with dense A^-1 and C:
-# per Robin solve, dense / banded time is 0.62 at 120 dofs (nx = 16) and
-# 1.59 at 276 (nx = 24), so the crossover lies near 200.
+# per Robin solve, dense / banded time is about 0.7 at 120 dofs (nx = 16),
+# 1.0 at 190 (nx = 20) and 1.5 at 276 (nx = 24), so the crossover is near 200.
 DENSE_MAX_DOFS = 200
 
 
