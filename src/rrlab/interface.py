@@ -15,7 +15,8 @@ the Robin datum lam = (sJ - S2) eta + chi, and each reflection
 of the resolvent that produced x.  S_i is applied by a Dirichlet solve
 and a flux recovery only in probing, reference tracking of subdomain 1
 and the acceptance criteria; reference tracking reads the subdomain-2
-field and S2 eta off the Robin solve that gave eta.
+field and S2 eta off the Robin solve that gave eta, and tracks
+subdomain 1 on blocks of iterates.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import scipy.linalg
 
 from .assembly import (SubdomainOperators, lumped_interface_mass,
                        robin_coefficient)
-from .subsolve import InterfaceSignal, SpaceTimeField, SubdomainSolver
+from .subsolve import (InterfaceSignal, SpaceTimeField, SubdomainSolver,
+                       step_norm)
 
 __all__ = [
     "SteklovOperator", "IterationConfig", "ConvergenceReport",
@@ -93,10 +95,10 @@ def solve_robin_resolvent(solver: SubdomainSolver, rhs: InterfaceSignal,
 # Norms on interface signals
 # ---------------------------------------------------------------------------
 
-def h_norm(eta: InterfaceSignal, M_gamma, tau: float) -> float:
-    """L2(interface x time) norm: sqrt(sum_k tau eta_k^T M_Gamma eta_k)."""
-    vals = eta.values.T
-    return float(np.sqrt(max(tau * np.sum(vals * (M_gamma @ vals)), 0.0)))
+def h_norm(eta: InterfaceSignal, M_gamma, tau: float):
+    """L2(interface x time) norm: sqrt(sum_k tau eta_k^T M_Gamma eta_k);
+    one value per column of a block."""
+    return step_norm(M_gamma, eta.values, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +296,17 @@ def _run_iteration(solvers, config: IterationConfig, iterates,
 
     ``iterates`` yields eta^1, eta^2, ... (eta^0 = 0), each with its
     subdomain-2 field and flux; at most config.max_iter of them are
-    drawn.  When ``references`` is given, each iteration also records
-    the subdomain X-norm errors of the interface-parametrized fields,
-    the monotone gaps against the reference trace, and the
-    Steklov-Poincare residual pushed through the resolvent (the
-    iteration's own metric); this costs one Dirichlet solve with a flux
-    recovery (subdomain 1) and one Robin solve (the residual) per
-    iteration.  ``chi`` holds the interface sources (chi_1, chi_2) when
+    drawn, and the stopping rule reads only the increments.  When
+    ``references`` is given, the report also holds, per iteration, the
+    subdomain X-norm errors of the interface-parametrized fields, the
+    monotone gaps against the reference trace, and the Steklov-Poincare
+    residual pushed through the resolvent (the iteration's own metric).
+    The subdomain-2 error and gap are read off the Robin solve of each
+    iteration.  The rest is a pure function of eta^n and S2 eta^n, so
+    it is computed for a block of iterates at once (_track_block), one
+    Dirichlet solve with a flux recovery (subdomain 1) and one Robin
+    solve (the residual) per block of SubdomainSolver.block_width()
+    iterates.  ``chi`` holds the interface sources (chi_1, chi_2) when
     the caller has computed them already.
     """
     s1, s2 = solvers
@@ -312,10 +318,19 @@ def _run_iteration(solvers, config: IterationConfig, iterates,
     track = references is not None
     if track:
         from .lab import field_error_norm     # local import, no cycle at load
-        chi_1, chi_2 = chi or map(interface_source, solvers)
-        chi_sum = chi_1 + chi_2
-        S1_ref = s1.flux_recovery(references.u1_ref, s1.ops.loads) + chi_1
-        S2_ref = s2.flux_recovery(references.u2_ref, s2.ops.loads) + chi_2
+        chi = chi or tuple(map(interface_source, solvers))
+        S1_ref = s1.flux_recovery(references.u1_ref, s1.ops.loads) + chi[0]
+        S2_ref = s2.flux_recovery(references.u2_ref, s2.ops.loads) + chi[1]
+        width, pending = s1.block_width(), []
+
+        def flush(n_tracked):
+            # track the pending block; its first n_tracked iterates count
+            rows = _track_block(solvers, config.s, references, chi, S1_ref,
+                                pending)
+            for values, row in zip(rows, (report.errors_1, report.gaps_1,
+                                          report.residuals)):
+                row.extend(values[:n_tracked].tolist())
+            pending.clear()
 
     for _, (eta_next, subdomain_2) in zip(range(config.max_iter), iterates):
         inc = h_norm(eta_next - eta, Mg, tau)
@@ -323,20 +338,15 @@ def _run_iteration(solvers, config: IterationConfig, iterates,
         report.increments.append(inc)
 
         if track:
-            u1 = s1.dirichlet_solve(eta=eta, loads=s1.ops.loads)
             u2, sigma2 = subdomain_2()
-            S1_eta = s1.flux_recovery(u1, s1.ops.loads) + chi_1
-            S2_eta = sigma2 + chi_2
-            report.errors_1.append(
-                field_error_norm(u1, references.u1_ref, s1.ops))
+            S2_eta = sigma2 + chi[1]
             report.errors_2.append(
                 field_error_norm(u2, references.u2_ref, s2.ops))
-            diff = references.eta_ref - eta
-            report.gaps_1.append((S1_ref - S1_eta).pair(diff))
-            report.gaps_2.append((S2_ref - S2_eta).pair(diff))
-            resid = (S1_eta + S2_eta) - chi_sum
-            precond = solve_robin_resolvent(s2, resid, config.s)
-            report.residuals.append(h_norm(precond, Mg, tau))
+            report.gaps_2.append(
+                (S2_ref - S2_eta).pair(references.eta_ref - eta))
+            pending.append((eta.values, S2_eta.values))
+            if len(pending) == width:
+                flush(width)
 
         scale0 = report.increments[0]
         if not np.isfinite(inc) or (scale0 > 0 and inc > 1e6 * scale0):
@@ -345,14 +355,42 @@ def _run_iteration(solvers, config: IterationConfig, iterates,
         if inc <= config.tol:
             report.status = "converged"
             break
+    if track and pending:
+        # a last block of full width, padded with the last iterate, so
+        # that every block of a run does the same work (perfbench times
+        # repeated work at its fastest repetition)
+        n_tracked = len(pending)
+        pending += pending[-1:] * (width - n_tracked)
+        flush(n_tracked)
     return eta, report
+
+
+def _track_block(solvers, s: float, references: PRReferences, chi, S1_ref,
+                 pending: list):
+    """Subdomain-1 X-norm errors and gaps, and residuals, of a block of
+    iterates given as (eta^n, S2 eta^n) values; one array each."""
+    from .lab import field_error_norm
+    s1, s2 = solvers
+    ops = s1.ops
+    eta = InterfaceSignal(np.array([p[0] for p in pending]), "primal")
+    S2_eta = InterfaceSignal(np.array([p[1] for p in pending]), "dual")
+    u1 = s1.dirichlet_solve(eta=eta, loads=ops.loads)
+    S1_eta = s1.flux_recovery(u1, ops.loads) + chi[0]
+    resid = (S1_eta + S2_eta) - (chi[0] + chi[1])
+    precond = solve_robin_resolvent(s2, resid, s)
+    return (field_error_norm(u1, references.u1_ref, ops),
+            (S1_ref - S1_eta).pair(references.eta_ref - eta),
+            h_norm(precond, ops.M_gamma, ops.grid.tau))
 
 
 def run_pr(solvers, config: IterationConfig,
            references: PRReferences | None = None):
     """Run the interface Peaceman-Rachford iteration.
 
-    Returns (eta, report); see _run_iteration for the diagnostics.
+    Returns (eta, report); see _run_iteration for the diagnostics.  A
+    tracked iteration costs the two Robin solves of pr_step; the
+    subdomain-1 errors and gaps and the residuals cost one Dirichlet
+    solve, flux recovery and Robin solve per block of iterates.
     """
     chi = tuple(map(interface_source, solvers))
     iterates = _pr_iterates(solvers, chi, config.s)
@@ -410,9 +448,10 @@ def assemble_dense(apply_fn, n_steps: int, n_interface: int) -> np.ndarray:
     pairing of the package does, so it is block lower-triangular
     Toeplitz in time (Lubich & Ostermann, BIT 27, 1987): its first
     block column determines it.  Only the n_interface unit primal
-    signals at step 1 are probed; that column is tiled down the block
-    diagonals.  Column (k * n_interface + g) is the flattened output for
-    the unit signal at step k, dof g (time-major flattening).
+    signals at step 1 are probed, as one block of signals in one call
+    of ``apply_fn``; that column is tiled down the block diagonals.
+    Column (k * n_interface + g) is the flattened output for the unit
+    signal at step k, dof g (time-major flattening).
     DENSE_COLUMN_GUARD bounds n_steps * n_interface, the side of the
     square output.
     """
@@ -420,11 +459,10 @@ def assemble_dense(apply_fn, n_steps: int, n_interface: int) -> np.ndarray:
     if n_cols > DENSE_COLUMN_GUARD:
         raise ValueError(f"dense probing guard exceeded: "
                          f"{n_cols} columns > {DENSE_COLUMN_GUARD}")
-    first = np.empty((n_cols, n_interface))
-    for g in range(n_interface):
-        e = np.zeros((n_steps, n_interface))
-        e[0, g] = 1.0
-        first[:, g] = apply_fn(InterfaceSignal(e, "primal")).values.ravel()
+    units = np.zeros((n_interface, n_steps, n_interface))
+    units[:, 0, :] = np.eye(n_interface)
+    first = apply_fn(InterfaceSignal(units, "primal")).values
+    first = first.reshape(n_interface, n_cols).T
     out = np.zeros((n_cols, n_cols))
     for k in range(n_steps):
         lo = k * n_interface

@@ -21,13 +21,13 @@ from .interface import (IterationConfig, PRReferences, SteklovOperator,
                         spectral_analysis)
 from .mesh import Decomposition, Mesh, ProblemSpec, build_mesh, decompose
 from .subsolve import (InterfaceSignal, MonolithicSolver, SpaceTimeField,
-                       SubdomainSolver)
+                       SubdomainSolver, step_norm)
 
 __all__ = [
     "ConfigError", "LabSetup", "setup_problem", "default_problem",
     "solve_monolithic", "restrict_field", "glue_fields", "global_trace",
-    "references_from_monolithic", "field_error_norm", "space_time_l2_norm",
-    "mms_spec", "mms_exact_nodal", "run_mms_spatial", "run_mms_temporal",
+    "references_from_monolithic", "field_error_norm", "mms_spec",
+    "mms_exact_nodal", "run_mms_spatial", "run_mms_temporal",
     "least_squares_order", "ScenarioConfig", "parse_config", "run_scenario",
     "ScenarioResult", "CsvReport",
 ]
@@ -134,20 +134,14 @@ def references_from_monolithic(setup: LabSetup) -> PRReferences:
 
 
 def field_error_norm(u: SpaceTimeField, u_ref: SpaceTimeField,
-                     ops: SubdomainOperators | GlobalOperators) -> float:
+                     ops: SubdomainOperators | GlobalOperators):
     """L2-in-time, H1-in-space norm of the difference of two fields on
-    the dofs of ``ops``, with the Gram matrix M + K."""
-    if u.values.shape != u_ref.values.shape:
+    the dofs of ``ops``, with the Gram matrix M + K.  A block ``u`` is
+    measured column by column against the one field ``u_ref``."""
+    if u.values.shape[-2:] != u_ref.values.shape:
         raise ValueError("fields have mismatched shapes")
-    d = (u.values[1:] - u_ref.values[1:]).T
-    total = np.sum(d * (ops.MK @ d))
-    return float(np.sqrt(max(ops.grid.tau * total, 0.0)))
-
-
-def space_time_l2_norm(values: np.ndarray, M, tau: float) -> float:
-    """Discrete L2(space-time) norm of step values (steps 1..n)."""
-    total = np.sum(values * (M @ values.T).T)
-    return float(np.sqrt(max(tau * total, 0.0)))
+    d = u.values[..., 1:, :] - u_ref.values[1:]
+    return step_norm(ops.MK, d, ops.grid.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +200,8 @@ def _mms_errors(spec: ProblemSpec):
     times = np.arange(1, spec.n_steps + 1) * spec.tau
     exact = mms_exact_nodal(mesh, ops.dof_nodes, times, spec.dimension)
     e = u.values[1:] - exact
-    l2 = space_time_l2_norm(e, ops.M, spec.tau)
-    x = np.sqrt(l2 ** 2 + space_time_l2_norm(e, ops.K, spec.tau) ** 2)
+    l2 = step_norm(ops.M, e, spec.tau)
+    x = np.sqrt(l2 ** 2 + step_norm(ops.K, e, spec.tau) ** 2)
     return l2, float(x)
 
 
@@ -257,8 +251,8 @@ def run_mms_temporal(theta: float, steps=(4, 8, 16), ref_factor: int = 8,
         u = MonolithicSolver(ops).solve()
         stride = ref_steps // n_steps
         e = u.values[1:] - u_ref.values[stride::stride]
-        l2 = space_time_l2_norm(e, ops.M, spec.tau)
-        x = np.sqrt(l2 ** 2 + space_time_l2_norm(e, ops.K, spec.tau) ** 2)
+        l2 = step_norm(ops.M, e, spec.tau)
+        x = np.sqrt(l2 ** 2 + step_norm(ops.K, e, spec.tau) ** 2)
         order = np.nan
         if prev is not None:
             order = float(np.log(prev[1] / l2) / np.log(prev[0] / spec.tau))
@@ -325,6 +319,12 @@ class ScenarioConfig:
                 and self.seed >= 0):
             raise ConfigError("need s > 0, tol >= 0, max_iter >= 1 "
                               "and seed >= 0")
+        # the mms scenario builds its own problems, and phi only reaches
+        # parabolic_coercivity, so no ProblemSpec checks these
+        if self.dimension not in (1, 2) or self.theta not in (0.5, 1.0):
+            raise ConfigError("need dimension 1 or 2 and theta 1 or 0.5")
+        if not 0.0 < self.phi < 0.5 * np.pi:
+            raise ConfigError("phi must lie in (0, pi/2)")
 
     def echo(self) -> dict:
         out = {}
@@ -378,9 +378,12 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     try:
-        return ScenarioConfig(**values)
+        cfg = ScenarioConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.scenario != "mms":       # every other scenario runs one spec
+        spec_from_scenario(cfg)
+    return cfg
 
 
 def spec_from_scenario(cfg: ScenarioConfig) -> ProblemSpec:

@@ -27,6 +27,14 @@ Each time step does only the work that depends on the previous step;
 data terms are sparse products over the whole trajectory.  Finiteness
 is checked once per trajectory: a non-finite value propagates to the
 last step, so one check sees what a check per step solve would.
+
+A solve also takes a block of independent data along a leading batch
+axis: interface values (m, n_steps, n_interface) give fields
+(m, n_steps + 1, n_dofs), and a 2-D signal or field is the one-column
+case.  The block is marched together, still with one Factorization.solve
+per time step, so each step is a multi-right-hand-side solve (level-3
+BLAS; Dongarra et al., ACM TOMS 16, 1990).  Loads are shared by the
+block.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from .assembly import GlobalOperators, SubdomainOperators, build_step_operators
 
 __all__ = [
     "SpaceTimeField", "InterfaceSignal", "Factorization", "SubdomainSolver",
-    "MonolithicSolver", "SolverFailure",
+    "MonolithicSolver", "SolverFailure", "step_norm",
 ]
 
 
@@ -50,6 +58,16 @@ __all__ = [
 # per Robin solve, dense / banded time is about 0.7 at 120 dofs (nx = 16),
 # 1.0 at 190 (nx = 20) and 1.5 at 276 (nx = 24), so the crossover is near 200.
 DENSE_MAX_DOFS = 200
+
+# Callers with many independent columns solve them in blocks of at most
+# this many field values, (n_steps + 1) * n_dofs per column, and at least
+# one column: 32 columns at nx = 16, 7 at nx = 32, 1 at nx = 64.  Above
+# DENSE_MAX_DOFS narrow blocks do not gain (3 columns at nx = 32 cost as
+# much per column as one) and wide ones lose (at nx = 64 a 16-column
+# Dirichlet block took 1.23 ms per column against 1.04 ms for one; 2
+# cores, one BLAS thread).  2 ** 17 raised the peak memory of a converge
+# run over nx = 16, 32 and 64 by 3 MB.
+BLOCK_VALUES = 2 ** 16
 
 
 class SolverFailure(RuntimeError):
@@ -63,21 +81,21 @@ class SpaceTimeField:
     The initial slice must vanish (homogeneous initial condition).
     """
 
-    values: np.ndarray          # (n_steps + 1, n_dofs)
+    values: np.ndarray          # ([m,] n_steps + 1, n_dofs)
     domain: str = "subdomain"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("field values must be 2D (steps+1, dofs)")
-        if np.any(self.values[0] != 0.0):
+        if self.values.ndim not in (2, 3):
+            raise ValueError("field values must be ([batch,] steps+1, dofs)")
+        if np.any(self.values[..., 0, :] != 0.0):
             raise ValueError("initial slice of a space-time field must be zero")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
     @property
     def n_steps(self) -> int:
-        return self.values.shape[0] - 1
+        return self.values.shape[-2] - 1
 
 
 @dataclass
@@ -89,7 +107,7 @@ class InterfaceSignal:
     duality pairing is a plain dot product.
     """
 
-    values: np.ndarray          # (n_steps, n_interface)
+    values: np.ndarray          # ([m,] n_steps, n_interface)
     kind: str = "primal"
 
     def __post_init__(self):
@@ -101,7 +119,7 @@ class InterfaceSignal:
 
     @property
     def n_steps(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     def _like(self, values) -> "InterfaceSignal":
         return InterfaceSignal(values, self.kind)
@@ -121,11 +139,32 @@ class InterfaceSignal:
 
     __rmul__ = __mul__
 
-    def pair(self, other: "InterfaceSignal") -> float:
-        """Duality pairing of a dual signal with a primal signal."""
+    def pair(self, other: "InterfaceSignal"):
+        """Duality pairing of a dual signal with a primal signal; one
+        value per column of a block."""
         if {self.kind, other.kind} != {"primal", "dual"}:
             raise ValueError("pairing requires one primal and one dual signal")
-        return float(np.sum(self.values * other.values))
+        return _per_column(np.sum(self.values * other.values, axis=(-2, -1)))
+
+
+def _per_column(total: np.ndarray):
+    """A float for one column, an array for a block."""
+    return float(total) if total.ndim == 0 else total
+
+
+def _dofwise(A, v: np.ndarray) -> np.ndarray:
+    """The sparse matrix A applied to the dof (last) axis of v, an array
+    of shape ([m,] steps, dofs), as one product over all rows."""
+    out = A @ v.reshape(-1, v.shape[-1]).T
+    return out.T.reshape(v.shape[:-1] + (A.shape[0],))
+
+
+def step_norm(G, v: np.ndarray, tau: float):
+    """sqrt(tau * sum_k v_k^T G v_k) over the steps of v, shaped
+    ([m,] steps, dofs); one value per column of a block."""
+    vt = np.swapaxes(v, -1, -2)
+    total = np.sum(vt * np.swapaxes(_dofwise(G, v), -1, -2), axis=(-2, -1))
+    return _per_column(np.sqrt(np.maximum(tau * total, 0.0)))
 
 
 class Factorization:
@@ -180,6 +219,8 @@ class Factorization:
                              f"{rhs.shape[0]} rows, not {self.shape[0]}")
         if self._inv is not None:
             return self._inv @ rhs
+        if not rhs.size:    # dpbtrs refuses an empty block of columns
+            return rhs.copy()
         return dpbtrs(self._band, rhs[self._perm], overwrite_b=1)[0][self._iperm]
 
 
@@ -190,16 +231,22 @@ def _step_operator(C: sp.spmatrix):
 
 def _march(fac: Factorization, C, rhs: np.ndarray, u: np.ndarray,
            domain: str, cols=slice(None)) -> SpaceTimeField:
-    """Run the theta scheme u^k = A^-1 (rhs^k + C u^{k-1}) on u[:, cols].
+    """Run the theta scheme u^k = A^-1 (rhs^k + C u^{k-1}) on the dofs
+    ``cols`` of u, shaped ([m,] n_steps + 1, n_dofs) like rhs.
 
-    u has a zero row 0; the columns outside ``cols`` hold known values.
-    Each step is one ``fac.solve``.  The field's own finiteness check
-    is the one scan of u: a solver trajectory has two axes and a zero
-    initial slice, so a non-finite value, which propagates to the last
-    step, is the only reason the field can refuse it.
+    u has a zero step 0; the dofs outside ``cols`` hold known values.
+    Each step is one ``fac.solve``, of all m columns of a block at once.
+    The field's own finiteness check is the one scan of u: a solver
+    trajectory has the field's shape and a zero initial slice, so a
+    non-finite value, which propagates to the last step, is the only
+    reason the field can refuse it.
     """
-    x = u[:, cols]
-    for k in range(1, len(u)):
+    u_steps = u
+    if u.ndim == 3:     # march (step, dof, column) views of a block
+        u_steps, rhs = ((u[0], rhs[0]) if len(u) == 1 else
+                        (np.moveaxis(u, 0, -1), np.moveaxis(rhs, 0, -1)))
+    x = u_steps[:, cols]
+    for k in range(1, len(x)):
         x[k] = fac.solve(rhs[k - 1] + C @ x[k - 1])
     try:
         return SpaceTimeField(u, domain)
@@ -251,6 +298,7 @@ class SubdomainSolver:
     # -- helpers -----------------------------------------------------------
 
     def _check_loads(self, loads):
+        """Loads, shared by every column of a block."""
         grid = self.ops.grid
         if loads is None:
             return np.zeros((grid.n_steps, self.ops.n_dofs))
@@ -262,17 +310,25 @@ class SubdomainSolver:
         return loads
 
     def _check_signal(self, signal, kind):
+        shape = (self.ops.grid.n_steps, self.ops.n_interface)
         if signal is None:
-            return np.zeros((self.ops.grid.n_steps, self.ops.n_interface))
+            return np.zeros(shape)
         if signal.kind != kind:
             raise ValueError(f"expected a {kind} signal, got {signal.kind}")
-        if signal.values.shape != (self.ops.grid.n_steps, self.ops.n_interface):
+        if signal.values.ndim > 3 or signal.values.shape[-2:] != shape:
             raise ValueError("signal shape does not match the interface")
         return signal.values
 
+    def block_width(self) -> int:
+        """Columns of a block of independent solves: at most
+        BLOCK_VALUES field values, and at least one column."""
+        grid, n = self.ops.grid, self.ops.n_dofs
+        return max(1, BLOCK_VALUES // ((grid.n_steps + 1) * n))
+
     def trace(self, u: SpaceTimeField) -> InterfaceSignal:
         """Interface trace of a subdomain field (steps 1..n)."""
-        return InterfaceSignal(u.values[1:, self.ops.n_interior:].copy(), "primal")
+        return InterfaceSignal(u.values[..., 1:, self.ops.n_interior:].copy(),
+                               "primal")
 
     # -- solves ------------------------------------------------------------
 
@@ -293,18 +349,19 @@ class SubdomainSolver:
 
         With loads = 0 this realizes the harmonic-extension solution
         operator; with eta = 0 it is the interior source solve.  The
-        trace of the result equals eta exactly.
+        trace of the result equals eta exactly.  A block of traces
+        gives a block of fields.
         """
         grid = self.ops.grid
         nI, n = self.ops.n_interior, self.ops.n_dofs
         eta_v = self._check_signal(eta, "primal")
         loads = self._check_loads(loads)
         fac = self._dirichlet_factor()
-        u = np.zeros((grid.n_steps + 1, n))
-        u[1:, nI:] = eta_v
+        u = np.zeros(eta_v.shape[:-2] + (grid.n_steps + 1, n))
+        u[..., 1:, nI:] = eta_v
         # f_I^k - A_IG eta^k + C_IG eta^{k-1}, for all k at once
-        rhs = (loads[:, :nI] - (self._A_IG @ eta_v.T).T
-               + (self._C_IG @ u[:-1, nI:].T).T)
+        rhs = loads[:, :nI] - _dofwise(self._A_IG, eta_v)
+        rhs += _dofwise(self._C_IG, u[..., :-1, nI:])
         return _march(fac, self._C_II, rhs, u, f"omega{self.ops.index}",
                       slice(nI))
 
@@ -313,16 +370,16 @@ class SubdomainSolver:
         """Solve with Robin interface data ``lam`` (a dual signal).
 
         Satisfies flux_recovery(u, loads) + s * M_Gamma trace(u) = lam
-        exactly, step by step.
+        exactly, step by step.  A block of data gives a block of fields.
         """
         grid = self.ops.grid
-        n = self.ops.n_dofs
         lam_v = self._check_signal(lam, "dual")
+        batch = lam_v.shape[:-2]
         loads = self._check_loads(loads)
         fac = self._robin_factor(s)
-        rhs = loads.copy()
-        rhs[:, self.ops.n_interior:] += lam_v / grid.tau
-        u = np.zeros((grid.n_steps + 1, n))
+        rhs = np.broadcast_to(loads, batch + loads.shape).copy()
+        rhs[..., self.ops.n_interior:] += lam_v / grid.tau
+        u = np.zeros(batch + (grid.n_steps + 1, self.ops.n_dofs))
         return _march(fac, self._C_step, rhs, u, f"omega{self.ops.index}")
 
     def flux_recovery(self, u: SpaceTimeField,
@@ -330,14 +387,16 @@ class SubdomainSolver:
         """Variational flux: weighted interface-row residual of u.
 
         sigma^k = tau * (A u^k - C u^{k-1} - f^k) restricted to the
-        interface rows.  Dual signal (weight inside).
+        interface rows.  Dual signal (weight inside), a block of them
+        for a block of fields.
         """
         grid = self.ops.grid
-        if u.values.shape != (grid.n_steps + 1, self.ops.n_dofs):
+        if u.values.shape[-2:] != (grid.n_steps + 1, self.ops.n_dofs):
             raise ValueError("field shape does not match the subdomain")
         loads = self._check_loads(loads)
-        U, nI = u.values.T, self.ops.n_interior
-        res = (self._A_G @ U[:, 1:] - self._C_G @ U[:, :-1]).T
+        U, nI = u.values, self.ops.n_interior
+        res = (_dofwise(self._A_G, U[..., 1:, :])
+               - _dofwise(self._C_G, U[..., :-1, :]))
         return InterfaceSignal(grid.tau * (res - loads[:, nI:]), "dual")
 
 

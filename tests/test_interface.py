@@ -95,21 +95,19 @@ class TestSteklovOperator:
 
     @pytest.mark.parametrize("theta", [1.0, 0.5])
     def test_dense_equals_column_by_column_probe(self, theta):
-        # reference: one probe per column of the desk problem, assuming
-        # no structure; the tiled step-1 probes reproduce it bit for bit
+        # reference: a probe of every column of the desk problem, all in
+        # one block, assuming no structure; the tiled step-1 probes
+        # reproduce it bit for bit
         setup = setup_problem(default_problem(theta=theta))
         n_steps, n_g = setup.ops_1.grid.n_steps, setup.ops_1.n_interface
         n_cols = n_steps * n_g
+        units = np.eye(n_cols).reshape(n_cols, n_steps, n_g)
         for solver in setup.solvers:
             apply = SteklovOperator(solver).apply
-            full = np.empty((n_cols, n_cols))
-            for j in range(n_cols):
-                e = np.zeros(n_cols)
-                e[j] = 1.0
-                sig = InterfaceSignal(e.reshape(n_steps, n_g), "primal")
-                full[:, j] = apply(sig).values.ravel()
+            full = apply(InterfaceSignal(units, "primal")).values
             np.testing.assert_array_equal(
-                assemble_dense(apply, n_steps, n_g), full)
+                assemble_dense(apply, n_steps, n_g),
+                full.reshape(n_cols, n_cols).T)
 
     def test_dense_lower_block_triangular(self):
         # causality: block (k, l) vanishes for l > k
@@ -401,8 +399,10 @@ class TestPeacemanRachford:
         assert sorted(calls) == [1, 2]
 
     def test_tracked_iteration_solve_counts(self, monkeypatch):
-        # a tracked iteration: 2 Robin solves in pr_step, 1 Robin solve
-        # for the residual, 1 Dirichlet solve and 1 flux for subdomain 1
+        # a tracked iteration is the 2 Robin solves of pr_step; each block
+        # of iterates costs 1 Dirichlet solve and 1 flux for subdomain 1
+        # and 1 Robin solve for the residual
+        import rrlab.subsolve
         from rrlab.subsolve import SubdomainSolver
         calls = []
 
@@ -416,18 +416,82 @@ class TestPeacemanRachford:
 
         for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
             monkeypatch.setattr(SubdomainSolver, name, counting(name))
-        per_run = []
-        for max_iter in (1, 2):
+
+        def count(max_iter, width):
             setup = small_setup()
+            ops = setup.ops_1
+            monkeypatch.setattr(rrlab.subsolve, "BLOCK_VALUES",
+                                width * (ops.grid.n_steps + 1) * ops.n_dofs)
             refs = references_from_monolithic(setup)
             calls.clear()
             run_pr(setup.solvers, IterationConfig(tol=0.0, max_iter=max_iter),
                    references=refs)
-            per_run.append({n: calls.count(n) for n in set(calls)})
-        per_iteration = {n: per_run[1][n] - per_run[0].get(n, 0)
-                         for n in per_run[1]}
-        assert per_iteration == {"dirichlet_solve": 1, "robin_solve": 3,
-                                 "flux_recovery": 1}
+            return {n: calls.count(n) for n in
+                    ("robin_solve", "dirichlet_solve", "flux_recovery")}
+
+        def difference(a, b):
+            return {n: a[n] - b[n] for n in a}
+
+        # one block either way: one more iteration is two Robin solves
+        assert difference(count(2, 4), count(1, 4)) == {
+            "robin_solve": 2, "dirichlet_solve": 0, "flux_recovery": 0}
+        # width 1: two iterates are two blocks, one more than above
+        assert difference(count(2, 1), count(2, 4)) == {
+            "robin_solve": 1, "dirichlet_solve": 1, "flux_recovery": 1}
+
+    @pytest.mark.parametrize("width", [1, 3, 100])
+    @pytest.mark.parametrize("tol, max_iter", [(1e-6, 60), (0.0, 7)],
+                             ids=["stops-on-tol", "reaches-max-iter"])
+    @pytest.mark.parametrize("run", [run_pr, run_rr])
+    def test_block_tracking_matches_per_iteration_tracking(
+            self, run, tol, max_iter, width, monkeypatch):
+        # reference: the tracking of each iterate on its own, one
+        # Dirichlet solve, flux recovery and residual Robin solve each;
+        # width 3 leaves a short last block, width 100 one block
+        import rrlab.subsolve
+        from rrlab.lab import field_error_norm
+        setup = small_setup(nx=6, n_steps=4)
+        refs = references_from_monolithic(setup)
+        s1, s2 = setup.solvers
+        monkeypatch.setattr(rrlab.subsolve, "BLOCK_VALUES",
+                            width * (s1.ops.grid.n_steps + 1) * s1.ops.n_dofs)
+        assert s1.block_width() == width
+        cfg = IterationConfig(s=0.7, tol=tol, max_iter=max_iter)
+        _, report = run(setup.solvers, cfg, references=refs)
+        assert report.status == ("converged" if tol else "max_iter")
+        assert 1 < report.n_iterations <= max_iter
+        if width == 3:
+            assert report.n_iterations % width      # a short last block
+
+        chi_1, chi_2 = interface_source(s1), interface_source(s2)
+        S1_ref = s1.flux_recovery(refs.u1_ref, s1.ops.loads) + chi_1
+        S2_ref = s2.flux_recovery(refs.u2_ref, s2.ops.loads) + chi_2
+        tau, Mg = s1.ops.grid.tau, s1.ops.M_gamma
+        want = {"errors_1": [], "errors_2": [], "gaps_1": [], "gaps_2": [],
+                "residuals": []}
+        _, untracked = run(setup.solvers, cfg)
+        eta = None
+        for n in range(1, report.n_iterations + 1):
+            eta, _ = run(setup.solvers,
+                         IterationConfig(s=0.7, tol=0.0, max_iter=n))
+            u1 = s1.dirichlet_solve(eta=eta, loads=s1.ops.loads)
+            u2 = s2.dirichlet_solve(eta=eta, loads=s2.ops.loads)
+            S1_eta = s1.flux_recovery(u1, s1.ops.loads) + chi_1
+            S2_eta = s2.flux_recovery(u2, s2.ops.loads) + chi_2
+            diff = refs.eta_ref - eta
+            want["errors_1"].append(field_error_norm(u1, refs.u1_ref, s1.ops))
+            want["errors_2"].append(field_error_norm(u2, refs.u2_ref, s2.ops))
+            want["gaps_1"].append((S1_ref - S1_eta).pair(diff))
+            want["gaps_2"].append((S2_ref - S2_eta).pair(diff))
+            precond = solve_robin_resolvent(
+                s2, (S1_eta + S2_eta) - (chi_1 + chi_2), cfg.s)
+            want["residuals"].append(h_norm(precond, Mg, tau))
+        assert report.increments == untracked.increments
+        for name, values in want.items():
+            got = np.array(getattr(report, name))
+            assert got.shape == (report.n_iterations,)
+            np.testing.assert_allclose(got, values, rtol=0,
+                                       atol=1e-12 * np.abs(values).max())
 
     @pytest.mark.parametrize("run", [run_pr, run_rr])
     def test_tracking_matches_dirichlet_solves(self, run):

@@ -339,16 +339,33 @@ class TestCli:
     @pytest.mark.parametrize("text", [
         "s = 0\n", "tol = -1\n", "max_iter = 0\n", "nx = 8\nnx = 4\n",
         "s_values = -1\n", "mesh_levels = 0\n", "mesh_levels = 4,3\n",
-        "seed = -1\n"],
+        "seed = -1\n", "scenario = mms\ndimension = 3\n",
+        "scenario = mms\ntheta = 0.7\n", "scenario = coercivity\nphi = 2.0\n"],
         ids=["s-zero", "tol-negative", "max-iter-zero", "duplicate-key",
              "s-values-negative", "mesh-levels-below-2", "mesh-levels-odd",
-             "seed-negative"])
+             "seed-negative", "mms-dimension-3", "mms-theta-0.7",
+             "coercivity-phi-2"])
     def test_run_bad_config_value_exits_2(self, tmp_path, text, capsys):
-        cfg = self.write_config(tmp_path, "scenario = converge\n" + text)
+        if not text.startswith("scenario"):
+            text = "scenario = converge\n" + text
+        cfg = self.write_config(tmp_path, text)
         out = tmp_path / "out"
         assert cli.main(["run", cfg, "--out", str(out)]) == 2
         assert not out.exists()
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "source = foo\n", "interface_x = 0.3\n"],
+        ids=["unknown-source", "interface-off-mesh-lines"])
+    def test_run_bad_problem_exits_2_before_making_out(self, tmp_path, text,
+                                                       capsys):
+        # the ProblemSpec is checked while parsing, before --out is made
+        cfg = self.write_config(tmp_path, "scenario = spectrum\nnx = 4\n"
+                                + text)
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_out_names_a_file_exits_2(self, tmp_path, monkeypatch,
                                           capsys):

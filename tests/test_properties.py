@@ -2,8 +2,8 @@
 diffusion jumps and theta: PDE/interface equivalence of the two
 Robin-Robin realizations, the causal block-Toeplitz structure of the
 Steklov-Poincare operators that assemble_dense relies on, the
-resolvent round trip, and the agreement of the dense and banded time
-steps."""
+resolvent round trip, the agreement of the dense and banded time
+steps, and the agreement of block solves with column-by-column solves."""
 
 import sys
 
@@ -118,3 +118,48 @@ def test_dense_and_banded_steps_agree(spec, s):
         for dense, banded in zip(*runs):
             assert np.linalg.norm(dense - banded) \
                 <= 1e-13 * np.linalg.norm(banded)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.floats(0.1, 10.0), st.integers(1, 5))
+def test_block_solves_equal_column_by_column_solves(spec, s, m):
+    # a block of m data columns, marched together on both step paths,
+    # gives each column's own solve, with one Factorization.solve per
+    # time step for the whole block
+    setup = setup_problem(spec)
+    rng = np.random.default_rng(0)
+    shape = (m, spec.n_steps, setup.ops_1.n_interface)
+    eta = InterfaceSignal(rng.standard_normal(shape), "primal")
+    lam = InterfaceSignal(rng.standard_normal(shape), "dual")
+    solves = []
+    original = subsolve.Factorization.solve
+
+    def counted(fac, rhs):
+        solves.append(fac.label)
+        return original(fac, rhs)
+
+    for ops in (setup.ops_1, setup.ops_2):
+        for limit in (sys.maxsize, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(subsolve, "DENSE_MAX_DOFS", limit)
+                solver = SubdomainSolver(ops)
+                mp.setattr(subsolve.Factorization, "solve", counted)
+                solves.clear()
+                u = solver.dirichlet_solve(eta, ops.loads)
+                assert len(solves) == spec.n_steps
+                sigma = solver.flux_recovery(u, ops.loads)
+                solves.clear()
+                w = solver.robin_solve(s, lam, ops.loads)
+                assert len(solves) == spec.n_steps
+            for j in range(m):
+                u_j = solver.dirichlet_solve(InterfaceSignal(eta.values[j]),
+                                             ops.loads)
+                w_j = solver.robin_solve(
+                    s, InterfaceSignal(lam.values[j], "dual"), ops.loads)
+                sigma_j = solver.flux_recovery(u_j, ops.loads)
+                for got, want in ((u.values[j], u_j.values),
+                                  (w.values[j], w_j.values),
+                                  (sigma.values[j], sigma_j.values)):
+                    assert got.shape == want.shape
+                    assert np.linalg.norm(got - want) \
+                        <= 1e-13 * np.linalg.norm(want)
