@@ -32,9 +32,9 @@ A solve also takes a block of independent data along a leading batch
 axis: interface values (m, n_steps, n_interface) give fields
 (m, n_steps + 1, n_dofs), and a 2-D signal or field is the one-column
 case.  The block is marched together, still with one Factorization.solve
-per time step, so each step is a multi-right-hand-side solve (level-3
-BLAS; Dongarra et al., ACM TOMS 16, 1990).  Loads are shared by the
-block.
+per time step, so each step is a multi-right-hand-side solve; on the
+dense path it is one matrix-matrix product (level-3 BLAS; Dongarra et
+al., ACM TOMS 16, 1990).  Loads are shared by the block.
 """
 
 from __future__ import annotations
