@@ -17,6 +17,13 @@ and a flux recovery only in probing, reference tracking of subdomain 1
 and the acceptance criteria; reference tracking reads the subdomain-2
 field and S2 eta off the Robin solve that gave eta, and tracks
 subdomain 1 on blocks of iterates.
+
+Every interface operator here is causal and time-invariant, so it is a
+BlockToeplitz, determined by its first block column.  Dense probing
+forms that column from the unit signals at step 1, and reference
+tracking pushes its residuals through the subdomain-2 resolvent
+(sJ + S2)^-1 probed once per run (robin_trace_map), not through a Robin
+solve per block of iterates.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ __all__ = [
     "interface_gram", "interface_source", "solve_robin_resolvent",
     "pr_step", "run_pr", "run_rr", "run_iteration", "RobinSweepState",
     "init_robin_sweep", "robin_sweep", "run_equivalence", "h_norm",
-    "assemble_dense", "spectral_analysis", "SpectralRow",
+    "assemble_dense", "spectral_analysis", "SpectralRow", "BlockToeplitz",
+    "robin_trace_map",
 ]
 
 DENSE_COLUMN_GUARD = 2000
@@ -300,14 +308,16 @@ def _run_iteration(solvers, config: IterationConfig, iterates,
     ``references`` is given, the report also holds, per iteration, the
     subdomain X-norm errors of the interface-parametrized fields, the
     monotone gaps against the reference trace, and the Steklov-Poincare
-    residual pushed through the resolvent (the iteration's own metric).
-    The subdomain-2 error and gap are read off the Robin solve of each
-    iteration.  The rest is a pure function of eta^n and S2 eta^n, so
-    it is computed for a block of iterates at once (_track_block), one
-    Dirichlet solve with a flux recovery (subdomain 1) and one Robin
-    solve (the residual) per block of SubdomainSolver.block_width()
-    iterates.  ``chi`` holds the interface sources (chi_1, chi_2) when
-    the caller has computed them already.
+    residual pushed through the resolvent (sJ + S2)^-1 (the iteration's
+    own metric).  The subdomain-2 error and gap are read off the Robin
+    solve of each iteration.  The rest is a pure function of eta^n and
+    S2 eta^n, so it is computed for a block of iterates at once
+    (_track_block): one Dirichlet solve with a flux recovery (subdomain
+    1) per block of SubdomainSolver.block_width() iterates, and one
+    apply of the resolvent, which robin_trace_map probes once per run,
+    before the first iterate is drawn, with ceil(n_interface / width)
+    Robin solves.  ``chi`` holds the interface sources (chi_1, chi_2)
+    when the caller has computed them already.
     """
     s1, s2 = solvers
     ops = s1.ops
@@ -321,11 +331,14 @@ def _run_iteration(solvers, config: IterationConfig, iterates,
         chi = chi or tuple(map(interface_source, solvers))
         S1_ref = s1.flux_recovery(references.u1_ref, s1.ops.loads) + chi[0]
         S2_ref = s2.flux_recovery(references.u2_ref, s2.ops.loads) + chi[1]
+        # probed once, before the first iterate is drawn, so that every
+        # iteration does the same work (perfbench pools later iterations)
+        robin_map = robin_trace_map(s2, config.s)
         width, pending = s1.block_width(), []
 
         def flush(n_tracked):
             # track the pending block; its first n_tracked iterates count
-            rows = _track_block(solvers, config.s, references, chi, S1_ref,
+            rows = _track_block(s1, references, chi, S1_ref, robin_map,
                                 pending)
             for values, row in zip(rows, (report.errors_1, report.gaps_1,
                                           report.residuals)):
@@ -342,6 +355,7 @@ def _run_iteration(solvers, config: IterationConfig, iterates,
             S2_eta = sigma2 + chi[1]
             report.errors_2.append(
                 field_error_norm(u2, references.u2_ref, s2.ops))
+            del u2      # a whole field; not kept through a block's solves
             report.gaps_2.append(
                 (S2_ref - S2_eta).pair(references.eta_ref - eta))
             pending.append((eta.values, S2_eta.values))
@@ -365,19 +379,19 @@ def _run_iteration(solvers, config: IterationConfig, iterates,
     return eta, report
 
 
-def _track_block(solvers, s: float, references: PRReferences, chi, S1_ref,
-                 pending: list):
+def _track_block(s1: SubdomainSolver, references: PRReferences, chi,
+                 S1_ref, robin_map: BlockToeplitz, pending: list):
     """Subdomain-1 X-norm errors and gaps, and residuals, of a block of
-    iterates given as (eta^n, S2 eta^n) values; one array each."""
+    iterates given as (eta^n, S2 eta^n) values; one array each.  The
+    residuals go through ``robin_map``, (sJ + S2)^-1, in one apply."""
     from .lab import field_error_norm
-    s1, s2 = solvers
     ops = s1.ops
     eta = InterfaceSignal(np.array([p[0] for p in pending]), "primal")
     S2_eta = InterfaceSignal(np.array([p[1] for p in pending]), "dual")
     u1 = s1.dirichlet_solve(eta=eta, loads=ops.loads)
     S1_eta = s1.flux_recovery(u1, ops.loads) + chi[0]
     resid = (S1_eta + S2_eta) - (chi[0] + chi[1])
-    precond = solve_robin_resolvent(s2, resid, s)
+    precond = InterfaceSignal(robin_map.apply(resid.values), "primal")
     return (field_error_norm(u1, references.u1_ref, ops),
             (S1_ref - S1_eta).pair(references.eta_ref - eta),
             h_norm(precond, ops.M_gamma, ops.grid.tau))
@@ -389,8 +403,9 @@ def run_pr(solvers, config: IterationConfig,
 
     Returns (eta, report); see _run_iteration for the diagnostics.  A
     tracked iteration costs the two Robin solves of pr_step; the
-    subdomain-1 errors and gaps and the residuals cost one Dirichlet
-    solve, flux recovery and Robin solve per block of iterates.
+    subdomain-1 errors and gaps cost one Dirichlet solve and flux
+    recovery per block of iterates, and the residuals no solve beyond
+    the probe of (sJ + S2)^-1 made once per tracked run.
     """
     chi = tuple(map(interface_source, solvers))
     iterates = _pr_iterates(solvers, chi, config.s)
@@ -437,21 +452,86 @@ def run_equivalence(solvers, s: float, n_iterations: int):
 
 
 # ---------------------------------------------------------------------------
-# Dense probing and spectral analysis
+# Block-Toeplitz operators, dense probing and spectral analysis
 # ---------------------------------------------------------------------------
+
+class BlockToeplitz:
+    """A causal, time-invariant linear map between interface signals.
+
+    On uniform steps with zero initial data such a map is block lower
+    triangular Toeplitz in time (Lubich & Ostermann, BIT 27, 1987), so
+    its first block column determines it: first[k], an n_out x n_in
+    block, is the output at step k + 1 of the unit inputs at step 1.
+    """
+
+    def __init__(self, first: np.ndarray):
+        self.first = np.ascontiguousarray(first, dtype=float)
+
+    @classmethod
+    def probe(cls, apply_fn, n_steps: int, n_in: int, kind: str = "primal",
+              width: int | None = None) -> "BlockToeplitz":
+        """Probe ``apply_fn`` with the n_in unit ``kind`` signals at step 1,
+        as blocks of at most ``width`` signals (all in one by default)."""
+        width = width or n_in
+        first = None
+        for lo in range(0, n_in, width):
+            units = np.zeros((min(width, n_in - lo), n_steps, n_in))
+            units[:, 0, lo:lo + len(units)] = np.eye(len(units))
+            out = apply_fn(InterfaceSignal(units, kind)).values
+            if first is None:
+                first = np.empty((n_steps, out.shape[-1], n_in))
+            # (unit, step, output) -> (step, output, unit), in place
+            first[..., lo:lo + len(units)] = np.moveaxis(out, 0, -1)
+        return cls(first)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """y_k = sum_{j <= k} first[k - j] x_j for x shaped
+        ([m,] n_steps, n_in): one product per step lag, a whole block
+        of columns at once."""
+        x = np.asarray(values, dtype=float)
+        n_steps = len(self.first)
+        y = np.zeros(x.shape[:-1] + (self.first.shape[1],))
+        for lag, block in enumerate(self.first):
+            y[..., lag:, :] += x[..., :n_steps - lag, :] @ block.T
+        return y
+
+    def dense(self) -> np.ndarray:
+        """The (n_steps n_out) x (n_steps n_in) matrix: the first block
+        column tiled down the block diagonals.  Column (k * n_in + g) is
+        the flattened output for the unit input at step k + 1, dof g
+        (time-major flattening)."""
+        n_steps, n_out, n_in = self.first.shape
+        column = self.first.reshape(n_steps * n_out, n_in)
+        out = np.zeros((n_steps * n_out, n_steps * n_in))
+        for k in range(n_steps):
+            out[k * n_out:, k * n_in:(k + 1) * n_in] = \
+                column[:(n_steps - k) * n_out]
+        return out
+
+
+def robin_trace_map(solver: SubdomainSolver, s: float) -> BlockToeplitz:
+    """The resolvent (sJ + S_i)^-1 of one subdomain as a BlockToeplitz.
+
+    Probed by Robin solves of the n_interface unit dual signals at step
+    1, SubdomainSolver.block_width() signals per solve, so it costs
+    ceil(n_interface / width) Robin solves and keeps one first block
+    column; an apply then costs no solve.
+    """
+    ops = solver.ops
+    return BlockToeplitz.probe(partial(solve_robin_resolvent, solver, s=s),
+                               ops.grid.n_steps, ops.n_interface, "dual",
+                               solver.block_width())
+
 
 def assemble_dense(apply_fn, n_steps: int, n_interface: int) -> np.ndarray:
     """Dense matrix of a causal, time-invariant linear interface operator.
 
     The operator is assumed to act on signals with uniform steps and
     zero initial data, as every Steklov-Poincare operator and interface
-    pairing of the package does, so it is block lower-triangular
-    Toeplitz in time (Lubich & Ostermann, BIT 27, 1987): its first
-    block column determines it.  Only the n_interface unit primal
-    signals at step 1 are probed, as one block of signals in one call
-    of ``apply_fn``; that column is tiled down the block diagonals.
-    Column (k * n_interface + g) is the flattened output for the unit
-    signal at step k, dof g (time-major flattening).
+    pairing of the package does, so it is a BlockToeplitz.  Only the
+    n_interface unit primal signals at step 1 are probed, as one block
+    of signals in one call of ``apply_fn``; the result is
+    BlockToeplitz.dense() of that first block column.
     DENSE_COLUMN_GUARD bounds n_steps * n_interface, the side of the
     square output.
     """
@@ -459,15 +539,7 @@ def assemble_dense(apply_fn, n_steps: int, n_interface: int) -> np.ndarray:
     if n_cols > DENSE_COLUMN_GUARD:
         raise ValueError(f"dense probing guard exceeded: "
                          f"{n_cols} columns > {DENSE_COLUMN_GUARD}")
-    units = np.zeros((n_interface, n_steps, n_interface))
-    units[:, 0, :] = np.eye(n_interface)
-    first = apply_fn(InterfaceSignal(units, "primal")).values
-    first = first.reshape(n_interface, n_cols).T
-    out = np.zeros((n_cols, n_cols))
-    for k in range(n_steps):
-        lo = k * n_interface
-        out[lo:, lo:lo + n_interface] = first[:n_cols - lo]
-    return out
+    return BlockToeplitz.probe(apply_fn, n_steps, n_interface).dense()
 
 
 @dataclass(frozen=True)

@@ -310,15 +310,21 @@ class ScenarioConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not self.s_values or not self.mesh_levels:
             raise ConfigError("sweep lists must be nonempty")
+        # Robin parameters and diffusion coefficients (nan fails too)
+        if not all(0.0 < x < np.inf for x in (self.s, *self.s_values,
+                                              self.alpha_left,
+                                              self.alpha_right)):
+            raise ConfigError("need s, every s_values entry, alpha_left and "
+                              "alpha_right finite and > 0")
+        if not np.isfinite(self.source_scale):
+            raise ConfigError("source_scale must be finite")
         # mms meshes split at x = 1/2, so each level is an even nx >= 2
-        if not (all(s > 0 for s in self.s_values)
-                and all(n >= 2 and n % 2 == 0 for n in self.mesh_levels)):
-            raise ConfigError("need every s_values entry > 0 and every "
-                              "mesh_levels entry even and >= 2")
-        if not (self.s > 0 and self.tol >= 0 and self.max_iter >= 1
-                and self.seed >= 0):
-            raise ConfigError("need s > 0, tol >= 0, max_iter >= 1 "
-                              "and seed >= 0")
+        if not all(n >= 2 and n % 2 == 0 for n in self.mesh_levels):
+            raise ConfigError("need every mesh_levels entry even and >= 2")
+        if not (0 <= self.tol < np.inf and self.seed >= 0 and
+                min(self.max_iter, self.iterations, self.samples) >= 1):
+            raise ConfigError("need a finite tol >= 0, seed >= 0 and "
+                              "max_iter, iterations and samples >= 1")
         # the mms scenario builds its own problems, and phi only reaches
         # parabolic_coercivity, so no ProblemSpec checks these
         if self.dimension not in (1, 2) or self.theta not in (0.5, 1.0):

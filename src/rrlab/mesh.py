@@ -75,10 +75,12 @@ class ProblemSpec:
             raise ValueError("nx must be at least 2")
         if self.dimension == 2 and self.ny < 2:
             raise ValueError("ny must be at least 2 in 2D")
-        if self.length_x <= 0 or (self.dimension == 2 and self.length_y <= 0):
-            raise ValueError("domain extents must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        # nan fails these comparisons too
+        extents = (self.length_x, self.length_y)[:self.dimension]
+        if not all(0 < x < np.inf for x in extents):
+            raise ValueError("domain extents must be positive and finite")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
         if self.theta not in (1.0, 0.5, 1):

@@ -9,7 +9,7 @@ from rrlab.dense import dense_schur_complement
 from rrlab.interface import (IterationConfig, SteklovOperator, assemble_dense,
                              h_norm, init_robin_sweep, interface_gram,
                              interface_source, pr_step, robin_sweep,
-                             run_equivalence, run_pr, run_rr,
+                             robin_trace_map, run_equivalence, run_pr, run_rr,
                              solve_robin_resolvent, spectral_analysis)
 from rrlab.lab import (default_problem, references_from_monolithic,
                        setup_problem)
@@ -108,6 +108,21 @@ class TestSteklovOperator:
             np.testing.assert_array_equal(
                 assemble_dense(apply, n_steps, n_g),
                 full.reshape(n_cols, n_cols).T)
+
+    @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
+    def test_robin_trace_map_dense_equals_assemble_dense(self, s):
+        # one probe block either way, so the two are equal bit for bit
+        setup = setup_problem(default_problem())
+        n_steps, n_g = setup.ops_1.grid.n_steps, setup.ops_1.n_interface
+        for solver in setup.solvers:
+            assert solver.block_width() >= n_g
+
+            def resolvent(eta):
+                return solve_robin_resolvent(
+                    solver, InterfaceSignal(eta.values, "dual"), s)
+            np.testing.assert_array_equal(
+                robin_trace_map(solver, s).dense(),
+                assemble_dense(resolvent, n_steps, n_g))
 
     def test_dense_lower_block_triangular(self):
         # causality: block (k, l) vanishes for l > k
@@ -401,43 +416,47 @@ class TestPeacemanRachford:
     def test_tracked_iteration_solve_counts(self, monkeypatch):
         # a tracked iteration is the 2 Robin solves of pr_step; each block
         # of iterates costs 1 Dirichlet solve and 1 flux for subdomain 1
-        # and 1 Robin solve for the residual
+        # and no Robin solve: the residual goes through the Robin map,
+        # probed once per run by ceil(n_interface / width) Robin solves,
+        # all made before the first pr_step
+        import rrlab.interface
         import rrlab.subsolve
         from rrlab.subsolve import SubdomainSolver
         calls = []
 
-        def counting(name):
-            method = getattr(SubdomainSolver, name)
+        def counting(owner, name):
+            method = getattr(owner, name)
 
-            def counted(self, *args, **kwargs):
+            def counted(*args, **kwargs):
                 calls.append(name)
-                return method(self, *args, **kwargs)
+                return method(*args, **kwargs)
             return counted
 
         for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
-            monkeypatch.setattr(SubdomainSolver, name, counting(name))
+            monkeypatch.setattr(SubdomainSolver, name,
+                                counting(SubdomainSolver, name))
+        monkeypatch.setattr(rrlab.interface, "pr_step",
+                            counting(rrlab.interface, "pr_step"))
 
-        def count(max_iter, width):
+        max_iter = 5
+        for width in (1, 2, 4, 100):
             setup = small_setup()
             ops = setup.ops_1
             monkeypatch.setattr(rrlab.subsolve, "BLOCK_VALUES",
                                 width * (ops.grid.n_steps + 1) * ops.n_dofs)
+            assert [s.block_width() for s in setup.solvers] == [width] * 2
             refs = references_from_monolithic(setup)
             calls.clear()
             run_pr(setup.solvers, IterationConfig(tol=0.0, max_iter=max_iter),
                    references=refs)
-            return {n: calls.count(n) for n in
-                    ("robin_solve", "dirichlet_solve", "flux_recovery")}
-
-        def difference(a, b):
-            return {n: a[n] - b[n] for n in a}
-
-        # one block either way: one more iteration is two Robin solves
-        assert difference(count(2, 4), count(1, 4)) == {
-            "robin_solve": 2, "dirichlet_solve": 0, "flux_recovery": 0}
-        # width 1: two iterates are two blocks, one more than above
-        assert difference(count(2, 1), count(2, 4)) == {
-            "robin_solve": 1, "dirichlet_solve": 1, "flux_recovery": 1}
+            first = calls.index("pr_step")
+            before, after = calls[:first], calls[first:]
+            assert before.count("robin_solve") == -(-ops.n_interface // width)
+            assert after.count("pr_step") == max_iter
+            assert after.count("robin_solve") == 2 * max_iter
+            n_blocks = -(-max_iter // width)
+            assert after.count("dirichlet_solve") == n_blocks
+            assert after.count("flux_recovery") == n_blocks
 
     @pytest.mark.parametrize("width", [1, 3, 100])
     @pytest.mark.parametrize("tol, max_iter", [(1e-6, 60), (0.0, 7)],

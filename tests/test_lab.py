@@ -340,11 +340,19 @@ class TestCli:
         "s = 0\n", "tol = -1\n", "max_iter = 0\n", "nx = 8\nnx = 4\n",
         "s_values = -1\n", "mesh_levels = 0\n", "mesh_levels = 4,3\n",
         "seed = -1\n", "scenario = mms\ndimension = 3\n",
-        "scenario = mms\ntheta = 0.7\n", "scenario = coercivity\nphi = 2.0\n"],
+        "scenario = mms\ntheta = 0.7\n", "scenario = coercivity\nphi = 2.0\n",
+        "s = inf\n", "s_values = 1,inf\n", "alpha_left = 0\n",
+        "alpha_right = -3\n", "alpha_left = nan\n", "alpha_right = inf\n",
+        "source_scale = inf\n", "source_scale = nan\n", "tol = inf\n",
+        "scenario = equivalence\niterations = 0\n",
+        "scenario = coercivity\nsamples = 0\n"],
         ids=["s-zero", "tol-negative", "max-iter-zero", "duplicate-key",
              "s-values-negative", "mesh-levels-below-2", "mesh-levels-odd",
              "seed-negative", "mms-dimension-3", "mms-theta-0.7",
-             "coercivity-phi-2"])
+             "coercivity-phi-2", "s-inf", "s-values-inf", "alpha-left-zero",
+             "alpha-right-negative", "alpha-left-nan", "alpha-right-inf",
+             "source-scale-inf", "source-scale-nan", "tol-inf",
+             "equivalence-iterations-0", "coercivity-samples-0"])
     def test_run_bad_config_value_exits_2(self, tmp_path, text, capsys):
         if not text.startswith("scenario"):
             text = "scenario = converge\n" + text
@@ -355,8 +363,10 @@ class TestCli:
         assert "invalid configuration" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
-        "source = foo\n", "interface_x = 0.3\n"],
-        ids=["unknown-source", "interface-off-mesh-lines"])
+        "source = foo\n", "interface_x = 0.3\n", "horizon = inf\n",
+        "horizon = nan\n", "length_y = inf\n"],
+        ids=["unknown-source", "interface-off-mesh-lines", "horizon-inf",
+             "horizon-nan", "length-y-inf"])
     def test_run_bad_problem_exits_2_before_making_out(self, tmp_path, text,
                                                        capsys):
         # the ProblemSpec is checked while parsing, before --out is made

@@ -3,7 +3,8 @@ diffusion jumps and theta: PDE/interface equivalence of the two
 Robin-Robin realizations, the causal block-Toeplitz structure of the
 Steklov-Poincare operators that assemble_dense relies on, the
 resolvent round trip, the agreement of the dense and banded time
-steps, and the agreement of block solves with column-by-column solves."""
+steps, the agreement of block solves with column-by-column solves, and
+the probed Robin trace map against the Robin solves it replaces."""
 
 import sys
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from rrlab import subsolve
 from rrlab.interface import (SteklovOperator, assemble_dense, interface_gram,
-                             run_equivalence, solve_robin_resolvent)
+                             robin_trace_map, run_equivalence,
+                             solve_robin_resolvent)
 from rrlab.lab import setup_problem
 from rrlab.mesh import ProblemSpec
 from rrlab.subsolve import InterfaceSignal, SubdomainSolver
@@ -163,3 +165,29 @@ def test_block_solves_equal_column_by_column_solves(spec, s, m):
                     assert got.shape == want.shape
                     assert np.linalg.norm(got - want) \
                         <= 1e-13 * np.linalg.norm(want)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.floats(0.1, 10.0), st.integers(1, 5))
+def test_robin_trace_map_equals_robin_solves(spec, s, m):
+    # (sJ + S_i)^-1 probed in blocks of m unit signals, then applied to a
+    # block of m dual signals and to one of them, gives the trace of each
+    # one's Robin solve, on both step paths
+    setup = setup_problem(spec)
+    rng = np.random.default_rng(0)
+    shape = (m, spec.n_steps, setup.ops_1.n_interface)
+    rhs = InterfaceSignal(rng.standard_normal(shape), "dual")
+    for ops in (setup.ops_1, setup.ops_2):
+        for limit in (sys.maxsize, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(subsolve, "DENSE_MAX_DOFS", limit)
+                mp.setattr(subsolve, "BLOCK_VALUES",
+                           m * (spec.n_steps + 1) * ops.n_dofs)
+                solver = SubdomainSolver(ops)
+                assert solver.block_width() == m
+                robin_map = robin_trace_map(solver, s)
+            want = solve_robin_resolvent(solver, rhs, s).values
+            for got, ref in ((robin_map.apply(rhs.values), want),
+                             (robin_map.apply(rhs.values[0]), want[0])):
+                assert got.shape == ref.shape
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
