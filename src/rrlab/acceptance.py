@@ -255,7 +255,7 @@ def criterion_7_contraction(art: DeskArtifacts) -> CriterionResult:
         norms = []
         n0 = h_norm(eta, ops.M_gamma, ops.grid.tau)
         for _ in range(400):
-            eta, lam, _ = pr_step(setup.solvers, chi0, lam, s)
+            eta, lam = pr_step(setup.solvers, chi0, lam, s)
             norms.append(h_norm(eta, ops.M_gamma, ops.grid.tau))
             if norms[-1] <= 1e-11 * n0:
                 break

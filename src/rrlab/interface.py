@@ -6,24 +6,22 @@ it is exactly the interface Schur complement of the weighted space-time
 system.  The Robin-Robin method is realized twice: as the
 Peaceman-Rachford iteration on interface signals, and as alternating
 Robin subdomain sweeps at the PDE level.  Both paths use the same
-resolvent (one Robin solve, never an inner iteration), so their iterates
+resolvent (sJ + S_i)^-1, never an inner iteration, so their iterates
 agree to roundoff.
-
-A Peaceman-Rachford step is two Robin solves: the state it carries is
-the Robin datum lam = (sJ - S2) eta + chi, and each reflection
-(sJ - S_i) x = 2 sJ x - (sJ + S_i) x is read off the right-hand side
-of the resolvent that produced x.  S_i is applied by a Dirichlet solve
-and a flux recovery only in probing, reference tracking of subdomain 1
-and the acceptance criteria; reference tracking reads the subdomain-2
-field and S2 eta off the Robin solve that gave eta, and tracks
-subdomain 1 on blocks of iterates.
 
 Every interface operator here is causal and time-invariant, so it is a
 BlockToeplitz, determined by its first block column.  Dense probing
-forms that column from the unit signals at step 1, and reference
-tracking pushes its residuals through the subdomain-2 resolvent
-(sJ + S2)^-1 probed once per run (robin_trace_map), not through a Robin
-solve per block of iterates.
+forms that column from the unit signals at step 1.  The resolvent of
+each subdomain is probed the same way, by Robin solves, once per solver
+and s (robin_trace_map), and a Peaceman-Rachford step is two applies of
+those maps and no subdomain solve: the state it carries is the Robin
+datum lam = (sJ - S2) eta + chi, and each reflection
+(sJ - S_i) x = 2 sJ x - (sJ + S_i) x is read off the right-hand side of
+the resolvent that produced x.  The PDE-level sweep stays two Robin
+solves with loads.  Subdomain fields are made only by reference
+tracking, one loaded Dirichlet solve per subdomain for a block of
+iterates, and S_i is applied by a Dirichlet solve and a flux recovery
+only there, in dense probing and in the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -79,8 +77,12 @@ def interface_gram(eta: InterfaceSignal, ops: SubdomainOperators,
     """
     if eta.kind != "primal":
         raise ValueError("interface pairing acts on primal signals")
-    coef = robin_coefficient(s, ops.grid.tau) * ops.grid.tau
-    return InterfaceSignal(coef * (eta.values * ops.lumped_gamma), "dual")
+    return InterfaceSignal(_sJ(ops, s) * eta.values, "dual")
+
+
+def _sJ(ops: SubdomainOperators, s: float) -> np.ndarray:
+    """The diagonal of s J: robin_coefficient(s, tau) * tau * ML_Gamma."""
+    return robin_coefficient(s, ops.grid.tau) * ops.grid.tau * ops.lumped_gamma
 
 
 def interface_source(solver: SubdomainSolver) -> InterfaceSignal:
@@ -151,33 +153,39 @@ class ConvergenceReport:
 
 
 def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal,
-            s: float) -> tuple[InterfaceSignal, InterfaceSignal, SpaceTimeField]:
+            s: float) -> tuple[InterfaceSignal, InterfaceSignal]:
     """One Peaceman-Rachford double sweep on the interface.
 
     The step is carried on the Robin datum lam = (sJ - S2) eta + chi,
-    where chi = chi_1 + chi_2, and costs two Robin solves:
+    where chi = chi_1 + chi_2, and costs two applies of the probed
+    resolvents R_i = (sJ + S_i)^-1 (robin_trace_map) and no subdomain
+    solve:
 
-        eta half = (sJ + S1)^-1 lam,
+        eta half = R1 lam,
         mu       = (sJ - S1) eta half + chi = 2 sJ eta half - lam + chi,
-        eta next = (sJ + S2)^-1 mu,
+        eta next = R2 mu,
         lam next = (sJ - S2) eta next + chi = 2 sJ eta next - mu + chi.
 
     Each reflection (sJ - S_i) x = 2 sJ x - (sJ + S_i) x takes
     (sJ + S_i) x from the right-hand side of the resolvent that gave x
-    (Lions & Mercier, SIAM J. Numer. Anal. 16, 1979), so no Dirichlet
-    solve applies S_i.  Returns (eta next, lam next, w2), where w2 is
-    the homogeneous subdomain-2 Robin field whose trace is eta next.
-    With chi = 0 the map is linear and its fixed point is zero; in
-    general fixed points solve (S1 + S2) eta = chi.
+    (Lions & Mercier, SIAM J. Numer. Anal. 16, 1979), so S_i is never
+    applied.  Each R_i is probed on first use for the solver and s, by
+    ceil(n_interface / width) Robin solves, and kept by the solver.
+    Returns (eta next, lam next).  With chi = 0 the map is linear and
+    its fixed point is zero; in general fixed points solve
+    (S1 + S2) eta = chi.
     """
-    s1, s2 = solvers
+    if lam.kind != "dual" or chi_sum.kind != "dual":
+        raise ValueError("the Robin datum and the sources are dual signals")
+    R1, R2 = (robin_trace_map(solver, s) for solver in solvers)
+    two_sJ = 2.0 * _sJ(solvers[0].ops, s)
+    chi = chi_sum.values
 
-    eta_half = solve_robin_resolvent(s1, lam, s)
-    mu = 2.0 * interface_gram(eta_half, s1.ops, s) - lam + chi_sum
-    w2 = s2.robin_solve(s, lam=mu)
-    eta_next = s2.trace(w2)
-    lam_next = 2.0 * interface_gram(eta_next, s1.ops, s) - mu + chi_sum
-    return eta_next, lam_next, w2
+    eta_half = R1.apply(lam.values)
+    mu = two_sJ * eta_half - lam.values + chi
+    eta_next = R2.apply(mu)
+    lam_next = two_sJ * eta_next - mu + chi
+    return InterfaceSignal(eta_next, "primal"), InterfaceSignal(lam_next, "dual")
 
 
 @dataclass
@@ -252,113 +260,95 @@ def _orbit(step, x):
         yield x
 
 
-# Both iterate sequences yield (eta, subdomain_2): subdomain_2() returns
-# the loaded subdomain-2 field u2 with trace eta and its flux
-# sigma2 = S2 eta - chi_2, read off the Robin solve that gave eta, so
-# reference tracking needs no Dirichlet solve on subdomain 2.
-
-def _pr_iterates(solvers, chi, s: float):
+def _pr_iterates(solvers, chi_sum: InterfaceSignal, s: float):
     """Peaceman-Rachford iterates from eta^0 = 0, whose Robin datum is
-    chi = chi_1 + chi_2 itself.
+    chi = chi_1 + chi_2 itself.  Both resolvents are probed at once,
+    before the first iterate is drawn."""
+    for solver in solvers:
+        robin_trace_map(solver, s)
 
-    u2 = w2 + u2_0, with w2 the Robin field of pr_step and u2_0 the
-    source field; sigma2 = sJ eta + chi_1 - lam next, since
-    lam next = (sJ - S2) eta + chi_1 + chi_2.
-    """
-    s2 = solvers[1]
-    chi_1, chi_2 = chi
-    chi_sum = chi_1 + chi_2
-
-    def subdomain_2(eta, lam, w2):
-        u2 = SpaceTimeField(w2.values + s2.source_field().values, w2.domain)
-        return u2, interface_gram(eta, s2.ops, s) + chi_1 - lam
-
-    lam = chi_sum
-    while True:
-        eta, lam, w2 = pr_step(solvers, chi_sum, lam, s)
-        yield eta, partial(subdomain_2, eta, lam, w2)
+    def iterates():
+        lam = chi_sum
+        while True:
+            eta, lam = pr_step(solvers, chi_sum, lam, s)
+            yield eta
+    return iterates()
 
 
 def _rr_iterates(solvers, s: float):
     """Traces of u2 after each Robin sweep; the initial sweep state is
-    built at once, before the first iterate is drawn.
-
-    sigma2 = sJ eta - lam1, since the sweep's next Robin datum is
-    lam1 = sJ eta - sigma2.
-    """
+    built at once, before the first iterate is drawn."""
     s2 = solvers[1]
-
-    def subdomain_2(eta, state):
-        return state.u2, interface_gram(eta, s2.ops, s) - state.lam1
-
     sweeps = _orbit(lambda state: robin_sweep(solvers, state, s),
                     init_robin_sweep(solvers, s))
-    for state in sweeps:
-        eta = s2.trace(state.u2)
-        yield eta, partial(subdomain_2, eta, state)
+    return (s2.trace(state.u2) for state in sweeps)
 
 
-def _run_iteration(solvers, config: IterationConfig, iterates,
-                   references: PRReferences | None, chi=None):
-    """Shared driver: draw interface iterates, track diagnostics.
+def _iterates(solvers, s: float, variants):
+    """The interface sources chi = (chi_1, chi_2), computed here and
+    only here, once per run, and one sequence eta^1, eta^2, ... per
+    entry of ``variants`` (pr_interface or rr_pde)."""
+    chi = tuple(map(interface_source, solvers))
+    sequences = [_pr_iterates(solvers, chi[0] + chi[1], s)
+                 if variant == "pr_interface" else _rr_iterates(solvers, s)
+                 for variant in variants]
+    return chi, sequences
 
-    ``iterates`` yields eta^1, eta^2, ... (eta^0 = 0), each with its
-    subdomain-2 field and flux; at most config.max_iter of them are
-    drawn, and the stopping rule reads only the increments.  When
-    ``references`` is given, the report also holds, per iteration, the
-    subdomain X-norm errors of the interface-parametrized fields, the
-    monotone gaps against the reference trace, and the Steklov-Poincare
-    residual pushed through the resolvent (sJ + S2)^-1 (the iteration's
-    own metric).  The subdomain-2 error and gap are read off the Robin
-    solve of each iteration.  The rest is a pure function of eta^n and
-    S2 eta^n, so it is computed for a block of iterates at once
-    (_track_block): one Dirichlet solve with a flux recovery (subdomain
-    1) per block of SubdomainSolver.block_width() iterates, and one
-    apply of the resolvent, which robin_trace_map probes once per run,
-    before the first iterate is drawn, with ceil(n_interface / width)
-    Robin solves.  ``chi`` holds the interface sources (chi_1, chi_2)
-    when the caller has computed them already.
+
+def _run_iteration(solvers, config: IterationConfig, variant: str,
+                   references: PRReferences | None):
+    """Shared driver: draw the interface iterates of ``variant``, track
+    diagnostics.
+
+    The iterates are eta^1, eta^2, ... (eta^0 = 0); at most
+    config.max_iter of them are drawn, and the stopping rule reads only
+    the increments.  When ``references`` is given, the report also
+    holds, per iteration, the subdomain X-norm errors of the
+    interface-parametrized fields, the monotone gaps against the
+    reference trace, and the Steklov-Poincare residual pushed through
+    the resolvent (sJ + S2)^-1 (the iteration's own metric).  These are
+    a pure function of eta^n, so they are computed for a block of
+    iterates at once (_track_block): per block of
+    SubdomainSolver.block_width() iterates, one loaded Dirichlet solve
+    and one flux recovery on each subdomain, and one apply of the
+    subdomain-2 resolvent, which robin_trace_map probes before the
+    first iterate is drawn (run_pr has probed it already).
     """
     s1, s2 = solvers
     ops = s1.ops
     tau, Mg = ops.grid.tau, ops.M_gamma
     eta = InterfaceSignal(np.zeros((ops.grid.n_steps, ops.n_interface)), "primal")
 
+    chi, (iterates,) = _iterates(solvers, config.s, [variant])
     report = ConvergenceReport()
     track = references is not None
     if track:
-        from .lab import field_error_norm     # local import, no cycle at load
-        chi = chi or tuple(map(interface_source, solvers))
-        S1_ref = s1.flux_recovery(references.u1_ref, s1.ops.loads) + chi[0]
-        S2_ref = s2.flux_recovery(references.u2_ref, s2.ops.loads) + chi[1]
-        # probed once, before the first iterate is drawn, so that every
+        u_refs = (references.u1_ref, references.u2_ref)
+        S_refs = [solver.flux_recovery(u_ref, solver.ops.loads) + chi_i
+                  for solver, u_ref, chi_i in zip(solvers, u_refs, chi)]
+        # probed before the first iterate is drawn, so that every
         # iteration does the same work (perfbench pools later iterations)
         robin_map = robin_trace_map(s2, config.s)
-        width, pending = s1.block_width(), []
+        width = min(solver.block_width() for solver in solvers)
+        pending = []
+        rows = (report.errors_1, report.gaps_1, report.errors_2,
+                report.gaps_2, report.residuals)
 
         def flush(n_tracked):
             # track the pending block; its first n_tracked iterates count
-            rows = _track_block(s1, references, chi, S1_ref, robin_map,
-                                pending)
-            for values, row in zip(rows, (report.errors_1, report.gaps_1,
-                                          report.residuals)):
-                row.extend(values[:n_tracked].tolist())
+            values = _track_block(solvers, references, chi, S_refs,
+                                  robin_map, pending)
+            for value, row in zip(values, rows):
+                row.extend(value[:n_tracked].tolist())
             pending.clear()
 
-    for _, (eta_next, subdomain_2) in zip(range(config.max_iter), iterates):
+    for _, eta_next in zip(range(config.max_iter), iterates):
         inc = h_norm(eta_next - eta, Mg, tau)
         eta = eta_next
         report.increments.append(inc)
 
         if track:
-            u2, sigma2 = subdomain_2()
-            S2_eta = sigma2 + chi[1]
-            report.errors_2.append(
-                field_error_norm(u2, references.u2_ref, s2.ops))
-            del u2      # a whole field; not kept through a block's solves
-            report.gaps_2.append(
-                (S2_ref - S2_eta).pair(references.eta_ref - eta))
-            pending.append((eta.values, S2_eta.values))
+            pending.append(eta.values)
             if len(pending) == width:
                 flush(width)
 
@@ -379,37 +369,42 @@ def _run_iteration(solvers, config: IterationConfig, iterates,
     return eta, report
 
 
-def _track_block(s1: SubdomainSolver, references: PRReferences, chi,
-                 S1_ref, robin_map: BlockToeplitz, pending: list):
-    """Subdomain-1 X-norm errors and gaps, and residuals, of a block of
-    iterates given as (eta^n, S2 eta^n) values; one array each.  The
+def _track_block(solvers, references: PRReferences, chi, S_refs,
+                 robin_map: BlockToeplitz, pending: list):
+    """X-norm errors and gaps of both subdomains, and residuals, of a
+    block of iterates given as eta^n values; one array each, in the
+    order errors_1, gaps_1, errors_2, gaps_2, residuals.  Each subdomain
+    costs one loaded Dirichlet solve and one flux recovery; the
     residuals go through ``robin_map``, (sJ + S2)^-1, in one apply."""
     from .lab import field_error_norm
-    ops = s1.ops
-    eta = InterfaceSignal(np.array([p[0] for p in pending]), "primal")
-    S2_eta = InterfaceSignal(np.array([p[1] for p in pending]), "dual")
-    u1 = s1.dirichlet_solve(eta=eta, loads=ops.loads)
-    S1_eta = s1.flux_recovery(u1, ops.loads) + chi[0]
-    resid = (S1_eta + S2_eta) - (chi[0] + chi[1])
+    ops = solvers[0].ops
+    eta = InterfaceSignal(np.array(pending), "primal")
+    diff = references.eta_ref - eta
+    out, S_eta = [], []
+    for solver, u_ref, chi_i, S_ref in zip(
+            solvers, (references.u1_ref, references.u2_ref), chi, S_refs):
+        u = solver.dirichlet_solve(eta=eta, loads=solver.ops.loads)
+        S_eta.append(solver.flux_recovery(u, solver.ops.loads) + chi_i)
+        out += [field_error_norm(u, u_ref, solver.ops),
+                (S_ref - S_eta[-1]).pair(diff)]
+        del u       # a block of fields; not kept through the next solve
+    resid = (S_eta[0] + S_eta[1]) - (chi[0] + chi[1])
     precond = InterfaceSignal(robin_map.apply(resid.values), "primal")
-    return (field_error_norm(u1, references.u1_ref, ops),
-            (S1_ref - S1_eta).pair(references.eta_ref - eta),
-            h_norm(precond, ops.M_gamma, ops.grid.tau))
+    return out + [h_norm(precond, ops.M_gamma, ops.grid.tau)]
 
 
 def run_pr(solvers, config: IterationConfig,
            references: PRReferences | None = None):
     """Run the interface Peaceman-Rachford iteration.
 
-    Returns (eta, report); see _run_iteration for the diagnostics.  A
-    tracked iteration costs the two Robin solves of pr_step; the
-    subdomain-1 errors and gaps cost one Dirichlet solve and flux
-    recovery per block of iterates, and the residuals no solve beyond
-    the probe of (sJ + S2)^-1 made once per tracked run.
+    Returns (eta, report); see _run_iteration for the diagnostics.  The
+    run probes both resolvents (sJ + S_i)^-1 before its first iterate,
+    ceil(n_interface / width) Robin solves each (none if the solvers
+    hold them for this s already); an iteration is then the two applies
+    of pr_step and no subdomain solve.  Tracking costs one Dirichlet
+    solve and one flux recovery per subdomain and block of iterates.
     """
-    chi = tuple(map(interface_source, solvers))
-    iterates = _pr_iterates(solvers, chi, config.s)
-    return _run_iteration(solvers, config, iterates, references, chi)
+    return _run_iteration(solvers, config, "pr_interface", references)
 
 
 def run_rr(solvers, config: IterationConfig,
@@ -418,10 +413,10 @@ def run_rr(solvers, config: IterationConfig,
 
     The interface iterate is the trace of the second subdomain's Robin
     solution; it coincides with the Peaceman-Rachford iterate of run_pr
-    to roundoff, so the two drivers are interchangeable.
+    to roundoff, so the two drivers are interchangeable.  A sweep is two
+    Robin solves with loads; tracking is that of run_pr.
     """
-    return _run_iteration(solvers, config, _rr_iterates(solvers, config.s),
-                          references)
+    return _run_iteration(solvers, config, "rr_pde", references)
 
 
 def run_iteration(solvers, config: IterationConfig,
@@ -438,13 +433,10 @@ def run_equivalence(solvers, s: float, n_iterations: int):
     between the PR interface iterate and the trace of the Robin-Robin
     u2, measured in the interface L2 norm.
     """
-    s1, s2 = solvers
-    tau, Mg = s1.ops.grid.tau, s1.ops.M_gamma
-    chi = (interface_source(s1), interface_source(s2))
+    tau, Mg = solvers[0].ops.grid.tau, solvers[0].ops.M_gamma
+    _, sequences = _iterates(solvers, s, ["pr_interface", "rr_pde"])
     discrepancies = []
-    for _, (eta, _), (tr, _) in zip(range(n_iterations),
-                                    _pr_iterates(solvers, chi, s),
-                                    _rr_iterates(solvers, s)):
+    for _, eta, tr in zip(range(n_iterations), *sequences):
         num = h_norm(tr - eta, Mg, tau)
         den = h_norm(eta, Mg, tau)
         discrepancies.append(num / den if den > 0 else num)
@@ -462,10 +454,25 @@ class BlockToeplitz:
     triangular Toeplitz in time (Lubich & Ostermann, BIT 27, 1987), so
     its first block column determines it: first[k], an n_out x n_in
     block, is the output at step k + 1 of the unit inputs at step 1.
+    The column is kept once, stacked for apply: from the last lag to
+    lag 0, each block transposed.
     """
 
     def __init__(self, first: np.ndarray):
-        self.first = np.ascontiguousarray(first, dtype=float)
+        first = np.asarray(first, dtype=float)
+        self.shape = first.shape
+        n_steps, n_out, n_in = first.shape
+        self._stacked = np.ascontiguousarray(
+            first[::-1].transpose(0, 2, 1)).reshape(n_steps * n_in, n_out)
+        # window k holds the padded steps k .. k + n_steps - 1 (apply)
+        self._windows = np.add.outer(np.arange(n_steps), np.arange(n_steps))
+
+    @property
+    def first(self) -> np.ndarray:
+        """The first block column, (n_steps, n_out, n_in); a view."""
+        n_steps, n_out, n_in = self.shape
+        return self._stacked.reshape(n_steps, n_in, n_out)[::-1] \
+            .transpose(0, 2, 1)
 
     @classmethod
     def probe(cls, apply_fn, n_steps: int, n_in: int, kind: str = "primal",
@@ -486,21 +493,23 @@ class BlockToeplitz:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """y_k = sum_{j <= k} first[k - j] x_j for x shaped
-        ([m,] n_steps, n_in): one product per step lag, a whole block
-        of columns at once."""
+        ([m,] n_steps, n_in), as one product for all steps and columns:
+        the window x_{k - n_steps + 1}, ..., x_k of each step k (zero
+        before step 1) times the stacked column."""
         x = np.asarray(values, dtype=float)
-        n_steps = len(self.first)
-        y = np.zeros(x.shape[:-1] + (self.first.shape[1],))
-        for lag, block in enumerate(self.first):
-            y[..., lag:, :] += x[..., :n_steps - lag, :] @ block.T
-        return y
+        n_steps, _, n_in = self.shape
+        padded = np.zeros(x.shape[:-2] + (2 * n_steps - 1, n_in))
+        padded[..., n_steps - 1:, :] = x
+        windows = np.take(padded, self._windows, axis=-2)
+        return windows.reshape(x.shape[:-2] + (n_steps, n_steps * n_in)) \
+            @ self._stacked
 
     def dense(self) -> np.ndarray:
         """The (n_steps n_out) x (n_steps n_in) matrix: the first block
         column tiled down the block diagonals.  Column (k * n_in + g) is
         the flattened output for the unit input at step k + 1, dof g
         (time-major flattening)."""
-        n_steps, n_out, n_in = self.first.shape
+        n_steps, n_out, n_in = self.shape
         column = self.first.reshape(n_steps * n_out, n_in)
         out = np.zeros((n_steps * n_out, n_steps * n_in))
         for k in range(n_steps):
@@ -515,12 +524,17 @@ def robin_trace_map(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     Probed by Robin solves of the n_interface unit dual signals at step
     1, SubdomainSolver.block_width() signals per solve, so it costs
     ceil(n_interface / width) Robin solves and keeps one first block
-    column; an apply then costs no solve.
+    column; an apply then costs no solve.  The map is probed once per
+    solver and s and kept in ``solver.robin_maps``, as the solver keeps
+    its Robin factorizations.
     """
-    ops = solver.ops
-    return BlockToeplitz.probe(partial(solve_robin_resolvent, solver, s=s),
-                               ops.grid.n_steps, ops.n_interface, "dual",
-                               solver.block_width())
+    key = float(s)
+    if key not in solver.robin_maps:
+        ops = solver.ops
+        solver.robin_maps[key] = BlockToeplitz.probe(
+            partial(solve_robin_resolvent, solver, s=key),
+            ops.grid.n_steps, ops.n_interface, "dual", solver.block_width())
+    return solver.robin_maps[key]
 
 
 def assemble_dense(apply_fn, n_steps: int, n_interface: int) -> np.ndarray:

@@ -258,8 +258,8 @@ class SubdomainSolver:
     """Factorized theta-scheme solver for one subdomain.
 
     Immutable after construction; factorizations are cached per mode,
-    and so is the source field, so repeated solves with new data are
-    cheap.
+    and so are the source field and the probed Robin trace maps, so
+    repeated solves with new data are cheap.
     """
 
     def __init__(self, ops: SubdomainOperators):
@@ -274,6 +274,8 @@ class SubdomainSolver:
         self._C_G = self.C[nI:].tocsr()
         self._dirichlet = None
         self._robin: dict[float, Factorization] = {}
+        # interface.robin_trace_map keeps its probes here, keyed by s
+        self.robin_maps: dict[float, object] = {}
         self._source = None
 
     # -- factorizations ---------------------------------------------------
@@ -335,8 +337,8 @@ class SubdomainSolver:
     def source_field(self) -> SpaceTimeField:
         """The zero-trace solve with the assembled loads, computed once.
 
-        The interface source, the initial Robin sweep and reference
-        tracking all read it, so its values are read-only.
+        The interface source and the initial Robin sweep both read it,
+        so its values are read-only.
         """
         if self._source is None:
             self._source = self.dirichlet_solve(loads=self.ops.loads)

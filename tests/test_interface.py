@@ -316,7 +316,7 @@ class TestPeacemanRachford:
                + interface_source(setup.solver_2))
         lam = chi
         for _ in range(3):
-            eta, lam, _ = pr_step(setup.solvers, chi, lam, 1.0)
+            eta, lam = pr_step(setup.solvers, chi, lam, 1.0)
             assert not eta.values.any()
 
     def test_monolithic_trace_is_fixed_point(self):
@@ -325,11 +325,13 @@ class TestPeacemanRachford:
         chi = (interface_source(setup.solver_1)
                + interface_source(setup.solver_2))
         lam = robin_datum(setup.solvers, chi, refs.eta_ref, 1.0)
-        out, _, _ = pr_step(setup.solvers, chi, lam, 1.0)
+        out, _ = pr_step(setup.solvers, chi, lam, 1.0)
         num = np.abs(out.values - refs.eta_ref.values).max()
         assert num <= 1e-10 * np.abs(refs.eta_ref.values).max()
 
-    def test_step_is_two_robin_solves(self, monkeypatch):
+    def test_step_makes_no_subdomain_solve(self, monkeypatch):
+        # pr_step is two applies of the probed resolvents; once both are
+        # probed, a step makes no subdomain solve
         from rrlab.subsolve import SubdomainSolver
         calls = []
 
@@ -344,10 +346,36 @@ class TestPeacemanRachford:
         setup = small_setup()
         chi = (interface_source(setup.solver_1)
                + interface_source(setup.solver_2))
+        for solver in setup.solvers:
+            robin_trace_map(solver, 1.0)
         for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
             monkeypatch.setattr(SubdomainSolver, name, counting(name))
-        pr_step(setup.solvers, chi, chi, 1.0)
-        assert calls == ["robin_solve"] * 2
+        lam = chi
+        for _ in range(3):
+            _, lam = pr_step(setup.solvers, chi, lam, 1.0)
+        assert calls == []
+
+    def test_robin_trace_map_is_probed_once_per_solver_and_s(self,
+                                                             monkeypatch):
+        # the second call returns the kept map and makes no Robin solve;
+        # another s is a map of its own
+        from rrlab.subsolve import SubdomainSolver
+        robin_solve, solves = SubdomainSolver.robin_solve, []
+
+        def counted(self, *args, **kwargs):
+            solves.append(self.ops.index)
+            return robin_solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(SubdomainSolver, "robin_solve", counted)
+        setup = small_setup()
+        solver = setup.solver_2
+        first = robin_trace_map(solver, 0.7)
+        assert solves == [2]
+        assert robin_trace_map(solver, 0.7) is first
+        assert solves == [2]
+        assert robin_trace_map(solver, 1.0) is not first
+        assert solves == [2, 2]
+        assert robin_trace_map(setup.solver_1, 0.7) is not first
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("theta", [1.0, 0.5])
@@ -360,7 +388,7 @@ class TestPeacemanRachford:
         lam = chi
         for _ in range(20):
             eta_ref = textbook_pr_step(setup.solvers, chi, eta_ref, 0.7)
-            eta, lam, _ = pr_step(setup.solvers, chi, lam, 0.7)
+            eta, lam = pr_step(setup.solvers, chi, lam, 0.7)
             num = np.abs(eta.values - eta_ref.values).max()
             assert num <= 1e-12 * np.abs(eta_ref.values).max()
 
@@ -392,12 +420,15 @@ class TestPeacemanRachford:
         lam = robin_datum(setup.solvers, chi, eta, 1.0)
         norms = []
         for _ in range(30):
-            eta, lam, _ = pr_step(setup.solvers, chi, lam, 1.0)
+            eta, lam = pr_step(setup.solvers, chi, lam, 1.0)
             norms.append(h_norm(eta, ops.M_gamma, ops.grid.tau))
         observed = (norms[-1] / norms[-11]) ** 0.1
         assert observed == pytest.approx(rho, rel=0.15)
 
-    @pytest.mark.parametrize("run", [run_pr, run_rr])
+    @pytest.mark.parametrize("run", [
+        run_pr, run_rr,
+        lambda solvers, cfg, references: run_equivalence(solvers, cfg.s, 2)],
+        ids=["run_pr", "run_rr", "run_equivalence"])
     def test_sources_computed_once_per_run(self, run, monkeypatch):
         # chi_1 and chi_2 cost a Dirichlet solve and a flux recovery each
         import rrlab.interface
@@ -414,11 +445,11 @@ class TestPeacemanRachford:
         assert sorted(calls) == [1, 2]
 
     def test_tracked_iteration_solve_counts(self, monkeypatch):
-        # a tracked iteration is the 2 Robin solves of pr_step; each block
-        # of iterates costs 1 Dirichlet solve and 1 flux for subdomain 1
-        # and no Robin solve: the residual goes through the Robin map,
-        # probed once per run by ceil(n_interface / width) Robin solves,
-        # all made before the first pr_step
+        # run_pr probes both resolvents before the first pr_step, by
+        # ceil(n_interface / width) Robin solves each; an iteration is
+        # then no subdomain solve, and each block of iterates costs a
+        # Dirichlet solve and a flux recovery per subdomain, its
+        # residuals going through the subdomain-2 resolvent
         import rrlab.interface
         import rrlab.subsolve
         from rrlab.subsolve import SubdomainSolver
@@ -451,12 +482,13 @@ class TestPeacemanRachford:
                    references=refs)
             first = calls.index("pr_step")
             before, after = calls[:first], calls[first:]
-            assert before.count("robin_solve") == -(-ops.n_interface // width)
+            assert before.count("robin_solve") == \
+                2 * -(-ops.n_interface // width)
             assert after.count("pr_step") == max_iter
-            assert after.count("robin_solve") == 2 * max_iter
+            assert after.count("robin_solve") == 0
             n_blocks = -(-max_iter // width)
-            assert after.count("dirichlet_solve") == n_blocks
-            assert after.count("flux_recovery") == n_blocks
+            assert after.count("dirichlet_solve") == 2 * n_blocks
+            assert after.count("flux_recovery") == 2 * n_blocks
 
     @pytest.mark.parametrize("width", [1, 3, 100])
     @pytest.mark.parametrize("tol, max_iter", [(1e-6, 60), (0.0, 7)],
@@ -464,9 +496,10 @@ class TestPeacemanRachford:
     @pytest.mark.parametrize("run", [run_pr, run_rr])
     def test_block_tracking_matches_per_iteration_tracking(
             self, run, tol, max_iter, width, monkeypatch):
-        # reference: the tracking of each iterate on its own, one
-        # Dirichlet solve, flux recovery and residual Robin solve each;
-        # width 3 leaves a short last block, width 100 one block
+        # reference: the tracking of each iterate on its own, with a
+        # Dirichlet solve and a flux recovery per subdomain and a Robin
+        # solve for the residual; width 3 leaves a short last block,
+        # width 100 one block
         import rrlab.subsolve
         from rrlab.lab import field_error_norm
         setup = small_setup(nx=6, n_steps=4)
@@ -511,27 +544,6 @@ class TestPeacemanRachford:
             assert got.shape == (report.n_iterations,)
             np.testing.assert_allclose(got, values, rtol=0,
                                        atol=1e-12 * np.abs(values).max())
-
-    @pytest.mark.parametrize("run", [run_pr, run_rr])
-    def test_tracking_matches_dirichlet_solves(self, run):
-        # the subdomain-2 error and gap read off the Robin solves equal
-        # those of a Dirichlet solve at the iterate
-        from rrlab.lab import field_error_norm
-        setup = small_setup(nx=8, n_steps=5)
-        refs = references_from_monolithic(setup)
-        s2, ops = setup.solver_2, setup.ops_2
-        chi_2 = interface_source(s2)
-        S2_ref = s2.flux_recovery(refs.u2_ref, ops.loads) + chi_2
-        for n in (1, 2, 4):
-            eta, report = run(setup.solvers,
-                              IterationConfig(s=0.7, tol=0.0, max_iter=n),
-                              references=refs)
-            u2 = s2.dirichlet_solve(eta=eta, loads=ops.loads)
-            S2_eta = s2.flux_recovery(u2, ops.loads) + chi_2
-            err = field_error_norm(u2, refs.u2_ref, ops)
-            gap = (S2_ref - S2_eta).pair(refs.eta_ref - eta)
-            assert report.errors_2[-1] == pytest.approx(err, rel=1e-10)
-            assert report.gaps_2[-1] == pytest.approx(gap, rel=1e-9)
 
     def test_one_step_drawn_per_iteration(self, monkeypatch):
         # the shared driver stops drawing iterates at max_iter

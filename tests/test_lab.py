@@ -188,6 +188,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key=value"):
             parse_config("scenario converge\n")
 
+    def test_spectrum_dense_guard_counts_interface_dofs(self):
+        # ny = 5 gives 4 interface dofs in 2D, 1D has one; the guard
+        # bounds n_steps * n_interface, and only spectrum probes densely
+        from rrlab.interface import DENSE_COLUMN_GUARD
+        n_steps = DENSE_COLUMN_GUARD // 4
+        parse_config(f"scenario = spectrum\nny = 5\nn_steps = {n_steps}\n")
+        with pytest.raises(ConfigError, match="n_interface"):
+            parse_config(f"scenario = spectrum\nny = 5\n"
+                         f"n_steps = {n_steps + 1}\n")
+        parse_config(f"scenario = spectrum\ndimension = 1\n"
+                     f"n_steps = {DENSE_COLUMN_GUARD}\n")
+        parse_config(f"scenario = converge\nn_steps = {DENSE_COLUMN_GUARD}\n")
+
     def test_echo_is_reparseable(self):
         cfg = small_config(s=0.3, s_values=(0.25, 4.0))
         text = "\n".join(f"{k} = {v}" for k, v in cfg.echo().items())
@@ -364,9 +377,9 @@ class TestCli:
 
     @pytest.mark.parametrize("text", [
         "source = foo\n", "interface_x = 0.3\n", "horizon = inf\n",
-        "horizon = nan\n", "length_y = inf\n"],
+        "horizon = nan\n", "length_y = inf\n", "n_steps = 700\n"],
         ids=["unknown-source", "interface-off-mesh-lines", "horizon-inf",
-             "horizon-nan", "length-y-inf"])
+             "horizon-nan", "length-y-inf", "spectrum-over-dense-guard"])
     def test_run_bad_problem_exits_2_before_making_out(self, tmp_path, text,
                                                        capsys):
         # the ProblemSpec is checked while parsing, before --out is made

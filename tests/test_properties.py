@@ -3,8 +3,10 @@ diffusion jumps and theta: PDE/interface equivalence of the two
 Robin-Robin realizations, the causal block-Toeplitz structure of the
 Steklov-Poincare operators that assemble_dense relies on, the
 resolvent round trip, the agreement of the dense and banded time
-steps, the agreement of block solves with column-by-column solves, and
-the probed Robin trace map against the Robin solves it replaces."""
+steps, the agreement of block solves with column-by-column solves, the
+probed Robin trace map against the Robin solves it replaces, and the
+Peaceman-Rachford step through those maps against the step made of
+Robin solves."""
 
 import sys
 
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 
 from rrlab import subsolve
 from rrlab.interface import (SteklovOperator, assemble_dense, interface_gram,
-                             robin_trace_map, run_equivalence,
-                             solve_robin_resolvent)
+                             interface_source, pr_step, robin_trace_map,
+                             run_equivalence, solve_robin_resolvent)
 from rrlab.lab import setup_problem
 from rrlab.mesh import ProblemSpec
 from rrlab.subsolve import InterfaceSignal, SubdomainSolver
@@ -191,3 +193,31 @@ def test_robin_trace_map_equals_robin_solves(spec, s, m):
                              (robin_map.apply(rhs.values[0]), want[0])):
                 assert got.shape == ref.shape
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.floats(0.1, 10.0))
+def test_pr_step_equals_two_robin_solve_step(spec, s):
+    # pr_step through the probed resolvents against the same step with
+    # each resolvent realized by its own Robin solve, over three steps
+    # from a random Robin datum, on both step paths
+    setup = setup_problem(spec)
+    rng = np.random.default_rng(0)
+    lam0 = InterfaceSignal(rng.standard_normal(
+        (spec.n_steps, setup.ops_1.n_interface)), "dual")
+    for limit in (sys.maxsize, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsolve, "DENSE_MAX_DOFS", limit)
+            solvers = tuple(map(SubdomainSolver, (setup.ops_1, setup.ops_2)))
+            s1, s2 = solvers
+            chi = interface_source(s1) + interface_source(s2)
+            lam = want = lam0
+            for _ in range(3):
+                eta, lam = pr_step(solvers, chi, lam, s)
+                half = solve_robin_resolvent(s1, want, s)
+                mu = 2.0 * interface_gram(half, s1.ops, s) - want + chi
+                eta_want = solve_robin_resolvent(s2, mu, s)
+                want = 2.0 * interface_gram(eta_want, s1.ops, s) - mu + chi
+                for got, ref in ((eta, eta_want), (lam, want)):
+                    assert np.linalg.norm(got.values - ref.values) \
+                        <= 1e-12 * np.linalg.norm(ref.values)
