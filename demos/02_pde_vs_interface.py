@@ -4,8 +4,9 @@ The Robin-Robin method can be run as alternating Robin subdomain solves
 (the PDE view) or as a Peaceman-Rachford iteration on the interface,
 driven by Steklov-Poincare operators (the operator view).  Discretely
 the two are the *same* linear recursion: with variational flux recovery
-and the exact resolvent (the interface view applies it as a map probed
-once by Robin solves), the iterates agree to roundoff at every step.
+and the exact resolvent (a Robin solve, or in a run long enough to pay
+for it a map probed once by Robin solves), the iterates agree to
+roundoff at every step.
 """
 
 from rrlab.interface import run_equivalence

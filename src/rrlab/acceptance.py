@@ -19,8 +19,9 @@ from .dense import dense_schur_complement
 from .fracnorm import (derivative_multiplier, padded_extension,
                        parabolic_coercivity, random_smooth_field)
 from .interface import (IterationConfig, SteklovOperator, assemble_dense,
-                        h_norm, interface_gram, pr_step, run_equivalence,
-                        run_pr, solve_robin_resolvent, spectral_analysis)
+                        h_norm, interface_gram, pr_step, robin_resolvent,
+                        run_equivalence, run_pr, solve_robin_resolvent,
+                        spectral_analysis)
 from .lab import (default_problem, field_error_norm, glue_fields,
                   least_squares_order, references_from_monolithic,
                   restrict_field, run_mms_spatial, run_mms_temporal,
@@ -254,8 +255,10 @@ def criterion_7_contraction(art: DeskArtifacts) -> CriterionResult:
                - SteklovOperator(setup.solver_2).apply(eta) + chi0)
         norms = []
         n0 = h_norm(eta, ops.M_gamma, ops.grid.tau)
+        resolvents = [robin_resolvent(solver, s, 400)
+                      for solver in setup.solvers]
         for _ in range(400):
-            eta, lam = pr_step(setup.solvers, chi0, lam, s)
+            eta, lam = pr_step(setup.solvers, chi0, lam, s, resolvents)
             norms.append(h_norm(eta, ops.M_gamma, ops.grid.tau))
             if norms[-1] <= 1e-11 * n0:
                 break

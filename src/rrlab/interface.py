@@ -11,23 +11,25 @@ agree to roundoff.
 
 Every interface operator here is causal and time-invariant, so it is a
 BlockToeplitz, determined by its first block column.  Dense probing
-forms that column from the unit signals at step 1.  The resolvent of
-each subdomain is probed the same way, by Robin solves, once per solver
-and s (robin_trace_map), and a Peaceman-Rachford step is two applies of
-those maps and no subdomain solve: the state it carries is the Robin
-datum lam = (sJ - S2) eta + chi, and each reflection
-(sJ - S_i) x = 2 sJ x - (sJ + S_i) x is read off the right-hand side of
-the resolvent that produced x.  The PDE-level sweep stays two Robin
-solves with loads.  Subdomain fields are made only by reference
-tracking, one loaded Dirichlet solve per subdomain for a block of
-iterates, and S_i is applied by a Dirichlet solve and a flux recovery
-only there, in dense probing and in the acceptance criteria.
+forms that column from the unit signals at step 1.  A Peaceman-Rachford
+step carries the Robin datum lam = (sJ - S2) eta + chi and is two
+resolvent applies: each reflection (sJ - S_i) x = 2 sJ x - (sJ + S_i) x
+is read off the right-hand side of the resolvent that produced x.  A run
+realizes each resolvent by robin_resolvent: as its BlockToeplitz,
+probed by Robin solves once per solver and s (robin_trace_map), when
+its applies over the run save more than the probe costs, and by a Robin
+solve per apply otherwise.  The PDE-level sweep stays two Robin solves
+with loads.  Subdomain fields are made only by reference tracking, one
+loaded Dirichlet solve per subdomain for a block of iterates, and S_i
+is applied by a Dirichlet solve and a flux recovery only there, in
+dense probing and in the acceptance criteria.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -43,10 +45,23 @@ __all__ = [
     "pr_step", "run_pr", "run_rr", "run_iteration", "RobinSweepState",
     "init_robin_sweep", "robin_sweep", "run_equivalence", "h_norm",
     "assemble_dense", "spectral_analysis", "SpectralRow", "BlockToeplitz",
-    "robin_trace_map",
+    "robin_trace_map", "robin_resolvent", "check_dense_columns",
 ]
 
 DENSE_COLUMN_GUARD = 2000
+
+# BlockToeplitz.apply gathers at most this many input values per product
+# (2 MB), so its temporary is bounded whatever n_steps is.
+APPLY_WINDOW_VALUES = 2 ** 18
+
+# A probed resolvent (sJ + S_i)^-1 costs about n_interface one-column
+# Robin solves to probe, and an apply of it about n_steps /
+# RESOLVENT_STEPS of the Robin solve it replaces (the apply is quadratic
+# in n_steps, the march linear).  Measured on the default problem at
+# nx = 8 .. 64, one BLAS thread: apply / Robin solve 0.07-0.16 at 16
+# steps, 0.20-0.27 at 64 and 0.62-0.91 at 256; a probe 3.8-76 Robin
+# solves for n_interface = 7-63.
+RESOLVENT_STEPS = 320
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +167,13 @@ class ConvergenceReport:
         return len(self.increments)
 
 
-def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal,
-            s: float) -> tuple[InterfaceSignal, InterfaceSignal]:
+def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal, s: float,
+            resolvents=None) -> tuple[InterfaceSignal, InterfaceSignal]:
     """One Peaceman-Rachford double sweep on the interface.
 
     The step is carried on the Robin datum lam = (sJ - S2) eta + chi,
-    where chi = chi_1 + chi_2, and costs two applies of the probed
-    resolvents R_i = (sJ + S_i)^-1 (robin_trace_map) and no subdomain
-    solve:
+    where chi = chi_1 + chi_2, and costs one apply of each resolvent
+    R_i = (sJ + S_i)^-1:
 
         eta half = R1 lam,
         mu       = (sJ - S1) eta half + chi = 2 sJ eta half - lam + chi,
@@ -169,21 +183,22 @@ def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal,
     Each reflection (sJ - S_i) x = 2 sJ x - (sJ + S_i) x takes
     (sJ + S_i) x from the right-hand side of the resolvent that gave x
     (Lions & Mercier, SIAM J. Numer. Anal. 16, 1979), so S_i is never
-    applied.  Each R_i is probed on first use for the solver and s, by
-    ceil(n_interface / width) Robin solves, and kept by the solver.
-    Returns (eta next, lam next).  With chi = 0 the map is linear and
-    its fixed point is zero; in general fixed points solve
+    applied.  ``resolvents`` is the pair (R1, R2) from robin_resolvent;
+    by default each is one Robin solve, the cheaper choice for a single
+    step.  Returns (eta next, lam next).  With chi = 0 the map is linear
+    and its fixed point is zero; in general fixed points solve
     (S1 + S2) eta = chi.
     """
     if lam.kind != "dual" or chi_sum.kind != "dual":
         raise ValueError("the Robin datum and the sources are dual signals")
-    R1, R2 = (robin_trace_map(solver, s) for solver in solvers)
+    R1, R2 = resolvents or [robin_resolvent(solver, s, 1)
+                            for solver in solvers]
     two_sJ = 2.0 * _sJ(solvers[0].ops, s)
     chi = chi_sum.values
 
-    eta_half = R1.apply(lam.values)
+    eta_half = R1(lam.values)
     mu = two_sJ * eta_half - lam.values + chi
-    eta_next = R2.apply(mu)
+    eta_next = R2(mu)
     lam_next = two_sJ * eta_next - mu + chi
     return InterfaceSignal(eta_next, "primal"), InterfaceSignal(lam_next, "dual")
 
@@ -260,49 +275,48 @@ def _orbit(step, x):
         yield x
 
 
-def _pr_iterates(solvers, chi_sum: InterfaceSignal, s: float):
+def _sources(solvers):
+    """The interface sources chi = (chi_1, chi_2) of one run, computed
+    on the first call and kept: a run that reads no source makes none."""
+    return cache(lambda: tuple(map(interface_source, solvers)))
+
+
+def _pr_iterates(solvers, s: float, max_iter: int, sources):
     """Peaceman-Rachford iterates from eta^0 = 0, whose Robin datum is
-    chi = chi_1 + chi_2 itself.  Both resolvents are probed at once,
-    before the first iterate is drawn."""
-    for solver in solvers:
-        robin_trace_map(solver, s)
+    chi = chi_1 + chi_2 itself.  Both resolvents are made for max_iter
+    applies (robin_resolvent) at once, before the first iterate is
+    drawn."""
+    resolvents = [robin_resolvent(solver, s, max_iter) for solver in solvers]
+    chi_1, chi_2 = sources()
+    chi_sum = chi_1 + chi_2
 
     def iterates():
         lam = chi_sum
         while True:
-            eta, lam = pr_step(solvers, chi_sum, lam, s)
+            eta, lam = pr_step(solvers, chi_sum, lam, s, resolvents)
             yield eta
     return iterates()
 
 
-def _rr_iterates(solvers, s: float):
+def _rr_iterates(solvers, s: float, max_iter: int, sources):
     """Traces of u2 after each Robin sweep; the initial sweep state is
-    built at once, before the first iterate is drawn."""
+    built at once, before the first iterate is drawn.  The sweep reads
+    no interface source."""
     s2 = solvers[1]
     sweeps = _orbit(lambda state: robin_sweep(solvers, state, s),
                     init_robin_sweep(solvers, s))
     return (s2.trace(state.u2) for state in sweeps)
 
 
-def _iterates(solvers, s: float, variants):
-    """The interface sources chi = (chi_1, chi_2), computed here and
-    only here, once per run, and one sequence eta^1, eta^2, ... per
-    entry of ``variants`` (pr_interface or rr_pde)."""
-    chi = tuple(map(interface_source, solvers))
-    sequences = [_pr_iterates(solvers, chi[0] + chi[1], s)
-                 if variant == "pr_interface" else _rr_iterates(solvers, s)
-                 for variant in variants]
-    return chi, sequences
-
-
-def _run_iteration(solvers, config: IterationConfig, variant: str,
+def _run_iteration(solvers, config: IterationConfig, make_iterates,
                    references: PRReferences | None):
-    """Shared driver: draw the interface iterates of ``variant``, track
-    diagnostics.
+    """Shared driver: draw interface iterates, track diagnostics.
 
-    The iterates are eta^1, eta^2, ... (eta^0 = 0); at most
-    config.max_iter of them are drawn, and the stopping rule reads only
-    the increments.  When ``references`` is given, the report also
+    ``make_iterates`` (_pr_iterates or _rr_iterates) gives the iterates
+    eta^1, eta^2, ... (eta^0 = 0); at most config.max_iter of them are
+    drawn, and the stopping rule reads only the increments.  The
+    interface sources are computed here, once, if the iterates or the
+    tracking read them.  When ``references`` is given, the report also
     holds, per iteration, the subdomain X-norm errors of the
     interface-parametrized fields, the monotone gaps against the
     reference trace, and the Steklov-Poincare residual pushed through
@@ -311,24 +325,26 @@ def _run_iteration(solvers, config: IterationConfig, variant: str,
     iterates at once (_track_block): per block of
     SubdomainSolver.block_width() iterates, one loaded Dirichlet solve
     and one flux recovery on each subdomain, and one apply of the
-    subdomain-2 resolvent, which robin_trace_map probes before the
-    first iterate is drawn (run_pr has probed it already).
+    subdomain-2 resolvent, made by robin_resolvent for max_iter applies
+    before the first iterate is drawn (run_pr shares it).
     """
     s1, s2 = solvers
     ops = s1.ops
     tau, Mg = ops.grid.tau, ops.M_gamma
     eta = InterfaceSignal(np.zeros((ops.grid.n_steps, ops.n_interface)), "primal")
 
-    chi, (iterates,) = _iterates(solvers, config.s, [variant])
+    sources = _sources(solvers)
+    iterates = make_iterates(solvers, config.s, config.max_iter, sources)
     report = ConvergenceReport()
     track = references is not None
     if track:
+        chi = sources()
         u_refs = (references.u1_ref, references.u2_ref)
         S_refs = [solver.flux_recovery(u_ref, solver.ops.loads) + chi_i
                   for solver, u_ref, chi_i in zip(solvers, u_refs, chi)]
-        # probed before the first iterate is drawn, so that every
+        # made before the first iterate is drawn, so that every
         # iteration does the same work (perfbench pools later iterations)
-        robin_map = robin_trace_map(s2, config.s)
+        resolvent = robin_resolvent(s2, config.s, config.max_iter)
         width = min(solver.block_width() for solver in solvers)
         pending = []
         rows = (report.errors_1, report.gaps_1, report.errors_2,
@@ -337,7 +353,7 @@ def _run_iteration(solvers, config: IterationConfig, variant: str,
         def flush(n_tracked):
             # track the pending block; its first n_tracked iterates count
             values = _track_block(solvers, references, chi, S_refs,
-                                  robin_map, pending)
+                                  resolvent, pending)
             for value, row in zip(values, rows):
                 row.extend(value[:n_tracked].tolist())
             pending.clear()
@@ -370,12 +386,12 @@ def _run_iteration(solvers, config: IterationConfig, variant: str,
 
 
 def _track_block(solvers, references: PRReferences, chi, S_refs,
-                 robin_map: BlockToeplitz, pending: list):
+                 resolvent, pending: list):
     """X-norm errors and gaps of both subdomains, and residuals, of a
     block of iterates given as eta^n values; one array each, in the
     order errors_1, gaps_1, errors_2, gaps_2, residuals.  Each subdomain
     costs one loaded Dirichlet solve and one flux recovery; the
-    residuals go through ``robin_map``, (sJ + S2)^-1, in one apply."""
+    residuals go through ``resolvent``, (sJ + S2)^-1, in one apply."""
     from .lab import field_error_norm
     ops = solvers[0].ops
     eta = InterfaceSignal(np.array(pending), "primal")
@@ -389,7 +405,7 @@ def _track_block(solvers, references: PRReferences, chi, S_refs,
                 (S_ref - S_eta[-1]).pair(diff)]
         del u       # a block of fields; not kept through the next solve
     resid = (S_eta[0] + S_eta[1]) - (chi[0] + chi[1])
-    precond = InterfaceSignal(robin_map.apply(resid.values), "primal")
+    precond = InterfaceSignal(resolvent(resid.values), "primal")
     return out + [h_norm(precond, ops.M_gamma, ops.grid.tau)]
 
 
@@ -397,14 +413,16 @@ def run_pr(solvers, config: IterationConfig,
            references: PRReferences | None = None):
     """Run the interface Peaceman-Rachford iteration.
 
-    Returns (eta, report); see _run_iteration for the diagnostics.  The
-    run probes both resolvents (sJ + S_i)^-1 before its first iterate,
-    ceil(n_interface / width) Robin solves each (none if the solvers
-    hold them for this s already); an iteration is then the two applies
-    of pr_step and no subdomain solve.  Tracking costs one Dirichlet
-    solve and one flux recovery per subdomain and block of iterates.
+    Returns (eta, report); see _run_iteration for the diagnostics.  An
+    iteration is the two resolvent applies of pr_step.  Where probing
+    pays for config.max_iter applies (robin_resolvent), the run first
+    probes both resolvents, ceil(n_interface / width) Robin solves each
+    (none if the solvers hold them for this s already), and an
+    iteration then makes no subdomain solve; otherwise it makes two
+    Robin solves.  Tracking costs one Dirichlet solve and one flux
+    recovery per subdomain and block of iterates.
     """
-    return _run_iteration(solvers, config, "pr_interface", references)
+    return _run_iteration(solvers, config, _pr_iterates, references)
 
 
 def run_rr(solvers, config: IterationConfig,
@@ -416,7 +434,7 @@ def run_rr(solvers, config: IterationConfig,
     to roundoff, so the two drivers are interchangeable.  A sweep is two
     Robin solves with loads; tracking is that of run_pr.
     """
-    return _run_iteration(solvers, config, "rr_pde", references)
+    return _run_iteration(solvers, config, _rr_iterates, references)
 
 
 def run_iteration(solvers, config: IterationConfig,
@@ -434,9 +452,11 @@ def run_equivalence(solvers, s: float, n_iterations: int):
     u2, measured in the interface L2 norm.
     """
     tau, Mg = solvers[0].ops.grid.tau, solvers[0].ops.M_gamma
-    _, sequences = _iterates(solvers, s, ["pr_interface", "rr_pde"])
+    sources = _sources(solvers)
     discrepancies = []
-    for _, eta, tr in zip(range(n_iterations), *sequences):
+    for _, eta, tr in zip(range(n_iterations),
+                          _pr_iterates(solvers, s, n_iterations, sources),
+                          _rr_iterates(solvers, s, n_iterations, sources)):
         num = h_norm(tr - eta, Mg, tau)
         den = h_norm(eta, Mg, tau)
         discrepancies.append(num / den if den > 0 else num)
@@ -464,8 +484,11 @@ class BlockToeplitz:
         n_steps, n_out, n_in = first.shape
         self._stacked = np.ascontiguousarray(
             first[::-1].transpose(0, 2, 1)).reshape(n_steps * n_in, n_out)
-        # window k holds the padded steps k .. k + n_steps - 1 (apply)
-        self._windows = np.add.outer(np.arange(n_steps), np.arange(n_steps))
+        # window j of a chunk of apply starting at step lo holds the
+        # padded steps lo + j .. lo + j + n_steps - 1: this index + lo,
+        # one row per step of the widest chunk
+        rows = min(n_steps, max(1, APPLY_WINDOW_VALUES // (n_steps * n_in)))
+        self._windows = np.add.outer(np.arange(rows), np.arange(n_steps))
 
     @property
     def first(self) -> np.ndarray:
@@ -493,16 +516,28 @@ class BlockToeplitz:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """y_k = sum_{j <= k} first[k - j] x_j for x shaped
-        ([m,] n_steps, n_in), as one product for all steps and columns:
-        the window x_{k - n_steps + 1}, ..., x_k of each step k (zero
-        before step 1) times the stacked column."""
+        ([m,] n_steps, n_in).  Each chunk of output steps lo .. hi - 1 is
+        one product: the windows x_{k - hi + 1}, ..., x_k (zero before
+        step 1) times the last hi lags of the stacked column.  A chunk
+        gathers at most APPLY_WINDOW_VALUES input values (and at least
+        one step), so the temporary does not grow with n_steps squared.
+        """
         x = np.asarray(values, dtype=float)
-        n_steps, _, n_in = self.shape
-        padded = np.zeros(x.shape[:-2] + (2 * n_steps - 1, n_in))
+        n_steps, n_out, n_in = self.shape
+        batch = x.shape[:-2]
+        padded = np.zeros(batch + (2 * n_steps - 1, n_in))
         padded[..., n_steps - 1:, :] = x
-        windows = np.take(padded, self._windows, axis=-2)
-        return windows.reshape(x.shape[:-2] + (n_steps, n_steps * n_in)) \
-            @ self._stacked
+        y = np.empty(batch + (n_steps, n_out))
+        per_step = max(1, math.prod(batch)) * n_steps * n_in
+        chunk = max(1, APPLY_WINDOW_VALUES // per_step)
+        for lo in range(0, n_steps, chunk):
+            hi = min(lo + chunk, n_steps)
+            steps = self._windows[:hi - lo, n_steps - hi:] + lo
+            windows = np.take(padded, steps, axis=-2).reshape(
+                batch + (hi - lo, hi * n_in))
+            y[..., lo:hi, :] = windows @ self._stacked[(n_steps - hi) * n_in:]
+            del windows     # freed before the next chunk is gathered
+        return y
 
     def dense(self) -> np.ndarray:
         """The (n_steps n_out) x (n_steps n_in) matrix: the first block
@@ -537,6 +572,34 @@ def robin_trace_map(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     return solver.robin_maps[key]
 
 
+def robin_resolvent(solver: SubdomainSolver, s: float, n_applies: int):
+    """The resolvent (sJ + S_i)^-1 of one subdomain for a run of about
+    ``n_applies`` one-column applies, as a function from dual values
+    ([m,] n_steps, n_interface) to primal values.
+
+    It is the apply of robin_trace_map when the applies save more than
+    the probe costs, in units of a one-column Robin solve:
+    n_applies * (1 - n_steps / RESOLVENT_STEPS) > n_interface; else a
+    Robin solve per apply, which needs no probe.  The choice reads only
+    sizes, so a run makes the same choice on every call.
+    """
+    ops = solver.ops
+    saved = n_applies * (1.0 - ops.grid.n_steps / RESOLVENT_STEPS)
+    if saved > ops.n_interface:
+        return robin_trace_map(solver, s).apply
+    return lambda values: solve_robin_resolvent(
+        solver, InterfaceSignal(values, "dual"), s).values
+
+
+def check_dense_columns(n_steps: int, n_interface: int) -> None:
+    """ValueError when n_steps * n_interface, the side of a densely
+    probed interface operator, exceeds DENSE_COLUMN_GUARD."""
+    n_cols = n_steps * n_interface
+    if n_cols > DENSE_COLUMN_GUARD:
+        raise ValueError(f"dense probing guard exceeded: n_steps * "
+                         f"n_interface = {n_cols} > {DENSE_COLUMN_GUARD}")
+
+
 def assemble_dense(apply_fn, n_steps: int, n_interface: int) -> np.ndarray:
     """Dense matrix of a causal, time-invariant linear interface operator.
 
@@ -547,12 +610,9 @@ def assemble_dense(apply_fn, n_steps: int, n_interface: int) -> np.ndarray:
     of signals in one call of ``apply_fn``; the result is
     BlockToeplitz.dense() of that first block column.
     DENSE_COLUMN_GUARD bounds n_steps * n_interface, the side of the
-    square output.
+    square output (check_dense_columns).
     """
-    n_cols = n_steps * n_interface
-    if n_cols > DENSE_COLUMN_GUARD:
-        raise ValueError(f"dense probing guard exceeded: "
-                         f"{n_cols} columns > {DENSE_COLUMN_GUARD}")
+    check_dense_columns(n_steps, n_interface)
     return BlockToeplitz.probe(apply_fn, n_steps, n_interface).dense()
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from . import __version__
 from .assembly import (GlobalOperators, SubdomainOperators,
                        build_global_operators, build_subdomain_operators)
-from .interface import (DENSE_COLUMN_GUARD, IterationConfig, PRReferences,
-                        SteklovOperator, assemble_dense, run_equivalence,
+from .interface import (IterationConfig, PRReferences, SteklovOperator,
+                        assemble_dense, check_dense_columns, run_equivalence,
                         run_iteration, spectral_analysis)
 from .mesh import Decomposition, Mesh, ProblemSpec, build_mesh, decompose
 from .subsolve import (InterfaceSignal, MonolithicSolver, SpaceTimeField,
@@ -389,12 +389,11 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
     if cfg.scenario != "mms":       # every other scenario runs one spec
         spec = spec_from_scenario(cfg)
-        # spectrum probes S_1 and S_2 densely; the interface ends lie on
-        # the Dirichlet boundary, so ny - 1 interface dofs in 2D
-        n_cols = spec.n_steps * (spec.ny - 1 if spec.dimension == 2 else 1)
-        if cfg.scenario == "spectrum" and n_cols > DENSE_COLUMN_GUARD:
-            raise ConfigError(f"spectrum needs n_steps * n_interface = "
-                              f"{n_cols} <= {DENSE_COLUMN_GUARD}")
+        if cfg.scenario == "spectrum":      # probes S_1 and S_2 densely
+            try:
+                check_dense_columns(spec.n_steps, spec.n_interface)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
     return cfg
 
 

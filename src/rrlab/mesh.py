@@ -102,6 +102,13 @@ class ProblemSpec:
     def interface_column(self) -> int:
         return round(self.interface_x / (self.length_x / self.nx))
 
+    @property
+    def n_interface(self) -> int:
+        """Free dofs on the interface: ny - 1 in 2D, whose interface
+        ends lie on the Dirichlet boundary, and 1 in 1D.  decompose
+        checks its interface against this count."""
+        return self.ny - 1 if self.dimension == 2 else 1
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -254,8 +261,9 @@ def decompose(mesh: Mesh, spec: ProblemSpec) -> Decomposition:
     interface = free[on_iface]
     interior_1 = free[(x[free] < gx - tol)]
     interior_2 = free[(x[free] > gx + tol)]
-    if interface.size == 0:
-        raise ValueError("interface carries no free dofs")
+    if interface.size != spec.n_interface:
+        raise ValueError(f"interface carries {interface.size} free dofs, "
+                         f"not {spec.n_interface}")
 
     dec = Decomposition(interior_1, interior_2, interface,
                         elements_1, elements_2, free)

@@ -6,10 +6,12 @@ import pytest
 
 from rrlab.assembly import lumped_interface_mass
 from rrlab.dense import dense_schur_complement
-from rrlab.interface import (IterationConfig, SteklovOperator, assemble_dense,
-                             h_norm, init_robin_sweep, interface_gram,
-                             interface_source, pr_step, robin_sweep,
-                             robin_trace_map, run_equivalence, run_pr, run_rr,
+import rrlab.interface
+from rrlab.interface import (BlockToeplitz, IterationConfig, SteklovOperator,
+                             assemble_dense, h_norm, init_robin_sweep,
+                             interface_gram, interface_source, pr_step,
+                             robin_resolvent, robin_sweep, robin_trace_map,
+                             run_equivalence, run_pr, run_rr,
                              solve_robin_resolvent, spectral_analysis)
 from rrlab.lab import (default_problem, references_from_monolithic,
                        setup_problem)
@@ -329,9 +331,8 @@ class TestPeacemanRachford:
         num = np.abs(out.values - refs.eta_ref.values).max()
         assert num <= 1e-10 * np.abs(refs.eta_ref.values).max()
 
-    def test_step_makes_no_subdomain_solve(self, monkeypatch):
-        # pr_step is two applies of the probed resolvents; once both are
-        # probed, a step makes no subdomain solve
+    @staticmethod
+    def _count_solves(monkeypatch):
         from rrlab.subsolve import SubdomainSolver
         calls = []
 
@@ -343,17 +344,51 @@ class TestPeacemanRachford:
                 return method(self, *args, **kwargs)
             return counted
 
+        for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
+            monkeypatch.setattr(SubdomainSolver, name, counting(name))
+        return calls
+
+    def test_step_is_two_robin_solves(self, monkeypatch):
+        # by default each resolvent of a step is one Robin solve
         setup = small_setup()
         chi = (interface_source(setup.solver_1)
                + interface_source(setup.solver_2))
-        for solver in setup.solvers:
-            robin_trace_map(solver, 1.0)
-        for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
-            monkeypatch.setattr(SubdomainSolver, name, counting(name))
+        calls = self._count_solves(monkeypatch)
+        pr_step(setup.solvers, chi, chi, 1.0)
+        assert calls == ["robin_solve"] * 2
+
+    def test_step_makes_no_subdomain_solve(self, monkeypatch):
+        # through the probed resolvents a step is two applies and makes
+        # no subdomain solve
+        setup = small_setup()
+        chi = (interface_source(setup.solver_1)
+               + interface_source(setup.solver_2))
+        maps = [robin_trace_map(solver, 1.0).apply for solver in setup.solvers]
+        calls = self._count_solves(monkeypatch)
         lam = chi
         for _ in range(3):
-            _, lam = pr_step(setup.solvers, chi, lam, 1.0)
+            _, lam = pr_step(setup.solvers, chi, lam, 1.0, maps)
         assert calls == []
+
+    def test_robin_resolvent_probes_only_where_it_pays(self, monkeypatch):
+        # n_interface = 5 and n_steps = 4: probing pays from 6 applies
+        # on; beyond RESOLVENT_STEPS steps an apply costs more than the
+        # Robin solve it replaces, so it never pays
+        rng = np.random.default_rng(3)
+        for setup, n_applies, probes in (
+                (small_setup(), 5, False), (small_setup(), 6, True),
+                (small_setup(nx=2, dimension=1,
+                             n_steps=rrlab.interface.RESOLVENT_STEPS + 1),
+                 10 ** 6, False)):
+            solver = setup.solver_2
+            n_steps, n_g = solver.ops.grid.n_steps, solver.ops.n_interface
+            rhs = rng.standard_normal((2, n_steps, n_g))
+            want = solve_robin_resolvent(solver, InterfaceSignal(rhs, "dual"),
+                                         0.7).values
+            resolvent = robin_resolvent(solver, 0.7, n_applies)
+            assert bool(solver.robin_maps) == probes
+            got = resolvent(rhs)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_robin_trace_map_is_probed_once_per_solver_and_s(self,
                                                              monkeypatch):
@@ -377,18 +412,22 @@ class TestPeacemanRachford:
         assert solves == [2, 2]
         assert robin_trace_map(setup.solver_1, 0.7) is not first
 
+    @pytest.mark.parametrize("probed", [False, True],
+                             ids=["robin-solves", "probed-maps"])
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("theta", [1.0, 0.5])
-    def test_matches_textbook_four_solve_step(self, dimension, theta):
+    def test_matches_textbook_four_solve_step(self, dimension, theta, probed):
         setup = small_setup(nx=8, n_steps=6, dimension=dimension, theta=theta)
         ops = setup.ops_1
         chi = (interface_source(setup.solver_1)
                + interface_source(setup.solver_2))
+        resolvents = ([robin_trace_map(solver, 0.7).apply
+                       for solver in setup.solvers] if probed else None)
         eta_ref = InterfaceSignal(np.zeros((6, ops.n_interface)))
         lam = chi
         for _ in range(20):
             eta_ref = textbook_pr_step(setup.solvers, chi, eta_ref, 0.7)
-            eta, lam = pr_step(setup.solvers, chi, lam, 0.7)
+            eta, lam = pr_step(setup.solvers, chi, lam, 0.7, resolvents)
             num = np.abs(eta.values - eta_ref.values).max()
             assert num <= 1e-12 * np.abs(eta_ref.values).max()
 
@@ -425,13 +464,18 @@ class TestPeacemanRachford:
         observed = (norms[-1] / norms[-11]) ** 0.1
         assert observed == pytest.approx(rho, rel=0.15)
 
-    @pytest.mark.parametrize("run", [
-        run_pr, run_rr,
-        lambda solvers, cfg, references: run_equivalence(solvers, cfg.s, 2)],
-        ids=["run_pr", "run_rr", "run_equivalence"])
-    def test_sources_computed_once_per_run(self, run, monkeypatch):
-        # chi_1 and chi_2 cost a Dirichlet solve and a flux recovery each
-        import rrlab.interface
+    @pytest.mark.parametrize("run, tracked, n_calls", [
+        (run_pr, True, 2), (run_rr, True, 2), (run_pr, False, 2),
+        (run_rr, False, 0),
+        (lambda solvers, cfg, references: run_equivalence(solvers, cfg.s, 2),
+         False, 2)],
+        ids=["run_pr", "run_rr", "run_pr-untracked", "run_rr-untracked",
+             "run_equivalence"])
+    def test_sources_computed_once_per_run(self, run, tracked, n_calls,
+                                           monkeypatch):
+        # chi_1 and chi_2 cost a Dirichlet solve and a flux recovery each;
+        # the Peaceman-Rachford iterates and the tracking read them, the
+        # Robin sweep does not
         calls = []
 
         def counted(solver):
@@ -440,17 +484,20 @@ class TestPeacemanRachford:
 
         monkeypatch.setattr(rrlab.interface, "interface_source", counted)
         setup = small_setup()
-        refs = references_from_monolithic(setup)
+        refs = references_from_monolithic(setup) if tracked else None
         run(setup.solvers, IterationConfig(max_iter=2), references=refs)
-        assert sorted(calls) == [1, 2]
+        assert sorted(calls) == [1, 2][:n_calls]
 
-    def test_tracked_iteration_solve_counts(self, monkeypatch):
-        # run_pr probes both resolvents before the first pr_step, by
-        # ceil(n_interface / width) Robin solves each; an iteration is
-        # then no subdomain solve, and each block of iterates costs a
-        # Dirichlet solve and a flux recovery per subdomain, its
-        # residuals going through the subdomain-2 resolvent
-        import rrlab.interface
+    @pytest.mark.parametrize("max_iter", [5, 12],
+                             ids=["robin-solves", "probed-maps"])
+    def test_tracked_iteration_solve_counts(self, max_iter, monkeypatch):
+        # n_interface = 5: probing pays for 12 applies, not for 5.  With
+        # probed maps run_pr probes both resolvents before the first
+        # pr_step, by ceil(n_interface / width) Robin solves each, and an
+        # iteration makes no subdomain solve; else an iteration is two
+        # Robin solves and each block's residuals one more.  Each block
+        # of iterates costs a Dirichlet solve and a flux recovery per
+        # subdomain.
         import rrlab.subsolve
         from rrlab.subsolve import SubdomainSolver
         calls = []
@@ -469,10 +516,10 @@ class TestPeacemanRachford:
         monkeypatch.setattr(rrlab.interface, "pr_step",
                             counting(rrlab.interface, "pr_step"))
 
-        max_iter = 5
         for width in (1, 2, 4, 100):
             setup = small_setup()
             ops = setup.ops_1
+            assert ops.n_interface == 5
             monkeypatch.setattr(rrlab.subsolve, "BLOCK_VALUES",
                                 width * (ops.grid.n_steps + 1) * ops.n_dofs)
             assert [s.block_width() for s in setup.solvers] == [width] * 2
@@ -482,17 +529,22 @@ class TestPeacemanRachford:
                    references=refs)
             first = calls.index("pr_step")
             before, after = calls[:first], calls[first:]
-            assert before.count("robin_solve") == \
-                2 * -(-ops.n_interface // width)
-            assert after.count("pr_step") == max_iter
-            assert after.count("robin_solve") == 0
             n_blocks = -(-max_iter // width)
+            if max_iter == 12:
+                assert before.count("robin_solve") == \
+                    2 * -(-ops.n_interface // width)
+                assert after.count("robin_solve") == 0
+            else:
+                assert before.count("robin_solve") == 0
+                assert after.count("robin_solve") == 2 * max_iter + n_blocks
+            assert after.count("pr_step") == max_iter
             assert after.count("dirichlet_solve") == 2 * n_blocks
             assert after.count("flux_recovery") == 2 * n_blocks
 
     @pytest.mark.parametrize("width", [1, 3, 100])
-    @pytest.mark.parametrize("tol, max_iter", [(1e-6, 60), (0.0, 7)],
-                             ids=["stops-on-tol", "reaches-max-iter"])
+    @pytest.mark.parametrize("tol, max_iter", [(1e-6, 60), (0.0, 7), (0.0, 4)],
+                             ids=["stops-on-tol", "reaches-max-iter",
+                                  "robin-solves"])
     @pytest.mark.parametrize("run", [run_pr, run_rr])
     def test_block_tracking_matches_per_iteration_tracking(
             self, run, tol, max_iter, width, monkeypatch):
@@ -544,6 +596,28 @@ class TestPeacemanRachford:
             assert got.shape == (report.n_iterations,)
             np.testing.assert_allclose(got, values, rtol=0,
                                        atol=1e-12 * np.abs(values).max())
+
+    @pytest.mark.parametrize("run", [run_pr, run_rr])
+    def test_tracking_matches_dirichlet_solves(self, run):
+        # the subdomain-2 error and gap of the report, tracked in blocks
+        # of iterates, equal those of a Dirichlet solve at the iterate;
+        # 12 iterations are run on probed maps, fewer on Robin solves
+        from rrlab.lab import field_error_norm
+        setup = small_setup(nx=8, n_steps=5)
+        refs = references_from_monolithic(setup)
+        s2, ops = setup.solver_2, setup.ops_2
+        chi_2 = interface_source(s2)
+        S2_ref = s2.flux_recovery(refs.u2_ref, ops.loads) + chi_2
+        for n in (1, 2, 4, 12):
+            eta, report = run(setup.solvers,
+                              IterationConfig(s=0.7, tol=0.0, max_iter=n),
+                              references=refs)
+            u2 = s2.dirichlet_solve(eta=eta, loads=ops.loads)
+            S2_eta = s2.flux_recovery(u2, ops.loads) + chi_2
+            err = field_error_norm(u2, refs.u2_ref, ops)
+            gap = (S2_ref - S2_eta).pair(refs.eta_ref - eta)
+            assert report.errors_2[-1] == pytest.approx(err, rel=1e-10)
+            assert report.gaps_2[-1] == pytest.approx(gap, rel=1e-9)
 
     def test_one_step_drawn_per_iteration(self, monkeypatch):
         # the shared driver stops drawing iterates at max_iter
@@ -599,6 +673,37 @@ class TestRobinRobinSweep:
     def test_degenerate_single_subdomain_rejected(self):
         with pytest.raises(ValueError):
             ProblemSpec(dimension=2, nx=4, ny=4, interface_x=1.0)
+
+
+class TestBlockToeplitz:
+    @pytest.mark.parametrize("n_steps, batch", [(5, ()), (40, (3,)),
+                                                (700, (2,))])
+    def test_apply_equals_dense_product(self, n_steps, batch):
+        # at 700 steps the product runs in several chunks of steps
+        rng = np.random.default_rng(4)
+        op = BlockToeplitz(rng.standard_normal((n_steps, 3, 4)))
+        x = rng.standard_normal(batch + (n_steps, 4))
+        want = (x.reshape(batch + (-1,)) @ op.dense().T).reshape(
+            batch + (n_steps, 3))
+        np.testing.assert_allclose(op.apply(x), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+    def test_apply_memory_is_linear_in_steps(self):
+        # a product of all n_steps windows at once would hold
+        # n_steps^2 * n_in values (100 MB here); a chunk holds at most
+        # APPLY_WINDOW_VALUES (2 MB), and its step indices a fifth of that
+        import tracemalloc
+        n_steps, n_in = 1600, 5
+        op = BlockToeplitz(np.ones((n_steps, 1, n_in)))
+        x = np.ones((n_steps, n_in))
+        tracemalloc.start()
+        try:
+            y = op.apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * rrlab.interface.APPLY_WINDOW_VALUES
+        np.testing.assert_array_equal(y[:, 0], n_in * np.arange(1, n_steps + 1))
 
 
 class TestDenseGuard:

@@ -87,14 +87,14 @@ class TestDecompose:
         dec = decompose(build_mesh(spec), spec)
         assert dec.interior_1.size == 0
         assert dec.interior_2.size == 0
-        assert dec.n_interface == 1
+        assert dec.n_interface == spec.n_interface == 1
         assert dec.interface[0] == 1   # the middle node
 
     def test_2d_interface_count(self):
-        spec = spec_2d(nx=4, ny=4, gamma=0.5)
+        spec = spec_2d(nx=4, ny=6, gamma=0.5)
         dec = decompose(build_mesh(spec), spec)
         # endpoints on the exterior boundary are eliminated
-        assert dec.n_interface == 3
+        assert dec.n_interface == spec.n_interface == 5
 
     def test_partition_covers_free_dofs(self):
         for spec in (spec_1d(nx=8, gamma=0.25), spec_2d(nx=6, ny=4, gamma=0.5)):

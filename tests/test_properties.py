@@ -211,9 +211,10 @@ def test_pr_step_equals_two_robin_solve_step(spec, s):
             solvers = tuple(map(SubdomainSolver, (setup.ops_1, setup.ops_2)))
             s1, s2 = solvers
             chi = interface_source(s1) + interface_source(s2)
+            maps = [robin_trace_map(solver, s).apply for solver in solvers]
             lam = want = lam0
             for _ in range(3):
-                eta, lam = pr_step(solvers, chi, lam, s)
+                eta, lam = pr_step(solvers, chi, lam, s, maps)
                 half = solve_robin_resolvent(s1, want, s)
                 mu = 2.0 * interface_gram(half, s1.ops, s) - want + chi
                 eta_want = solve_robin_resolvent(s2, mu, s)
