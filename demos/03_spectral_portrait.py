@@ -12,8 +12,7 @@ constants).
 
 import numpy as np
 
-from rrlab.interface import SteklovOperator, assemble_dense, spectral_analysis
-from rrlab.lab import default_problem, setup_problem
+from rrlab.lab import default_problem, setup_problem, spectral_portrait
 
 print(__doc__)
 
@@ -22,11 +21,7 @@ ops = setup.ops_1
 n_steps, n_g = ops.grid.n_steps, ops.n_interface
 print(f"probing dense operators ({n_g} step-1 probes each, "
       f"tiled to {n_steps * n_g} columns) ...")
-S1 = assemble_dense(SteklovOperator(setup.solver_1).apply, n_steps, n_g)
-S2 = assemble_dense(SteklovOperator(setup.solver_2).apply, n_steps, n_g)
-
-s_values = np.geomspace(0.05, 50.0, 11)
-rows = spectral_analysis(S1, S2, ops.M_gamma, ops.grid.tau, s_values)
+rows = spectral_portrait(setup, np.geomspace(0.05, 50.0, 11))
 
 print("\n      s        rho      sv_min(sJ+S1)  sv_min(sJ+S2)")
 for r in rows:

@@ -4,8 +4,8 @@ Ten property-based criteria at desk scale, each with a pinned tolerance.
 ``rrlab check`` runs them all and prints one pass/fail line per
 criterion; the pytest acceptance module drives the same functions.
 Expensive shared artifacts (the desk problem, its monolithic reference,
-dense-probed interface operators, converged runs per Robin parameter)
-are computed once and cached.
+the spectral portrait of its dense-probed interface operators, converged
+runs per Robin parameter) are computed once and cached.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from .fracnorm import (derivative_multiplier, padded_extension,
                        parabolic_coercivity, random_smooth_field)
 from .interface import (IterationConfig, SteklovOperator, assemble_dense,
                         h_norm, interface_gram, pr_step, robin_resolvent,
-                        run_equivalence, run_pr, solve_robin_resolvent,
-                        spectral_analysis)
+                        run_equivalence, run_pr, solve_robin_resolvent)
 from .lab import (default_problem, field_error_norm, glue_fields,
                   least_squares_order, references_from_monolithic,
                   restrict_field, run_mms_spatial, run_mms_temporal,
-                  setup_problem)
+                  setup_problem, spectral_portrait)
 from .mesh import ProblemSpec
 from .subsolve import InterfaceSignal, SpaceTimeField
 
@@ -78,21 +77,8 @@ class DeskArtifacts:
         return out
 
     @cached_property
-    def dense_operators(self):
-        ops = self.setup.ops_1
-        n_steps, n_g = ops.grid.n_steps, ops.n_interface
-        S1 = assemble_dense(SteklovOperator(self.setup.solver_1).apply,
-                            n_steps, n_g)
-        S2 = assemble_dense(SteklovOperator(self.setup.solver_2).apply,
-                            n_steps, n_g)
-        return S1, S2
-
-    @cached_property
     def spectral_rows(self):
-        S1, S2 = self.dense_operators
-        ops = self.setup.ops_1
-        return {r.s: r for r in spectral_analysis(
-            S1, S2, ops.M_gamma, ops.grid.tau, S_VALUES)}
+        return {r.s: r for r in spectral_portrait(self.setup, S_VALUES)}
 
     @cached_property
     def lab_1d(self):

@@ -61,10 +61,7 @@ def element_diffusion(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
     """Per-element diffusion values, sampled at element centroids."""
     if callable(spec.diffusion):
         c = mesh.element_centroids()
-        if spec.dimension == 1:
-            alpha = np.asarray(spec.diffusion(c[:, 0]), dtype=float)
-        else:
-            alpha = np.asarray(spec.diffusion(c[:, 0], c[:, 1]), dtype=float)
+        alpha = np.asarray(spec.diffusion(*c.T), dtype=float)
         alpha = np.broadcast_to(alpha, (mesh.n_elements,)).copy()
     else:
         alpha = np.full(mesh.n_elements, float(spec.diffusion))
@@ -203,10 +200,7 @@ def assemble_loads(spec: ProblemSpec, mesh: Mesh, grid: TimeGrid,
     mass_rows = _assemble_mesh(mesh, np.ones(mesh.n_elements), elements)[0][dof_nodes]
     coords = mesh.nodes
     for k, t in enumerate(grid.load_times()):
-        if spec.dimension == 1:
-            fk = np.asarray(spec.source(coords[:, 0], t), dtype=float)
-        else:
-            fk = np.asarray(spec.source(coords[:, 0], coords[:, 1], t), dtype=float)
+        fk = np.asarray(spec.source(*coords.T, t), dtype=float)
         fk = np.broadcast_to(fk, (mesh.n_nodes,))
         if not np.all(np.isfinite(fk)):
             raise ValueError(f"source produced non-finite values at t={t}")

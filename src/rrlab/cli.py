@@ -2,8 +2,9 @@
 
 ``rrlab run <config-file> [--out DIR] [--seed N]`` runs one scenario and
 writes its CSV report; ``rrlab check`` runs the built-in acceptance
-suite.  Exit codes: 0 success, 2 invalid configuration, 3 solver
-failure, 4 acceptance threshold violated.
+suite.  Exit codes: 0 success, 2 invalid configuration or an output
+that cannot be written, 3 solver failure, 4 acceptance threshold
+violated.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
-from .lab import ConfigError, parse_config, run_scenario
+from .lab import (_RUNNERS, ConfigError, ScenarioConfig, parse_config,
+                  run_scenario)
 from .subsolve import SolverFailure
 
 EXIT_OK = 0
@@ -33,11 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser(
         "run", help="run one scenario from a key=value config file",
-        description="Scenarios: converge, equivalence, spectrum, "
-                    "coercivity, mms.  Config keys mirror ScenarioConfig "
-                    "fields (scenario, nx, ny, n_steps, theta, s, tol, "
-                    "max_iter, s_values, mesh_levels, samples, phi, seed, "
-                    "alpha_left, alpha_right, source, ...).")
+        description=f"Scenarios: {', '.join(_RUNNERS)}.  Config keys "
+                    "mirror ScenarioConfig fields: "
+                    f"{', '.join(f.name for f in fields(ScenarioConfig))}.")
     run_p.add_argument("config", help="path to the configuration file")
     run_p.add_argument("--out", default=".", help="output directory")
     run_p.add_argument("--seed", type=int, default=None,
@@ -73,7 +74,11 @@ def _cmd_run(args) -> int:
         return EXIT_SOLVER
 
     path = os.path.join(args.out, f"{config.scenario}.csv")
-    result.report.write(path)
+    try:
+        result.report.write(path)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(path)
     if result.violation is not None:
         print(f"threshold violated: {result.violation}", file=sys.stderr)

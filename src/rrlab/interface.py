@@ -19,8 +19,11 @@ realizes each resolvent by robin_resolvent: as its BlockToeplitz,
 probed by Robin solves once per solver and s (robin_trace_map), when
 its applies over the run save more than the probe costs, and by a Robin
 solve per apply otherwise.  The PDE-level sweep stays two Robin solves
-with loads.  Subdomain fields are made only by reference tracking, one
-loaded Dirichlet solve per subdomain for a block of iterates, and S_i
+with loads.  The sources chi enter only the affine part of the step, so
+only the Peaceman-Rachford iterates read them: every tracked quantity
+is a difference in which they cancel (_track_block).  Subdomain fields
+are made only by reference tracking, one loaded Dirichlet solve per
+subdomain for a block of iterates, and S_i, or its loaded part sigma_i,
 is applied by a Dirichlet solve and a flux recovery only there, in
 dense probing and in the acceptance criteria.
 """
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -42,7 +45,7 @@ from .subsolve import (InterfaceSignal, SpaceTimeField, SubdomainSolver,
 __all__ = [
     "SteklovOperator", "IterationConfig", "ConvergenceReport",
     "interface_gram", "interface_source", "solve_robin_resolvent",
-    "pr_step", "run_pr", "run_rr", "run_iteration", "RobinSweepState",
+    "pr_step", "run_pr", "run_rr", "RobinSweepState",
     "init_robin_sweep", "robin_sweep", "run_equivalence", "h_norm",
     "assemble_dense", "spectral_analysis", "SpectralRow", "BlockToeplitz",
     "robin_trace_map", "robin_resolvent", "check_dense_columns",
@@ -137,7 +140,6 @@ class IterationConfig:
     s: float = 1.0
     tol: float = 1e-10
     max_iter: int = 200
-    variant: str = "pr_interface"
 
     def __post_init__(self):
         if self.s <= 0:
@@ -146,8 +148,6 @@ class IterationConfig:
             raise ValueError("tol must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.variant not in ("pr_interface", "rr_pde"):
-            raise ValueError(f"unknown iteration variant {self.variant!r}")
 
 
 @dataclass
@@ -168,7 +168,7 @@ class ConvergenceReport:
 
 
 def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal, s: float,
-            resolvents=None) -> tuple[InterfaceSignal, InterfaceSignal]:
+            resolvents) -> tuple[InterfaceSignal, InterfaceSignal]:
     """One Peaceman-Rachford double sweep on the interface.
 
     The step is carried on the Robin datum lam = (sJ - S2) eta + chi,
@@ -183,16 +183,15 @@ def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal, s: float,
     Each reflection (sJ - S_i) x = 2 sJ x - (sJ + S_i) x takes
     (sJ + S_i) x from the right-hand side of the resolvent that gave x
     (Lions & Mercier, SIAM J. Numer. Anal. 16, 1979), so S_i is never
-    applied.  ``resolvents`` is the pair (R1, R2) from robin_resolvent;
-    by default each is one Robin solve, the cheaper choice for a single
-    step.  Returns (eta next, lam next).  With chi = 0 the map is linear
-    and its fixed point is zero; in general fixed points solve
-    (S1 + S2) eta = chi.
+    applied.  ``resolvents`` is the pair (R1, R2) from robin_resolvent,
+    which the caller makes for the number of steps it will take.
+    Returns (eta next, lam next).  chi enters only here, in the affine
+    part of the map: with chi = 0 the map is linear and its fixed point
+    is zero; in general fixed points solve (S1 + S2) eta = chi.
     """
     if lam.kind != "dual" or chi_sum.kind != "dual":
         raise ValueError("the Robin datum and the sources are dual signals")
-    R1, R2 = resolvents or [robin_resolvent(solver, s, 1)
-                            for solver in solvers]
+    R1, R2 = resolvents
     two_sJ = 2.0 * _sJ(solvers[0].ops, s)
     chi = chi_sum.values
 
@@ -275,19 +274,13 @@ def _orbit(step, x):
         yield x
 
 
-def _sources(solvers):
-    """The interface sources chi = (chi_1, chi_2) of one run, computed
-    on the first call and kept: a run that reads no source makes none."""
-    return cache(lambda: tuple(map(interface_source, solvers)))
-
-
-def _pr_iterates(solvers, s: float, max_iter: int, sources):
+def _pr_iterates(solvers, s: float, max_iter: int):
     """Peaceman-Rachford iterates from eta^0 = 0, whose Robin datum is
-    chi = chi_1 + chi_2 itself.  Both resolvents are made for max_iter
-    applies (robin_resolvent) at once, before the first iterate is
-    drawn."""
+    chi = chi_1 + chi_2 itself.  Both resolvents, made for max_iter
+    applies (robin_resolvent), and chi are made at once, before the
+    first iterate is drawn; nothing else in a run reads chi."""
     resolvents = [robin_resolvent(solver, s, max_iter) for solver in solvers]
-    chi_1, chi_2 = sources()
+    chi_1, chi_2 = map(interface_source, solvers)
     chi_sum = chi_1 + chi_2
 
     def iterates():
@@ -298,7 +291,7 @@ def _pr_iterates(solvers, s: float, max_iter: int, sources):
     return iterates()
 
 
-def _rr_iterates(solvers, s: float, max_iter: int, sources):
+def _rr_iterates(solvers, s: float, max_iter: int):
     """Traces of u2 after each Robin sweep; the initial sweep state is
     built at once, before the first iterate is drawn.  The sweep reads
     no interface source."""
@@ -314,34 +307,32 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
 
     ``make_iterates`` (_pr_iterates or _rr_iterates) gives the iterates
     eta^1, eta^2, ... (eta^0 = 0); at most config.max_iter of them are
-    drawn, and the stopping rule reads only the increments.  The
-    interface sources are computed here, once, if the iterates or the
-    tracking read them.  When ``references`` is given, the report also
-    holds, per iteration, the subdomain X-norm errors of the
-    interface-parametrized fields, the monotone gaps against the
-    reference trace, and the Steklov-Poincare residual pushed through
-    the resolvent (sJ + S2)^-1 (the iteration's own metric).  These are
-    a pure function of eta^n, so they are computed for a block of
-    iterates at once (_track_block): per block of
-    SubdomainSolver.block_width() iterates, one loaded Dirichlet solve
-    and one flux recovery on each subdomain, and one apply of the
-    subdomain-2 resolvent, made by robin_resolvent for max_iter applies
-    before the first iterate is drawn (run_pr shares it).
+    drawn, and the stopping rule reads only the increments.  When
+    ``references`` is given, the report also holds, per iteration, the
+    subdomain X-norm errors of the interface-parametrized fields, the
+    monotone gaps against the reference trace, and the Steklov-Poincare
+    residual pushed through the resolvent (sJ + S2)^-1 (the iteration's
+    own metric).  These are a pure function of eta^n and read no
+    interface source, so they are computed for a block of iterates at
+    once (_track_block): per block of SubdomainSolver.block_width()
+    iterates, one loaded Dirichlet solve and one flux recovery on each
+    subdomain, and one apply of the subdomain-2 resolvent, made by
+    robin_resolvent for max_iter applies before the first iterate is
+    drawn (run_pr shares it).  The loaded fluxes of the reference
+    fields are recovered once, before the first iterate.
     """
     s1, s2 = solvers
     ops = s1.ops
     tau, Mg = ops.grid.tau, ops.M_gamma
     eta = InterfaceSignal(np.zeros((ops.grid.n_steps, ops.n_interface)), "primal")
 
-    sources = _sources(solvers)
-    iterates = make_iterates(solvers, config.s, config.max_iter, sources)
+    iterates = make_iterates(solvers, config.s, config.max_iter)
     report = ConvergenceReport()
     track = references is not None
     if track:
-        chi = sources()
         u_refs = (references.u1_ref, references.u2_ref)
-        S_refs = [solver.flux_recovery(u_ref, solver.ops.loads) + chi_i
-                  for solver, u_ref, chi_i in zip(solvers, u_refs, chi)]
+        sigma_refs = [solver.flux_recovery(u_ref, solver.ops.loads)
+                      for solver, u_ref in zip(solvers, u_refs)]
         # made before the first iterate is drawn, so that every
         # iteration does the same work (perfbench pools later iterations)
         resolvent = robin_resolvent(s2, config.s, config.max_iter)
@@ -352,7 +343,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
 
         def flush(n_tracked):
             # track the pending block; its first n_tracked iterates count
-            values = _track_block(solvers, references, chi, S_refs,
+            values = _track_block(solvers, references, sigma_refs,
                                   resolvent, pending)
             for value, row in zip(values, rows):
                 row.extend(value[:n_tracked].tolist())
@@ -385,26 +376,33 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     return eta, report
 
 
-def _track_block(solvers, references: PRReferences, chi, S_refs,
+def _track_block(solvers, references: PRReferences, sigma_refs,
                  resolvent, pending: list):
     """X-norm errors and gaps of both subdomains, and residuals, of a
     block of iterates given as eta^n values; one array each, in the
-    order errors_1, gaps_1, errors_2, gaps_2, residuals.  Each subdomain
-    costs one loaded Dirichlet solve and one flux recovery; the
-    residuals go through ``resolvent``, (sJ + S2)^-1, in one apply."""
+    order errors_1, gaps_1, errors_2, gaps_2, residuals.
+
+    With sigma_i(eta) the loaded flux of the loaded Dirichlet solve with
+    trace eta (``sigma_refs`` holds sigma_i(eta_ref)), S_i eta =
+    sigma_i(eta) + chi_i, so chi cancels from every quantity: gap_i =
+    (sigma_i(eta_ref) - sigma_i(eta)) . (eta_ref - eta), and the
+    residual (S1 + S2) eta - chi is sigma_1(eta) + sigma_2(eta).  Each
+    subdomain costs one loaded Dirichlet solve and one flux recovery;
+    the residuals go through ``resolvent``, (sJ + S2)^-1, in one apply.
+    """
     from .lab import field_error_norm
     ops = solvers[0].ops
     eta = InterfaceSignal(np.array(pending), "primal")
     diff = references.eta_ref - eta
-    out, S_eta = [], []
-    for solver, u_ref, chi_i, S_ref in zip(
-            solvers, (references.u1_ref, references.u2_ref), chi, S_refs):
+    out, sigmas = [], []
+    for solver, u_ref, sigma_ref in zip(
+            solvers, (references.u1_ref, references.u2_ref), sigma_refs):
         u = solver.dirichlet_solve(eta=eta, loads=solver.ops.loads)
-        S_eta.append(solver.flux_recovery(u, solver.ops.loads) + chi_i)
+        sigmas.append(solver.flux_recovery(u, solver.ops.loads))
         out += [field_error_norm(u, u_ref, solver.ops),
-                (S_ref - S_eta[-1]).pair(diff)]
+                (sigma_ref - sigmas[-1]).pair(diff)]
         del u       # a block of fields; not kept through the next solve
-    resid = (S_eta[0] + S_eta[1]) - (chi[0] + chi[1])
+    resid = sigmas[0] + sigmas[1]
     precond = InterfaceSignal(resolvent(resid.values), "primal")
     return out + [h_norm(precond, ops.M_gamma, ops.grid.tau)]
 
@@ -437,13 +435,6 @@ def run_rr(solvers, config: IterationConfig,
     return _run_iteration(solvers, config, _rr_iterates, references)
 
 
-def run_iteration(solvers, config: IterationConfig,
-                  references: PRReferences | None = None):
-    """Dispatch on config.variant: pr_interface or rr_pde."""
-    driver = run_pr if config.variant == "pr_interface" else run_rr
-    return driver(solvers, config, references)
-
-
 def run_equivalence(solvers, s: float, n_iterations: int):
     """Run the interface and the PDE-level iterations in lockstep.
 
@@ -452,11 +443,10 @@ def run_equivalence(solvers, s: float, n_iterations: int):
     u2, measured in the interface L2 norm.
     """
     tau, Mg = solvers[0].ops.grid.tau, solvers[0].ops.M_gamma
-    sources = _sources(solvers)
     discrepancies = []
     for _, eta, tr in zip(range(n_iterations),
-                          _pr_iterates(solvers, s, n_iterations, sources),
-                          _rr_iterates(solvers, s, n_iterations, sources)):
+                          _pr_iterates(solvers, s, n_iterations),
+                          _rr_iterates(solvers, s, n_iterations)):
         num = h_norm(tr - eta, Mg, tau)
         den = h_norm(eta, Mg, tau)
         discrepancies.append(num / den if den > 0 else num)

@@ -1,10 +1,13 @@
 """Harness tests: monolithic solver, norms, manufactured solutions,
 scenario runner, CSV reports, configuration, and the CLI."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 import rrlab.cli as cli
+import rrlab.lab
 from rrlab.dense import dense_space_time_matrix, dense_space_time_solve
 from rrlab.interface import IterationConfig, run_pr
 from rrlab.lab import (ConfigError, CsvReport, ScenarioConfig,
@@ -139,7 +142,7 @@ class TestManufacturedSolutions:
         spec = mms_spec(2, 8, 8, 1.0)
         mesh = build_mesh(spec)
         all_nodes = np.arange(mesh.n_nodes)
-        vals = mms_exact_nodal(mesh, all_nodes, np.array([0.0, 0.5]), 2)
+        vals = mms_exact_nodal(mesh, all_nodes, np.array([0.0, 0.5]))
         assert not vals[0].any()
         np.testing.assert_allclose(vals[1][mesh.boundary], 0.0, atol=1e-14)
 
@@ -206,6 +209,33 @@ class TestConfigParsing:
         text = "\n".join(f"{k} = {v}" for k, v in cfg.echo().items())
         assert parse_config(text) == cfg
 
+    # a value other than the default for every ScenarioConfig field
+    OTHER_VALUES = dict(
+        scenario="mms", dimension=1, nx=8, ny=6, length_x=2.0,
+        length_y=0.5, interface_x=1.0, alpha_left=2.0, alpha_right=0.5,
+        horizon=0.5, n_steps=8, theta=0.5, source="zero", source_scale=2.5,
+        s=0.3, tol=1e-8, max_iter=30, variant="rr_pde", iterations=7,
+        s_values=(0.25, 4.0), mesh_levels=(2, 6), samples=3, phi=0.2,
+        seed=5)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])
+    def test_echo_line_reparses_to_its_field(self, name):
+        # each key is read as the type of its default, a tuple entry by
+        # entry; the mms scenario builds no ProblemSpec from the others
+        assert set(self.OTHER_VALUES) == {f.name for f in
+                                          fields(ScenarioConfig)}
+        want = self.OTHER_VALUES[name]
+        assert want != getattr(ScenarioConfig(), name)
+        echoed = replace(ScenarioConfig(), **{name: want}).echo()[name]
+        line = f"{name} = {echoed}"
+        text = line if name == "scenario" else f"scenario = mms\n{line}"
+        got = getattr(parse_config(text), name)
+
+        def entries(v):
+            return v if isinstance(v, tuple) else (v,)
+        assert got == want
+        assert list(map(type, entries(got))) == list(map(type, entries(want)))
+
     def test_spec_from_scenario_piecewise_alpha(self):
         from rrlab.assembly import element_diffusion
         cfg = small_config(alpha_left=2.0, alpha_right=5.0)
@@ -270,6 +300,22 @@ class TestScenarios:
             # same iterates up to roundoff, hence near-identical diagnostics
             assert a[2] == pytest.approx(b[2], rel=1e-8, abs=1e-13)
             assert a[3] == pytest.approx(b[3], rel=1e-8, abs=1e-13)
+
+    @pytest.mark.parametrize("variant, name", [("pr_interface", "run_pr"),
+                                               ("rr_pde", "run_rr")])
+    def test_converge_runs_the_driver_bound_in_lab(self, variant, name,
+                                                   monkeypatch):
+        # perfbench traces a driver by patching the module attribute, so
+        # the converge scenario must look its driver up when it runs
+        driver, called = getattr(rrlab.lab, name), []
+
+        def spy(*args, **kwargs):
+            called.append(name)
+            return driver(*args, **kwargs)
+
+        monkeypatch.setattr(rrlab.lab, name, spy)
+        run_scenario(small_config(variant=variant, tol=0.0, max_iter=3))
+        assert called == [name]
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="variant"):
@@ -403,6 +449,22 @@ class TestCli:
             in capsys.readouterr().err
         assert not ran
         assert out.read_text() == "not a directory"
+
+    def test_run_report_path_is_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path, "scenario = equivalence\nnx = 4\niterations = 2\n")
+        out = tmp_path / "out"
+        (out / "equivalence.csv").mkdir(parents=True)
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        assert "error: cannot write report" in capsys.readouterr().err
+
+    def test_run_help_lists_every_config_key(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["run", "--help"])
+        out = capsys.readouterr().out
+        words = out.replace(",", " ").replace(".", " ").split()
+        for f in fields(ScenarioConfig):
+            assert f.name in words
 
     def test_run_negative_seed_override_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(
