@@ -10,29 +10,32 @@ resolvent (sJ + S_i)^-1, never an inner iteration, so their iterates
 agree to roundoff.
 
 Every interface operator here is causal and time-invariant, so it is a
-BlockToeplitz, determined by its first block column.  Dense probing
-forms that column from the unit signals at step 1.  A Peaceman-Rachford
-step carries the Robin datum lam = (sJ - S2) eta + chi and is two
-resolvent applies: each reflection (sJ - S_i) x = 2 sJ x - (sJ + S_i) x
-is read off the right-hand side of the resolvent that produced x.  A run
-realizes each resolvent by robin_resolvent: as its BlockToeplitz,
-probed by Robin solves once per solver and s (robin_trace_map), when
-its applies over the run save more than the probe costs, and by a Robin
-solve per apply otherwise.  The PDE-level sweep stays two Robin solves
-with loads.  The sources chi enter only the affine part of the step, so
-only the Peaceman-Rachford iterates read them: every tracked quantity
-is a difference in which they cancel (_track_block).  Subdomain fields
-are made only by reference tracking, one loaded Dirichlet solve per
-subdomain for a block of iterates, and S_i, or its loaded part sigma_i,
-is applied by a Dirichlet solve and a flux recovery only there, in
-dense probing and in the acceptance criteria.
+BlockToeplitz, determined by its first block column, and the inverse of
+one is one too (BlockToeplitz.inverse).  A Peaceman-Rachford step
+carries the Robin datum lam = (sJ - S2) eta + chi and is two resolvent
+applies: each reflection (sJ - S_i) x = 2 sJ x - (sJ + S_i) x is read
+off the right-hand side of the resolvent that produced x.  A run
+realizes each resolvent by robin_resolvent: as its BlockToeplitz
+(robin_trace_map) when its applies over the run save more than the map
+costs, and by a Robin solve per apply otherwise.  A subdomain is probed
+by Robin solves once, at the first s asked of it; that probe gives the
+solver's SteklovForms: the s-independent column of S_i, from which
+every other resolvent is one inverse, and, where it fits GRAM_VALUES,
+the X-norm Gram of the trace-to-field map, from the probe's own fields.
+The PDE-level sweep stays two Robin solves with loads.  The sources chi
+enter only the affine part of the step, so only the Peaceman-Rachford
+iterates read them: every tracked quantity is a form of d = eta_ref -
+eta (_track_block), in which they cancel.  So tracking makes no
+subdomain field where the Gram is kept, and one homogeneous Dirichlet
+solve per subdomain for a block of iterates above it.  S_i is applied
+by a Dirichlet solve and a flux recovery (SteklovOperator) only in the
+acceptance criteria and in the oracles of the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -49,6 +52,7 @@ __all__ = [
     "init_robin_sweep", "robin_sweep", "run_equivalence", "h_norm",
     "assemble_dense", "spectral_analysis", "SpectralRow", "BlockToeplitz",
     "robin_trace_map", "robin_resolvent", "check_dense_columns",
+    "SteklovForms", "steklov_forms", "dirichlet_x_norm",
 ]
 
 DENSE_COLUMN_GUARD = 2000
@@ -57,13 +61,15 @@ DENSE_COLUMN_GUARD = 2000
 # (2 MB), so its temporary is bounded whatever n_steps is.
 APPLY_WINDOW_VALUES = 2 ** 18
 
-# A probed resolvent (sJ + S_i)^-1 costs about n_interface one-column
-# Robin solves to probe, and an apply of it about n_steps /
-# RESOLVENT_STEPS of the Robin solve it replaces (the apply is quadratic
-# in n_steps, the march linear).  Measured on the default problem at
-# nx = 8 .. 64, one BLAS thread: apply / Robin solve 0.07-0.16 at 16
-# steps, 0.20-0.27 at 64 and 0.62-0.91 at 256; a probe 3.8-76 Robin
-# solves for n_interface = 7-63.
+# A map of the resolvent (sJ + S_i)^-1 costs a probe, about
+# n_interface one-column Robin solves, on the first s asked of a solver;
+# that probe also gives S_i, every other s (one inverse, 1-5 ms at
+# nx = 16 .. 64) and the X-norm Gram, so once a solver holds it a map
+# costs no solve.  An apply costs about n_steps / RESOLVENT_STEPS of the
+# Robin solve it replaces (the apply is quadratic in n_steps, the march
+# linear).  Measured on the default problem at nx = 8 .. 64, one BLAS
+# thread: apply / Robin solve 0.07-0.16 at 16 steps, 0.20-0.27 at 64 and
+# 0.62-0.91 at 256; a probe 3.8-76 Robin solves for n_interface = 7-63.
 RESOLVENT_STEPS = 320
 
 
@@ -204,11 +210,11 @@ def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal, s: float,
 
 @dataclass
 class PRReferences:
-    """Reference data enabling error and gap tracking inside run_pr."""
+    """Reference data enabling error and gap tracking inside run_pr:
+    the trace of the monolithic solve, from which every tracked
+    quantity is a form (_track_block)."""
 
     eta_ref: InterfaceSignal
-    u1_ref: SpaceTimeField
-    u2_ref: SpaceTimeField
 
 
 # ---------------------------------------------------------------------------
@@ -312,27 +318,25 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     subdomain X-norm errors of the interface-parametrized fields, the
     monotone gaps against the reference trace, and the Steklov-Poincare
     residual pushed through the resolvent (sJ + S2)^-1 (the iteration's
-    own metric).  These are a pure function of eta^n and read no
-    interface source, so they are computed for a block of iterates at
-    once (_track_block): per block of SubdomainSolver.block_width()
-    iterates, one loaded Dirichlet solve and one flux recovery on each
-    subdomain, and one apply of the subdomain-2 resolvent, made by
-    robin_resolvent for max_iter applies before the first iterate is
-    drawn (run_pr shares it).  The loaded fluxes of the reference
-    fields are recovered once, before the first iterate.
+    own metric).  These are forms of eta_ref - eta^n, read from the
+    SteklovForms of both solvers (_track_block), so a tracked run first
+    probes each solver at config.s, unless it holds its forms already,
+    and its resolvents are then the maps (robin_resolvent).  They are
+    computed for a block of SubdomainSolver.block_width() iterates at
+    once: with one apply of the subdomain-2 resolvent, and above
+    GRAM_VALUES with one homogeneous Dirichlet solve per subdomain.
+    Everything a block reads is made before the first iterate is drawn.
     """
     s1, s2 = solvers
     ops = s1.ops
     tau, Mg = ops.grid.tau, ops.M_gamma
     eta = InterfaceSignal(np.zeros((ops.grid.n_steps, ops.n_interface)), "primal")
 
-    iterates = make_iterates(solvers, config.s, config.max_iter)
     report = ConvergenceReport()
     track = references is not None
     if track:
-        u_refs = (references.u1_ref, references.u2_ref)
-        sigma_refs = [solver.flux_recovery(u_ref, solver.ops.loads)
-                      for solver, u_ref in zip(solvers, u_refs)]
+        for solver in solvers:
+            steklov_forms(solver, config.s)
         # made before the first iterate is drawn, so that every
         # iteration does the same work (perfbench pools later iterations)
         resolvent = robin_resolvent(s2, config.s, config.max_iter)
@@ -343,11 +347,12 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
 
         def flush(n_tracked):
             # track the pending block; its first n_tracked iterates count
-            values = _track_block(solvers, references, sigma_refs,
-                                  resolvent, pending)
+            values = _track_block(solvers, resolvent, references.eta_ref,
+                                  pending)
             for value, row in zip(values, rows):
                 row.extend(value[:n_tracked].tolist())
             pending.clear()
+    iterates = make_iterates(solvers, config.s, config.max_iter)
 
     for _, eta_next in zip(range(config.max_iter), iterates):
         inc = h_norm(eta_next - eta, Mg, tau)
@@ -376,34 +381,29 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     return eta, report
 
 
-def _track_block(solvers, references: PRReferences, sigma_refs,
-                 resolvent, pending: list):
+def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
+                 pending: list):
     """X-norm errors and gaps of both subdomains, and residuals, of a
     block of iterates given as eta^n values; one array each, in the
     order errors_1, gaps_1, errors_2, gaps_2, residuals.
 
-    With sigma_i(eta) the loaded flux of the loaded Dirichlet solve with
-    trace eta (``sigma_refs`` holds sigma_i(eta_ref)), S_i eta =
-    sigma_i(eta) + chi_i, so chi cancels from every quantity: gap_i =
-    (sigma_i(eta_ref) - sigma_i(eta)) . (eta_ref - eta), and the
-    residual (S1 + S2) eta - chi is sigma_1(eta) + sigma_2(eta).  Each
-    subdomain costs one loaded Dirichlet solve and one flux recovery;
-    the residuals go through ``resolvent``, (sJ + S2)^-1, in one apply.
+    With d = eta_ref - eta, the field of subdomain i at eta is
+    u_i,ref - D_i d, where D_i is the homogeneous Dirichlet solve, and
+    S_i eta_ref - S_i eta = S_i d, so chi cancels from every quantity:
+    the error is ||D_i d||_X (dirichlet_x_norm), gap_i = (S_i d) . d,
+    and the residual (S1 + S2) eta - chi is -(S1 + S2) d, whose norm
+    after ``resolvent``, (sJ + S2)^-1, is that of (S1 + S2) d.  S_i is
+    the column of each solver's SteklovForms.
     """
-    from .lab import field_error_norm
     ops = solvers[0].ops
-    eta = InterfaceSignal(np.array(pending), "primal")
-    diff = references.eta_ref - eta
-    out, sigmas = [], []
-    for solver, u_ref, sigma_ref in zip(
-            solvers, (references.u1_ref, references.u2_ref), sigma_refs):
-        u = solver.dirichlet_solve(eta=eta, loads=solver.ops.loads)
-        sigmas.append(solver.flux_recovery(u, solver.ops.loads))
-        out += [field_error_norm(u, u_ref, solver.ops),
-                (sigma_ref - sigmas[-1]).pair(diff)]
-        del u       # a block of fields; not kept through the next solve
-    resid = sigmas[0] + sigmas[1]
-    precond = InterfaceSignal(resolvent(resid.values), "primal")
+    d = eta_ref.values - np.array(pending)
+    out, flux = [], 0.0
+    for solver in solvers:
+        Sd = solver.forms.steklov.apply(d)
+        out += [dirichlet_x_norm(solver, d, Sd),
+                np.sum(Sd * d, axis=(-2, -1))]
+        flux = flux + Sd
+    precond = InterfaceSignal(resolvent(flux), "primal")
     return out + [h_norm(precond, ops.M_gamma, ops.grid.tau)]
 
 
@@ -415,10 +415,11 @@ def run_pr(solvers, config: IterationConfig,
     iteration is the two resolvent applies of pr_step.  Where probing
     pays for config.max_iter applies (robin_resolvent), the run first
     probes both resolvents, ceil(n_interface / width) Robin solves each
-    (none if the solvers hold them for this s already), and an
-    iteration then makes no subdomain solve; otherwise it makes two
-    Robin solves.  Tracking costs one Dirichlet solve and one flux
-    recovery per subdomain and block of iterates.
+    (none if the solvers hold their forms already), and an iteration
+    then makes no subdomain solve; otherwise it makes two Robin solves.
+    A tracked run always takes the maps, since its forms need the probe;
+    tracking then makes no subdomain solve, or above GRAM_VALUES one
+    homogeneous Dirichlet solve per subdomain and block of iterates.
     """
     return _run_iteration(solvers, config, _pr_iterates, references)
 
@@ -542,24 +543,144 @@ class BlockToeplitz:
                 column[:(n_steps - k) * n_out]
         return out
 
+    def inverse(self) -> "BlockToeplitz":
+        """The inverse map, which is causal and time-invariant too.
+
+        Block forward substitution with the inverted diagonal block
+        (Golub & Van Loan, Matrix Computations, section 4.7): with A_k
+        the blocks of the first column, Y_0 = A_0^-1 and
+        Y_k = -A_0^-1 sum_{j=1..k} A_j Y_{k-j}, each sum one product of
+        the lags side by side with the earlier Y_j stacked.
+        """
+        n_steps, n_out, n_in = self.shape
+        if n_out != n_in:
+            raise ValueError("only a map with square blocks has an inverse")
+        A = self.first
+        inv0 = np.linalg.inv(A[0])
+        lags = A[1:].transpose(1, 0, 2).reshape(n_out, -1)
+        Y = np.empty(self.shape)
+        Y[0] = inv0
+        for k in range(1, n_steps):
+            Y[k] = -inv0 @ (lags[:, :k * n_in]
+                            @ Y[k - 1::-1].reshape(k * n_in, n_in))
+        return BlockToeplitz(Y)
+
+
+def _shifted(first: np.ndarray, sJ: np.ndarray) -> np.ndarray:
+    """The first block column of the map plus the block-diagonal
+    pairing with diagonal sJ: a copy with sJ added to the lag-0 block."""
+    out = np.array(first)
+    out[0][np.diag_indices_from(out[0])] += sJ
+    return out
+
+
+@dataclass
+class SteklovForms:
+    """What the first Robin probe of a subdomain, at s0, gives beyond its
+    map R(s0) = (s0 J + S_i)^-1 (_first_probe).
+
+    ``steklov`` is the s-independent column of S_i: the inverse of
+    R(s0) less s0 J.  Every other resolvent is one inverse of it
+    shifted by sJ (robin_trace_map).  Where the Gram fits GRAM_VALUES
+    (SubdomainSolver.gram_fits), ``gram`` is the X-norm form of the
+    probe's own fields: with y = (s0 J + S_i) d the Robin datum of a
+    trace d, the homogeneous Dirichlet field of d is the probe's field
+    of y, U y, and ||D d||_X^2 = y^T G y with G = U^T W U and
+    W = tau blockdiag(M + K) (dirichlet_x_norm).  Above the budget it
+    is None, and no probe field is kept.
+    """
+
+    s0: float
+    steklov: BlockToeplitz
+    gram: np.ndarray | None
+
+
+def dirichlet_x_norm(solver: SubdomainSolver, d: np.ndarray,
+                     Sd: np.ndarray) -> np.ndarray:
+    """||D d||_X, the X norm of the homogeneous Dirichlet field, of each
+    trace of the block d, shaped (m, n_steps, n_interface), given
+    Sd = S_i d: from the Gram of the solver's SteklovForms, or above
+    GRAM_VALUES by one Dirichlet solve of the block, so callers pass at
+    most block_width() traces."""
+    ops, forms = solver.ops, solver.forms
+    if forms.gram is not None:
+        y = _sJ(ops, forms.s0) * d + Sd
+        # the Gram is kept over (dof, step) with the steps reversed
+        flat = np.swapaxes(y[:, ::-1], 1, 2).reshape(len(y), -1)
+        return np.sqrt(np.maximum(
+            np.sum((flat @ forms.gram) * flat, axis=1), 0.0))
+    u = solver.dirichlet_solve(eta=InterfaceSignal(d))
+    return step_norm(ops.MK, u.values[:, 1:], ops.grid.tau)
+
+
+def _gram(fields: np.ndarray, ops: SubdomainOperators) -> np.ndarray:
+    """The X-norm Gram of the Robin probe's fields, over Robin data
+    ordered (dof, step) with the steps reversed.
+
+    fields[g, a] is the field at step a + 1 of the unit datum g at step
+    1, and the datum at step j reaches step k as fields[:, k - j].  With
+    Q = tau F^T (M + K) F over (g, a) pairs, G[(g, N-1-j), (h, N-1-l)]
+    = sum over k >= max(j, l) of Q[(g, k-j), (h, k-l)]; in reversed
+    steps that is Q plus the entry one step back on both axes, one
+    cumulative sum down the block diagonals.
+    """
+    n_g, n_steps, n_dofs = fields.shape
+    X = fields.reshape(n_g * n_steps, n_dofs)
+    G = ops.grid.tau * (X @ (ops.MK @ X.T))
+    blocks = G.reshape(n_g, n_steps, n_g, n_steps)
+    for a in range(1, n_steps):
+        blocks[:, a, :, 1:] += blocks[:, a - 1, :, :-1]
+    return G
+
+
+def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
+    """Probe (sJ + S_i)^-1 by Robin solves of the unit dual signals at
+    step 1, block_width() signals per solve, and keep the solver's
+    SteklovForms; the probe's fields are kept for the Gram only while
+    it is made, and only where it fits GRAM_VALUES."""
+    ops = solver.ops
+    fields = [] if solver.gram_fits() else None
+
+    def robin_traces(lam):
+        u = solver.robin_solve(s, lam=lam)
+        if fields is not None:
+            fields.append(u.values[:, 1:])
+        return solver.trace(u)
+
+    robin_map = BlockToeplitz.probe(robin_traces, ops.grid.n_steps,
+                                    ops.n_interface, "dual",
+                                    solver.block_width())
+    steklov = _shifted(robin_map.inverse().first, -_sJ(ops, s))
+    solver.forms = SteklovForms(
+        s, BlockToeplitz(steklov),
+        None if fields is None else _gram(np.concatenate(fields), ops))
+    return robin_map
+
 
 def robin_trace_map(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     """The resolvent (sJ + S_i)^-1 of one subdomain as a BlockToeplitz.
 
-    Probed by Robin solves of the n_interface unit dual signals at step
-    1, SubdomainSolver.block_width() signals per solve, so it costs
-    ceil(n_interface / width) Robin solves and keeps one first block
-    column; an apply then costs no solve.  The map is probed once per
-    solver and s and kept in ``solver.robin_maps``, as the solver keeps
-    its Robin factorizations.
+    At the first s asked of a solver it is probed by Robin solves, which
+    costs ceil(n_interface / width) Robin solves and keeps the solver's
+    SteklovForms; at every later s it is the inverse of the kept column
+    of S_i shifted by sJ, and makes no subdomain solve.  Either way it
+    is kept in ``solver.robin_maps`` by s, and an apply costs no solve.
     """
     key = float(s)
     if key not in solver.robin_maps:
-        ops = solver.ops
-        solver.robin_maps[key] = BlockToeplitz.probe(
-            partial(solve_robin_resolvent, solver, s=key),
-            ops.grid.n_steps, ops.n_interface, "dual", solver.block_width())
+        solver.robin_maps[key] = (
+            _first_probe(solver, key) if solver.forms is None else
+            BlockToeplitz(_shifted(solver.forms.steklov.first,
+                                   _sJ(solver.ops, key))).inverse())
     return solver.robin_maps[key]
+
+
+def steklov_forms(solver: SubdomainSolver, s: float) -> SteklovForms:
+    """The SteklovForms of one subdomain, made by a first Robin probe at
+    s (robin_trace_map) unless the solver holds them already."""
+    if solver.forms is None:
+        robin_trace_map(solver, s)
+    return solver.forms
 
 
 def robin_resolvent(solver: SubdomainSolver, s: float, n_applies: int):
@@ -568,14 +689,17 @@ def robin_resolvent(solver: SubdomainSolver, s: float, n_applies: int):
     ([m,] n_steps, n_interface) to primal values.
 
     It is the apply of robin_trace_map when the applies save more than
-    the probe costs, in units of a one-column Robin solve:
-    n_applies * (1 - n_steps / RESOLVENT_STEPS) > n_interface; else a
-    Robin solve per apply, which needs no probe.  The choice reads only
-    sizes, so a run makes the same choice on every call.
+    the map costs, in units of a one-column Robin solve:
+    n_applies * (1 - n_steps / RESOLVENT_STEPS) > n_interface for a
+    solver that has not been probed, and > 0 for one that holds its
+    SteklovForms, since its first probe bought S_i and so every s; else
+    a Robin solve per apply, which needs no probe.  The choice reads
+    only sizes and whether the solver was probed, so a tracked run,
+    whose forms are made first, always takes the maps.
     """
     ops = solver.ops
     saved = n_applies * (1.0 - ops.grid.n_steps / RESOLVENT_STEPS)
-    if saved > ops.n_interface:
+    if saved > (0 if solver.forms is not None else ops.n_interface):
         return robin_trace_map(solver, s).apply
     return lambda values: solve_robin_resolvent(
         solver, InterfaceSignal(values, "dual"), s).values

@@ -17,8 +17,8 @@ from . import __version__
 from .assembly import (GlobalOperators, SubdomainOperators,
                        build_global_operators, build_subdomain_operators)
 from .interface import (IterationConfig, PRReferences, SpectralRow,
-                        SteklovOperator, assemble_dense, check_dense_columns,
-                        run_equivalence, run_pr, run_rr, spectral_analysis)
+                        assemble_dense, check_dense_columns, run_equivalence,
+                        run_pr, run_rr, spectral_analysis, steklov_forms)
 from .mesh import Decomposition, Mesh, ProblemSpec, build_mesh, decompose
 from .subsolve import (InterfaceSignal, MonolithicSolver, SpaceTimeField,
                        SubdomainSolver, step_norm)
@@ -126,11 +126,8 @@ def global_trace(u: SpaceTimeField, dec: Decomposition) -> InterfaceSignal:
 
 
 def references_from_monolithic(setup: LabSetup) -> PRReferences:
-    u_ref = solve_monolithic(setup)
-    return PRReferences(
-        eta_ref=global_trace(u_ref, setup.dec),
-        u1_ref=restrict_field(u_ref, setup.dec, 1),
-        u2_ref=restrict_field(u_ref, setup.dec, 2))
+    return PRReferences(eta_ref=global_trace(solve_monolithic(setup),
+                                             setup.dec))
 
 
 def field_error_norm(u: SpaceTimeField, u_ref: SpaceTimeField,
@@ -262,13 +259,23 @@ def least_squares_order(scales, errors) -> float:
 
 
 def spectral_portrait(setup: LabSetup, s_values) -> list[SpectralRow]:
-    """spectral_analysis of the problem's S_1 and S_2, each probed
-    densely by assemble_dense, at every s of ``s_values``."""
+    """spectral_analysis of the problem's S_1 and S_2 at every s of
+    ``s_values``.  Each is the dense matrix of the column its solver
+    keeps (steklov_forms; a solver not yet probed is probed at the first
+    s), made by assemble_dense, which applies the column to the unit
+    signals at step 1 and makes no subdomain solve."""
     ops = setup.ops_1
     n_steps, n_g = ops.grid.n_steps, ops.n_interface
-    S1, S2 = (assemble_dense(SteklovOperator(solver).apply, n_steps, n_g)
+    check_dense_columns(n_steps, n_g)
+    S1, S2 = (assemble_dense(_kept_steklov(solver, s_values[0]), n_steps, n_g)
               for solver in setup.solvers)
     return spectral_analysis(S1, S2, ops.M_gamma, ops.grid.tau, s_values)
+
+
+def _kept_steklov(solver: SubdomainSolver, s: float):
+    """The signal map of S_i from its kept column."""
+    steklov = steklov_forms(solver, s).steklov
+    return lambda eta: InterfaceSignal(steklov.apply(eta.values), "dual")
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,17 @@ DENSE_MAX_DOFS = 200
 # run over nx = 16, 32 and 64 by 3 MB.
 BLOCK_VALUES = 2 ** 16
 
+# A subdomain keeps the X-norm Gram of its Robin probe (interface.
+# SteklovForms) when it has at most this many values, (n_steps *
+# n_interface) ** 2, and holds the probe's fields only while it makes
+# the Gram.  At 16 steps that admits nx = 16 (57,600 values, 0.46 MB)
+# and not nx = 32 (246,016) or nx = 64 (1,016,064: 8.1 MB).  Admitting
+# nx = 32 raised the peak resident memory of the check benchmark from
+# 76.5 to 85.0 MB (2 cores, one BLAS thread): rrlab check keeps its
+# nx = 32 problem, with its Grams, to the end, and each Gram is made
+# from 2 MB of probe fields.
+GRAM_VALUES = 2 ** 16
+
 
 class SolverFailure(RuntimeError):
     """A linear solve could not be completed."""
@@ -258,8 +269,8 @@ class SubdomainSolver:
     """Factorized theta-scheme solver for one subdomain.
 
     Immutable after construction; factorizations are cached per mode,
-    and so are the source field and the probed Robin trace maps, so
-    repeated solves with new data are cheap.
+    and so are the source field, the Robin trace maps and the forms of
+    the first Robin probe, so repeated solves with new data are cheap.
     """
 
     def __init__(self, ops: SubdomainOperators):
@@ -274,8 +285,12 @@ class SubdomainSolver:
         self._C_G = self.C[nI:].tocsr()
         self._dirichlet = None
         self._robin: dict[float, Factorization] = {}
-        # interface.robin_trace_map keeps its probes here, keyed by s
+        # interface.robin_trace_map keeps its maps here, keyed by s; the
+        # first is probed by Robin solves, and that probe leaves the
+        # interface.SteklovForms (the column of S_i, and the X-norm Gram
+        # where gram_fits()) in ``forms``, from which the others are made
         self.robin_maps: dict[float, object] = {}
+        self.forms = None
         self._source = None
 
     # -- factorizations ---------------------------------------------------
@@ -326,6 +341,12 @@ class SubdomainSolver:
         BLOCK_VALUES field values, and at least one column."""
         grid, n = self.ops.grid, self.ops.n_dofs
         return max(1, BLOCK_VALUES // ((grid.n_steps + 1) * n))
+
+    def gram_fits(self) -> bool:
+        """Whether the X-norm Gram over the interface, (n_steps *
+        n_interface) ** 2 values, fits GRAM_VALUES."""
+        grid = self.ops.grid
+        return (grid.n_steps * self.ops.n_interface) ** 2 <= GRAM_VALUES
 
     def trace(self, u: SpaceTimeField) -> InterfaceSignal:
         """Interface trace of a subdomain field (steps 1..n)."""

@@ -41,6 +41,23 @@ def small_setup(nx=6, n_steps=4, dimension=2, source="cos", alpha=None,
         n_steps=n_steps, **kw))
 
 
+@pytest.fixture(params=["gram", "dirichlet"])
+def tracking(request, monkeypatch):
+    """The realization of tracking: the X-norm Gram of the Robin probe,
+    or, with GRAM_VALUES at 0, homogeneous Dirichlet solves."""
+    if request.param == "dirichlet":
+        import rrlab.subsolve
+        monkeypatch.setattr(rrlab.subsolve, "GRAM_VALUES", 0)
+    return request.param
+
+
+def reference_fields(setup):
+    """The monolithic solve restricted to each subdomain."""
+    from rrlab.lab import restrict_field, solve_monolithic
+    u_ref = solve_monolithic(setup)
+    return [restrict_field(u_ref, setup.dec, i) for i in (1, 2)]
+
+
 def rand_signal(rng, n_steps, n_g, kind="primal"):
     return InterfaceSignal(rng.standard_normal((n_steps, n_g)), kind)
 
@@ -401,7 +418,9 @@ class TestPeacemanRachford:
     def test_robin_trace_map_is_probed_once_per_solver_and_s(self,
                                                              monkeypatch):
         # the second call returns the kept map and makes no Robin solve;
-        # another s is a map of its own
+        # another s is a map of its own, made from the column of S_i that
+        # the first probe kept, with no Robin solve; another solver is
+        # probed on its own
         from rrlab.subsolve import SubdomainSolver
         robin_solve, solves = SubdomainSolver.robin_solve, []
 
@@ -416,9 +435,15 @@ class TestPeacemanRachford:
         assert solves == [2]
         assert robin_trace_map(solver, 0.7) is first
         assert solves == [2]
-        assert robin_trace_map(solver, 1.0) is not first
-        assert solves == [2, 2]
+        second = robin_trace_map(solver, 1.0)
+        assert second is not first
+        assert solves == [2]
+        rhs = np.random.default_rng(9).standard_normal(first.shape[:2])
+        want = robin_solve(solver, 1.0, lam=InterfaceSignal(rhs, "dual"))
+        assert np.linalg.norm(second.apply(rhs) - solver.trace(want).values) \
+            <= 1e-12 * np.linalg.norm(rhs)
         assert robin_trace_map(setup.solver_1, 0.7) is not first
+        assert solves == [2, 1]
 
     @pytest.mark.parametrize("probed", [False, True],
                              ids=["robin-solves", "probed-maps"])
@@ -498,16 +523,16 @@ class TestPeacemanRachford:
         run(setup.solvers, IterationConfig(max_iter=2), references=refs)
         assert sorted(calls) == [1, 2][:n_calls]
 
-    @pytest.mark.parametrize("max_iter", [5, 12],
-                             ids=["robin-solves", "probed-maps"])
-    def test_tracked_iteration_solve_counts(self, max_iter, monkeypatch):
-        # n_interface = 5: probing pays for 12 applies, not for 5.  With
-        # probed maps run_pr probes both resolvents before the first
-        # pr_step, by ceil(n_interface / width) Robin solves each, and an
-        # iteration makes no subdomain solve; else an iteration is two
-        # Robin solves and each block's residuals one more.  Each block
-        # of iterates costs a Dirichlet solve and a flux recovery per
-        # subdomain.
+    @pytest.mark.parametrize("max_iter", [5, 12])
+    def test_tracked_iteration_solve_counts(self, max_iter, tracking,
+                                            monkeypatch):
+        # n_interface = 5: probing pays for 12 applies, not for 5, but a
+        # tracked run always probes, since its forms need the probe: both
+        # solvers, by ceil(n_interface / width) Robin solves each, before
+        # the first pr_step.  An iteration then makes no subdomain solve,
+        # and tracking makes none on the Gram and one homogeneous
+        # Dirichlet solve per subdomain and block without it; no flux
+        # recovery either way.
         import rrlab.subsolve
         from rrlab.subsolve import SubdomainSolver
         calls = []
@@ -540,16 +565,13 @@ class TestPeacemanRachford:
             first = calls.index("pr_step")
             before, after = calls[:first], calls[first:]
             n_blocks = -(-max_iter // width)
-            if max_iter == 12:
-                assert before.count("robin_solve") == \
-                    2 * -(-ops.n_interface // width)
-                assert after.count("robin_solve") == 0
-            else:
-                assert before.count("robin_solve") == 0
-                assert after.count("robin_solve") == 2 * max_iter + n_blocks
+            assert before.count("robin_solve") == \
+                2 * -(-ops.n_interface // width)
+            assert after.count("robin_solve") == 0
             assert after.count("pr_step") == max_iter
-            assert after.count("dirichlet_solve") == 2 * n_blocks
-            assert after.count("flux_recovery") == 2 * n_blocks
+            assert after.count("dirichlet_solve") == \
+                (2 * n_blocks if tracking == "dirichlet" else 0)
+            assert after.count("flux_recovery") == 0
 
     @pytest.mark.parametrize("width", [1, 3, 100])
     @pytest.mark.parametrize("tol, max_iter", [(1e-6, 60), (0.0, 7), (0.0, 4)],
@@ -557,15 +579,16 @@ class TestPeacemanRachford:
                                   "robin-solves"])
     @pytest.mark.parametrize("run", [run_pr, run_rr])
     def test_block_tracking_matches_per_iteration_tracking(
-            self, run, tol, max_iter, width, monkeypatch):
+            self, run, tol, max_iter, width, tracking, monkeypatch):
         # reference: the tracking of each iterate on its own, with a
-        # Dirichlet solve and a flux recovery per subdomain and a Robin
-        # solve for the residual; width 3 leaves a short last block,
-        # width 100 one block
+        # loaded Dirichlet solve and a flux recovery per subdomain and a
+        # Robin solve for the residual; width 3 leaves a short last
+        # block, width 100 one block
         import rrlab.subsolve
         from rrlab.lab import field_error_norm
         setup = small_setup(nx=6, n_steps=4)
         refs = references_from_monolithic(setup)
+        u1_ref, u2_ref = reference_fields(setup)
         s1, s2 = setup.solvers
         monkeypatch.setattr(rrlab.subsolve, "BLOCK_VALUES",
                             width * (s1.ops.grid.n_steps + 1) * s1.ops.n_dofs)
@@ -578,8 +601,8 @@ class TestPeacemanRachford:
             assert report.n_iterations % width      # a short last block
 
         chi_1, chi_2 = interface_source(s1), interface_source(s2)
-        S1_ref = s1.flux_recovery(refs.u1_ref, s1.ops.loads) + chi_1
-        S2_ref = s2.flux_recovery(refs.u2_ref, s2.ops.loads) + chi_2
+        S1_ref = s1.flux_recovery(u1_ref, s1.ops.loads) + chi_1
+        S2_ref = s2.flux_recovery(u2_ref, s2.ops.loads) + chi_2
         tau, Mg = s1.ops.grid.tau, s1.ops.M_gamma
         want = {"errors_1": [], "errors_2": [], "gaps_1": [], "gaps_2": [],
                 "residuals": []}
@@ -593,8 +616,8 @@ class TestPeacemanRachford:
             S1_eta = s1.flux_recovery(u1, s1.ops.loads) + chi_1
             S2_eta = s2.flux_recovery(u2, s2.ops.loads) + chi_2
             diff = refs.eta_ref - eta
-            want["errors_1"].append(field_error_norm(u1, refs.u1_ref, s1.ops))
-            want["errors_2"].append(field_error_norm(u2, refs.u2_ref, s2.ops))
+            want["errors_1"].append(field_error_norm(u1, u1_ref, s1.ops))
+            want["errors_2"].append(field_error_norm(u2, u2_ref, s2.ops))
             want["gaps_1"].append((S1_ref - S1_eta).pair(diff))
             want["gaps_2"].append((S2_ref - S2_eta).pair(diff))
             precond = solve_robin_resolvent(
@@ -608,23 +631,24 @@ class TestPeacemanRachford:
                                        atol=1e-12 * np.abs(values).max())
 
     @pytest.mark.parametrize("run", [run_pr, run_rr])
-    def test_tracking_matches_dirichlet_solves(self, run):
+    def test_tracking_matches_dirichlet_solves(self, run, tracking):
         # the subdomain-2 error and gap of the report, tracked in blocks
-        # of iterates, equal those of a Dirichlet solve at the iterate;
-        # 12 iterations are run on probed maps, fewer on Robin solves
+        # of iterates as forms of eta_ref - eta, equal those of a loaded
+        # Dirichlet solve at the iterate
         from rrlab.lab import field_error_norm
         setup = small_setup(nx=8, n_steps=5)
         refs = references_from_monolithic(setup)
+        _, u2_ref = reference_fields(setup)
         s2, ops = setup.solver_2, setup.ops_2
         chi_2 = interface_source(s2)
-        S2_ref = s2.flux_recovery(refs.u2_ref, ops.loads) + chi_2
+        S2_ref = s2.flux_recovery(u2_ref, ops.loads) + chi_2
         for n in (1, 2, 4, 12):
             eta, report = run(setup.solvers,
                               IterationConfig(s=0.7, tol=0.0, max_iter=n),
                               references=refs)
             u2 = s2.dirichlet_solve(eta=eta, loads=ops.loads)
             S2_eta = s2.flux_recovery(u2, ops.loads) + chi_2
-            err = field_error_norm(u2, refs.u2_ref, ops)
+            err = field_error_norm(u2, u2_ref, ops)
             gap = (S2_ref - S2_eta).pair(refs.eta_ref - eta)
             assert report.errors_2[-1] == pytest.approx(err, rel=1e-10)
             assert report.gaps_2[-1] == pytest.approx(gap, rel=1e-9)
@@ -712,6 +736,38 @@ class TestBlockToeplitz:
             tracemalloc.stop()
         assert peak <= 2 * 8 * rrlab.interface.APPLY_WINDOW_VALUES
         np.testing.assert_array_equal(y[:, 0], n_in * np.arange(1, n_steps + 1))
+
+
+class TestSteklovForms:
+    @pytest.mark.parametrize("fits", [True, False], ids=["gram", "no-gram"])
+    def test_kept_memory_is_bounded(self, fits, monkeypatch):
+        # what a first probe leaves on the solver: the Gram, of at most
+        # GRAM_VALUES values, beside the columns of R and S; above the
+        # budget only the columns, less than one array of probe fields
+        import tracemalloc
+        import rrlab.subsolve
+        setup = setup_problem(default_problem())
+        solver = setup.solver_1
+        n_steps, n_g = solver.ops.grid.n_steps, solver.ops.n_interface
+        if not fits:
+            monkeypatch.setattr(rrlab.subsolve, "GRAM_VALUES",
+                                (n_steps * n_g) ** 2 - 1)
+        solver._robin_factor(1.0)       # kept either way
+        tracemalloc.start()
+        try:
+            robin_trace_map(solver, 1.0)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        columns = 2 * 8 * n_steps * n_g * n_g + 2 ** 15
+        fields = 8 * n_steps * n_g * solver.ops.n_dofs
+        gram = solver.forms.gram
+        if fits:
+            assert gram.size <= rrlab.subsolve.GRAM_VALUES
+            assert kept <= 8 * gram.size + columns
+        else:
+            assert gram is None
+            assert kept <= columns < fields
 
 
 class TestDenseGuard:

@@ -13,10 +13,9 @@ from rrlab.interface import IterationConfig, run_pr
 from rrlab.lab import (ConfigError, CsvReport, ScenarioConfig,
                        default_problem, field_error_norm, glue_fields,
                        global_trace, least_squares_order, mms_exact_nodal,
-                       mms_spec, parse_config, references_from_monolithic,
-                       restrict_field, run_mms_spatial, run_mms_temporal,
-                       run_scenario, setup_problem, solve_monolithic,
-                       spec_from_scenario)
+                       mms_spec, parse_config, restrict_field,
+                       run_mms_spatial, run_mms_temporal, run_scenario,
+                       setup_problem, solve_monolithic, spec_from_scenario)
 from rrlab.mesh import ProblemSpec, build_mesh
 from rrlab.subsolve import SpaceTimeField
 
@@ -67,13 +66,14 @@ class TestMonolithic:
     def test_monolithic_matches_converged_transmission(self):
         spec = default_problem(nx=8, n_steps=8)
         setup = setup_problem(spec)
-        refs = references_from_monolithic(setup)
+        u_ref = solve_monolithic(setup)
         cfg = IterationConfig(s=1.0, tol=1e-12, max_iter=100)
         eta, rep = run_pr(setup.solvers, cfg)
         assert rep.status == "converged"
-        for i, (solver, ops, ref) in enumerate(
-                [(setup.solver_1, setup.ops_1, refs.u1_ref),
-                 (setup.solver_2, setup.ops_2, refs.u2_ref)], start=1):
+        for i, (solver, ops) in enumerate(
+                [(setup.solver_1, setup.ops_1),
+                 (setup.solver_2, setup.ops_2)], start=1):
+            ref = restrict_field(u_ref, setup.dec, i)
             u = solver.dirichlet_solve(eta=eta, loads=ops.loads)
             err = field_error_norm(u, ref, ops)
             assert err <= 10 * cfg.tol

@@ -4,9 +4,10 @@ Robin-Robin realizations, the causal block-Toeplitz structure of the
 Steklov-Poincare operators that assemble_dense relies on, the
 resolvent round trip, the agreement of the dense and banded time
 steps, the agreement of block solves with column-by-column solves, the
-probed Robin trace map against the Robin solves it replaces, and the
-Peaceman-Rachford step through those maps against the step made of
-Robin solves."""
+probed Robin trace map against the Robin solves it replaces, the maps
+made from it by BlockToeplitz.inverse (S_i and every other resolvent),
+and the Peaceman-Rachford step through those maps against the step made
+of Robin solves."""
 
 import sys
 
@@ -16,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrlab import subsolve
-from rrlab.interface import (SteklovOperator, assemble_dense, interface_gram,
-                             interface_source, pr_step, robin_trace_map,
-                             run_equivalence, solve_robin_resolvent)
+from rrlab.interface import (BlockToeplitz, SteklovOperator, assemble_dense,
+                             interface_gram, interface_source, pr_step,
+                             robin_trace_map, run_equivalence,
+                             solve_robin_resolvent)
 from rrlab.lab import setup_problem
 from rrlab.mesh import ProblemSpec
 from rrlab.subsolve import InterfaceSignal, SubdomainSolver
@@ -193,6 +195,55 @@ def test_robin_trace_map_equals_robin_solves(spec, s, m):
                              (robin_map.apply(rhs.values[0]), want[0])):
                 assert got.shape == ref.shape
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+def test_inverse_maps_between_resolvent_and_robin_operator(spec, s0, s):
+    # R(s0) is probed by Robin solves; its inverse is s0 J + S_i, so the
+    # kept column of S_i equals the Dirichlet-probed one, and s0 J + S_i
+    # applied to a Robin solve's trace gives its datum back; the inverse
+    # of S_i + sJ, the resolvent at another s, gives the trace of the
+    # Robin solve at s; on both step paths
+    setup = setup_problem(spec)
+    rng = np.random.default_rng(0)
+    n, g = spec.n_steps, setup.ops_1.n_interface
+    rhs = InterfaceSignal(rng.standard_normal((3, n, g)), "dual")
+    for ops in (setup.ops_1, setup.ops_2):
+        for limit in (sys.maxsize, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(subsolve, "DENSE_MAX_DOFS", limit)
+                solver = SubdomainSolver(ops)
+                robin_map = robin_trace_map(solver, s0)
+            steklov = solver.forms.steklov
+            probed = assemble_dense(SteklovOperator(solver).apply, n, g)
+            assert np.abs(steklov.dense() - probed).max() \
+                <= 1e-10 * np.abs(probed).max()
+            for a, x, want in (
+                    (robin_map.inverse(),
+                     solve_robin_resolvent(solver, rhs, s0).values,
+                     rhs.values),
+                    (robin_trace_map(solver, s), rhs.values,
+                     solve_robin_resolvent(solver, rhs, s).values)):
+                assert np.linalg.norm(a.apply(x) - want) \
+                    <= 1e-10 * np.linalg.norm(want)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 6), st.integers(1, 4))
+def test_inverse_of_a_block_toeplitz_map(n_steps, n):
+    # the inverse composed with the map is the identity, in both orders,
+    # and the inverse of the inverse is the map
+    rng = np.random.default_rng(n_steps * 10 + n)
+    first = rng.standard_normal((n_steps, n, n))
+    first[0] += 3 * n * np.eye(n)       # a well-conditioned diagonal block
+    op = BlockToeplitz(first)
+    inv = op.inverse()
+    x = rng.standard_normal((2, n_steps, n))
+    for got in (inv.apply(op.apply(x)), op.apply(inv.apply(x))):
+        assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
+    assert np.abs(inv.inverse().first - first).max() \
+        <= 1e-12 * np.abs(first).max()
 
 
 @PROPERTY_SETTINGS
