@@ -70,7 +70,8 @@ class DeskArtifacts:
 
     @cached_property
     def runs(self):
-        """Tracked runs per Robin parameter, the full 200 iterations."""
+        """Tracked runs per Robin parameter, at tol 0: 200 iterations,
+        or fewer where an iterate repeats exactly."""
         out = {}
         for s in S_VALUES:
             cfg = IterationConfig(s=s, tol=0.0, max_iter=MAX_ITER)
@@ -180,9 +181,10 @@ def criterion_5_monotonicity(art: DeskArtifacts) -> CriterionResult:
     def min_ratio(setup, i):
         # a hundred samples, drawn at once and evaluated in blocks.  Where
         # the Gram fits, both forms read the solver's SteklovForms; above
-        # it they read the Dirichlet field of each sample and its flux,
-        # since a probe made only to read S_i from its column cost rrlab
-        # check 2 MB of peak memory and 45 ms at nx = 32
+        # it they read the Dirichlet field of each sample and its flux:
+        # a probe of the nx = 32 problem made only to read S_i from its
+        # column made check slower and larger (BENCH_pr12.json,
+        # "superseded")
         solver = setup.solvers[i - 1]
         ops = solver.ops
         rng = np.random.default_rng(art.seed + i)
