@@ -20,14 +20,13 @@ from .fracnorm import (derivative_multiplier, padded_extension,
                        parabolic_coercivity, random_smooth_field)
 from .interface import (IterationConfig, SteklovOperator, assemble_dense,
                         h_norm, interface_gram, pr_step, robin_resolvent,
-                        dirichlet_x_norm, run_equivalence, run_pr,
-                        solve_robin_resolvent, steklov_forms)
+                        run_equivalence, run_pr, solve_robin_resolvent)
 from .lab import (default_problem, field_error_norm, glue_fields,
                   least_squares_order, references_from_monolithic,
                   restrict_field, run_mms_spatial, run_mms_temporal,
                   setup_problem, spectral_portrait)
 from .mesh import ProblemSpec
-from .subsolve import InterfaceSignal, SpaceTimeField, step_norm
+from .subsolve import InterfaceSignal, SpaceTimeField
 
 __all__ = ["CriterionResult", "DeskArtifacts", "run_acceptance",
            "ALL_CRITERIA", "S_VALUES"]
@@ -179,28 +178,21 @@ def criterion_4_bijectivity(art: DeskArtifacts) -> CriterionResult:
 def criterion_5_monotonicity(art: DeskArtifacts) -> CriterionResult:
     """<S mu, mu> / ||F mu||_X^2 stays positive and refinement-stable."""
     def min_ratio(setup, i):
-        # a hundred samples, drawn at once and evaluated in blocks.  Where
-        # the Gram fits, both forms read the solver's SteklovForms; above
-        # it they read the Dirichlet field of each sample and its flux:
-        # a probe of the nx = 32 problem made only to read S_i from its
-        # column made check slower and larger (BENCH_pr12.json,
-        # "superseded")
         solver = setup.solvers[i - 1]
         ops = solver.ops
         rng = np.random.default_rng(art.seed + i)
+        zero = SpaceTimeField(
+            np.zeros((ops.grid.n_steps + 1, ops.n_dofs)), f"omega{i}")
+        # a hundred samples, drawn at once and solved in blocks
         mus = rng.standard_normal((100, ops.grid.n_steps, ops.n_interface))
         worst = np.inf
         width = solver.block_width()
         for lo in range(0, len(mus), width):
-            mu = mus[lo:lo + width]
-            if solver.gram_fits():
-                S_mu = steklov_forms(solver, S_VALUES[0]).steklov.apply(mu)
-                x = dirichlet_x_norm(solver, mu, S_mu)
-            else:
-                u = solver.dirichlet_solve(eta=InterfaceSignal(mu))
-                S_mu = solver.flux_recovery(u).values
-                x = step_norm(ops.MK, u.values[:, 1:], ops.grid.tau)
-            worst = min(worst, (np.sum(S_mu * mu, axis=(1, 2)) / x ** 2).min())
+            mu = InterfaceSignal(mus[lo:lo + width])
+            u = solver.dirichlet_solve(eta=mu)
+            sigma = solver.flux_recovery(u)
+            x_sq = field_error_norm(u, zero, ops) ** 2
+            worst = min(worst, (sigma.pair(mu) / x_sq).min())
         return worst
 
     ok = True

@@ -18,18 +18,21 @@ off the right-hand side of the resolvent that produced x.  A run
 realizes each resolvent by robin_resolvent: as its BlockToeplitz
 (robin_trace_map) when its applies over the run save more than the map
 costs, and by a Robin solve per apply otherwise.  A subdomain is probed
-by Robin solves once, at the first s asked of it; that probe gives the
-solver's SteklovForms: the s-independent column of S_i, from which
-every other resolvent is one inverse, and, where it fits GRAM_VALUES,
-the X-norm Gram of the trace-to-field map, from the probe's own fields.
-The PDE-level sweep stays two Robin solves with loads.  The sources chi
-enter only the affine part of the step, so only the Peaceman-Rachford
-iterates read them: every tracked quantity is a form of d = eta_ref -
-eta (_track_block), in which they cancel.  So tracking makes no
-subdomain field where the Gram is kept, and one homogeneous Dirichlet
-solve per subdomain for a block of iterates above it.  S_i is applied
-by a Dirichlet solve and a flux recovery (SteklovOperator) only in the
-acceptance criteria and in the oracles of the tests.
+by Robin solves once, at the first s a map is made for; that probe
+gives the solver's SteklovForms: the s-independent column of S_i, from
+which every other resolvent is one inverse, and, where it fits
+GRAM_VALUES, the X-norm Gram of the trace-to-field map, from the
+probe's own fields.  The PDE-level sweep stays two Robin solves with
+loads.  The sources chi enter only the affine part of the step, so only
+the Peaceman-Rachford iterates read them: every tracked quantity is a
+form of d = eta_ref - eta (_track_block), in which they cancel.  A
+tracked run that takes the maps reads these forms from the
+SteklovForms, with no subdomain solve where the Gram is kept and one
+homogeneous Dirichlet solve per subdomain for a block of iterates above
+it; a run on Robin solves makes no probe, and tracks by a homogeneous
+Dirichlet solve and a flux recovery per subdomain and block, as S_i is
+applied in the acceptance criteria and the oracles of the tests
+(SteklovOperator).
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ __all__ = [
     "init_robin_sweep", "robin_sweep", "run_equivalence", "h_norm",
     "assemble_dense", "spectral_analysis", "SpectralRow", "BlockToeplitz",
     "robin_trace_map", "robin_resolvent", "check_dense_columns",
-    "SteklovForms", "steklov_forms", "dirichlet_x_norm",
+    "SteklovForms", "steklov_forms",
 ]
 
 DENSE_COLUMN_GUARD = 2000
@@ -61,15 +64,19 @@ DENSE_COLUMN_GUARD = 2000
 # (2 MB), so its temporary is bounded whatever n_steps is.
 APPLY_WINDOW_VALUES = 2 ** 18
 
-# A map of the resolvent (sJ + S_i)^-1 costs a probe, about
-# n_interface one-column Robin solves, on the first s asked of a solver;
-# that probe also gives S_i, every other s (one inverse, 1-5 ms at
-# nx = 16 .. 64) and the X-norm Gram, so once a solver holds it a map
-# costs no solve.  An apply costs about n_steps / RESOLVENT_STEPS of the
-# Robin solve it replaces (the apply is quadratic in n_steps, the march
-# linear).  Measured on the default problem at nx = 8 .. 64, one BLAS
-# thread: apply / Robin solve 0.07-0.16 at 16 steps, 0.20-0.27 at 64 and
-# 0.62-0.91 at 256; a probe 3.8-76 Robin solves for n_interface = 7-63.
+# A map of the resolvent (sJ + S_i)^-1 is made by a probe, about
+# n_interface one-column Robin solves, on the first s a solver makes a
+# map for, and at every later s by one inverse of the kept column of S_i
+# (robin_trace_map); the first probe makes one inverse too, for S_i.
+# An apply costs about n_steps / RESOLVENT_STEPS of the Robin solve it
+# replaces (the apply is quadratic in n_steps, the march linear), and an
+# inverse at most about n_interface applies (_map_pays).  Measured on the
+# default problem at nx = 8 .. 64, one BLAS thread: apply / Robin solve
+# 0.07-0.16 at 16 steps, 0.20-0.27 at 64 and 0.62-0.91 at 256; a probe
+# 3.8-76 Robin solves for n_interface = 7-63; an inverse 9-29 applies
+# (1.0-1.7 Robin solves) at 16 steps for n_interface = 15-63, and 7 at
+# 256 steps for n_interface = 15.  At RESOLVENT_STEPS steps or more a
+# map never pays, so no solver is probed and none keeps a column.
 RESOLVENT_STEPS = 320
 
 
@@ -318,14 +325,16 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     subdomain X-norm errors of the interface-parametrized fields, the
     monotone gaps against the reference trace, and the Steklov-Poincare
     residual pushed through the resolvent (sJ + S2)^-1 (the iteration's
-    own metric).  These are forms of eta_ref - eta^n, read from the
-    SteklovForms of both solvers (_track_block), so a tracked run first
-    probes each solver at config.s, unless it holds its forms already,
-    and its resolvents are then the maps (robin_resolvent).  They are
+    own metric).  These are forms of eta_ref - eta^n (_track_block),
     computed for a block of SubdomainSolver.block_width() iterates at
-    once: with one apply of the subdomain-2 resolvent, and above
-    GRAM_VALUES with one homogeneous Dirichlet solve per subdomain.
-    Everything a block reads is made before the first iterate is drawn.
+    once, with one apply of the subdomain-2 resolvent.  Where the maps
+    pay for config.max_iter applies on both subdomains (robin_resolvent)
+    the forms are read from the SteklovForms of the probe the maps make
+    anyway: no subdomain solve within GRAM_VALUES, one homogeneous
+    Dirichlet solve per subdomain above it.  Otherwise each subdomain
+    makes a homogeneous Dirichlet solve and a flux recovery per block,
+    and nothing is probed.  Everything a block reads is made before the
+    first iterate is drawn.
     """
     s1, s2 = solvers
     ops = s1.ops
@@ -335,8 +344,11 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     report = ConvergenceReport()
     track = references is not None
     if track:
-        for solver in solvers:
-            steklov_forms(solver, config.s)
+        use_forms = all(_map_pays(solver, config.max_iter)
+                        for solver in solvers)
+        if use_forms:
+            for solver in solvers:
+                steklov_forms(solver, config.s)
         # made before the first iterate is drawn, so that every
         # iteration does the same work (perfbench pools later iterations)
         resolvent = robin_resolvent(s2, config.s, config.max_iter)
@@ -348,7 +360,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
         def flush(n_tracked):
             # track the pending block; its first n_tracked iterates count
             values = _track_block(solvers, resolvent, references.eta_ref,
-                                  pending)
+                                  pending, use_forms)
             for value, row in zip(values, rows):
                 row.extend(value[:n_tracked].tolist())
             pending.clear()
@@ -382,7 +394,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
 
 
 def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
-                 pending: list):
+                 pending: list, use_forms: bool):
     """X-norm errors and gaps of both subdomains, and residuals, of a
     block of iterates given as eta^n values; one array each, in the
     order errors_1, gaps_1, errors_2, gaps_2, residuals.
@@ -390,18 +402,25 @@ def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
     With d = eta_ref - eta, the field of subdomain i at eta is
     u_i,ref - D_i d, where D_i is the homogeneous Dirichlet solve, and
     S_i eta_ref - S_i eta = S_i d, so chi cancels from every quantity:
-    the error is ||D_i d||_X (dirichlet_x_norm), gap_i = (S_i d) . d,
-    and the residual (S1 + S2) eta - chi is -(S1 + S2) d, whose norm
-    after ``resolvent``, (sJ + S2)^-1, is that of (S1 + S2) d.  S_i is
-    the column of each solver's SteklovForms.
+    the error is ||D_i d||_X, gap_i = (S_i d) . d, and the residual
+    (S1 + S2) eta - chi is -(S1 + S2) d, whose norm after
+    ``resolvent``, (sJ + S2)^-1, is that of (S1 + S2) d.  With
+    ``use_forms``, S_i d and ||D_i d||_X come from each solver's
+    SteklovForms (_dirichlet_x_norm); without, from the field D_i d of
+    a Dirichlet solve and its flux recovery.
     """
     ops = solvers[0].ops
     d = eta_ref.values - np.array(pending)
     out, flux = [], 0.0
     for solver in solvers:
-        Sd = solver.forms.steklov.apply(d)
-        out += [dirichlet_x_norm(solver, d, Sd),
-                np.sum(Sd * d, axis=(-2, -1))]
+        if use_forms:
+            Sd = solver.forms.steklov.apply(d)
+            err = _dirichlet_x_norm(solver, d, Sd)
+        else:
+            u = solver.dirichlet_solve(eta=InterfaceSignal(d))
+            Sd = solver.flux_recovery(u).values
+            err = step_norm(solver.ops.MK, u.values[:, 1:], ops.grid.tau)
+        out += [err, np.sum(Sd * d, axis=(-2, -1))]
         flux = flux + Sd
     precond = InterfaceSignal(resolvent(flux), "primal")
     return out + [h_norm(precond, ops.M_gamma, ops.grid.tau)]
@@ -415,11 +434,12 @@ def run_pr(solvers, config: IterationConfig,
     iteration is the two resolvent applies of pr_step.  Where probing
     pays for config.max_iter applies (robin_resolvent), the run first
     probes both resolvents, ceil(n_interface / width) Robin solves each
-    (none if the solvers hold their forms already), and an iteration
-    then makes no subdomain solve; otherwise it makes two Robin solves.
-    A tracked run always takes the maps, since its forms need the probe;
-    tracking then makes no subdomain solve, or above GRAM_VALUES one
-    homogeneous Dirichlet solve per subdomain and block of iterates.
+    (none if the solvers were probed already), and an iteration then
+    makes no subdomain solve; otherwise it makes two Robin solves.
+    Tracking then costs no subdomain solve, or above GRAM_VALUES one
+    homogeneous Dirichlet solve per subdomain and block of iterates, on
+    the maps; one Dirichlet solve and one flux recovery per subdomain
+    and block on Robin solves.
     """
     return _run_iteration(solvers, config, _pr_iterates, references)
 
@@ -586,7 +606,7 @@ class SteklovForms:
     probe's own fields: with y = (s0 J + S_i) d the Robin datum of a
     trace d, the homogeneous Dirichlet field of d is the probe's field
     of y, U y, and ||D d||_X^2 = y^T G y with G = U^T W U and
-    W = tau blockdiag(M + K) (dirichlet_x_norm).  Above the budget it
+    W = tau blockdiag(M + K) (_dirichlet_x_norm).  Above the budget it
     is None, and no probe field is kept.
     """
 
@@ -595,8 +615,8 @@ class SteklovForms:
     gram: np.ndarray | None
 
 
-def dirichlet_x_norm(solver: SubdomainSolver, d: np.ndarray,
-                     Sd: np.ndarray) -> np.ndarray:
+def _dirichlet_x_norm(solver: SubdomainSolver, d: np.ndarray,
+                      Sd: np.ndarray) -> np.ndarray:
     """||D d||_X, the X norm of the homogeneous Dirichlet field, of each
     trace of the block d, shaped (m, n_steps, n_interface), given
     Sd = S_i d: from the Gram of the solver's SteklovForms, or above
@@ -683,23 +703,35 @@ def steklov_forms(solver: SubdomainSolver, s: float) -> SteklovForms:
     return solver.forms
 
 
+def _map_pays(solver: SubdomainSolver, n_applies: int) -> bool:
+    """Whether ``n_applies`` one-column applies of a map at a new s save
+    more than it costs, in one-column Robin solves.  An apply saves
+    1 - n_steps / RESOLVENT_STEPS of the Robin solve it replaces, so
+    at RESOLVENT_STEPS steps or more a map never pays.  On a probed
+    solver the map costs one inverse, about n_interface applies, that
+    is n_interface * n_steps / RESOLVENT_STEPS; on one not yet probed
+    the probe, n_interface, comes on top, and its inverse gives S_i."""
+    ops = solver.ops
+    step_share = ops.grid.n_steps / RESOLVENT_STEPS
+    cost = ops.n_interface * step_share
+    if solver.forms is None:
+        cost += ops.n_interface
+    return n_applies * (1.0 - step_share) > cost
+
+
 def robin_resolvent(solver: SubdomainSolver, s: float, n_applies: int):
     """The resolvent (sJ + S_i)^-1 of one subdomain for a run of about
     ``n_applies`` one-column applies, as a function from dual values
     ([m,] n_steps, n_interface) to primal values.
 
     It is the apply of robin_trace_map when the applies save more than
-    the map costs, in units of a one-column Robin solve:
-    n_applies * (1 - n_steps / RESOLVENT_STEPS) > n_interface for a
-    solver that has not been probed, and > 0 for one that holds its
-    SteklovForms, since its first probe bought S_i and so every s; else
-    a Robin solve per apply, which needs no probe.  The choice reads
-    only sizes and whether the solver was probed, so a tracked run,
-    whose forms are made first, always takes the maps.
+    the map costs (_map_pays), and a Robin solve per apply, which needs
+    no probe, otherwise.  The first map of a solver costs its probe; a
+    later one only an inverse, so the choice reads the sizes and whether
+    the solver was probed before: a solver probed by an earlier run
+    takes the map for fewer applies than a fresh one.
     """
-    ops = solver.ops
-    saved = n_applies * (1.0 - ops.grid.n_steps / RESOLVENT_STEPS)
-    if saved > (0 if solver.forms is not None else ops.n_interface):
+    if _map_pays(solver, n_applies):
         return robin_trace_map(solver, s).apply
     return lambda values: solve_robin_resolvent(
         solver, InterfaceSignal(values, "dual"), s).values

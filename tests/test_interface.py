@@ -397,21 +397,28 @@ class TestPeacemanRachford:
 
     def test_robin_resolvent_probes_only_where_it_pays(self, monkeypatch):
         # n_interface = 5 and n_steps = 4: probing pays from 6 applies
-        # on; beyond RESOLVENT_STEPS steps an apply costs more than the
-        # Robin solve it replaces, so it never pays
+        # on.  On a solver probed at another s a map costs one inverse,
+        # n_interface * n_steps / RESOLVENT_STEPS = 1 at 64 steps, so it
+        # pays from 2 applies on.  Beyond RESOLVENT_STEPS steps an apply
+        # costs more than the Robin solve it replaces, so it never pays
         rng = np.random.default_rng(3)
-        for setup, n_applies, probes in (
-                (small_setup(), 5, False), (small_setup(), 6, True),
+        for setup, probed, n_applies, made in (
+                (small_setup(), False, 5, False),
+                (small_setup(), False, 6, True),
+                (small_setup(n_steps=64), True, 1, False),
+                (small_setup(n_steps=64), True, 2, True),
                 (small_setup(nx=2, dimension=1,
                              n_steps=rrlab.interface.RESOLVENT_STEPS + 1),
-                 10 ** 6, False)):
+                 False, 10 ** 6, False)):
             solver = setup.solver_2
+            if probed:
+                robin_trace_map(solver, 1.0)
             n_steps, n_g = solver.ops.grid.n_steps, solver.ops.n_interface
             rhs = rng.standard_normal((2, n_steps, n_g))
             want = solve_robin_resolvent(solver, InterfaceSignal(rhs, "dual"),
                                          0.7).values
             resolvent = robin_resolvent(solver, 0.7, n_applies)
-            assert bool(solver.robin_maps) == probes
+            assert (0.7 in solver.robin_maps) == made
             got = resolvent(rhs)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -526,13 +533,15 @@ class TestPeacemanRachford:
     @pytest.mark.parametrize("max_iter", [5, 12])
     def test_tracked_iteration_solve_counts(self, max_iter, tracking,
                                             monkeypatch):
-        # n_interface = 5: probing pays for 12 applies, not for 5, but a
-        # tracked run always probes, since its forms need the probe: both
-        # solvers, by ceil(n_interface / width) Robin solves each, before
-        # the first pr_step.  An iteration then makes no subdomain solve,
-        # and tracking makes none on the Gram and one homogeneous
-        # Dirichlet solve per subdomain and block without it; no flux
-        # recovery either way.
+        # n_interface = 5: probing pays for 12 applies, not for 5.  With
+        # probed maps run_pr probes both resolvents before the first
+        # pr_step, by ceil(n_interface / width) Robin solves each, an
+        # iteration makes no subdomain solve, and tracking reads the
+        # probe's forms: no subdomain solve on the Gram, one homogeneous
+        # Dirichlet solve per subdomain and block without it.  Else an
+        # iteration is two Robin solves, each block's residuals one more,
+        # and each block costs a Dirichlet solve and a flux recovery per
+        # subdomain, as before the forms.
         import rrlab.subsolve
         from rrlab.subsolve import SubdomainSolver
         calls = []
@@ -565,13 +574,63 @@ class TestPeacemanRachford:
             first = calls.index("pr_step")
             before, after = calls[:first], calls[first:]
             n_blocks = -(-max_iter // width)
-            assert before.count("robin_solve") == \
-                2 * -(-ops.n_interface // width)
-            assert after.count("robin_solve") == 0
             assert after.count("pr_step") == max_iter
-            assert after.count("dirichlet_solve") == \
-                (2 * n_blocks if tracking == "dirichlet" else 0)
-            assert after.count("flux_recovery") == 0
+            if max_iter == 12:
+                assert before.count("robin_solve") == \
+                    2 * -(-ops.n_interface // width)
+                assert after.count("robin_solve") == 0
+                assert after.count("dirichlet_solve") == \
+                    (2 * n_blocks if tracking == "dirichlet" else 0)
+                assert after.count("flux_recovery") == 0
+            else:
+                assert before.count("robin_solve") == 0
+                assert after.count("robin_solve") == 2 * max_iter + n_blocks
+                assert after.count("dirichlet_solve") == 2 * n_blocks
+                assert after.count("flux_recovery") == 2 * n_blocks
+                assert not any(s.robin_maps or s.forms for s in setup.solvers)
+
+    def test_tracked_run_beyond_resolvent_steps_keeps_no_map(self,
+                                                             monkeypatch):
+        # at more than RESOLVENT_STEPS steps a map never pays, whatever
+        # max_iter is: a tracked run makes no probe and keeps no column
+        # of R or S; an iteration is two Robin solves, and each block of
+        # iterates a Dirichlet solve and a flux recovery per subdomain
+        # and one Robin solve for the residuals; the sources chi_1 and
+        # chi_2 are one flux recovery each
+        import tracemalloc
+        from rrlab.subsolve import SubdomainSolver
+        setup = small_setup(nx=6, n_steps=rrlab.interface.RESOLVENT_STEPS + 1)
+        refs = references_from_monolithic(setup)
+        cfg = IterationConfig(s=0.7, tol=1e-8, max_iter=10 ** 6)
+        for solver in setup.solvers:     # kept by any run
+            solver._robin_factor(cfg.s)
+            solver._dirichlet_factor()
+            solver.source_field()
+        calls = []
+        for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
+            method = getattr(SubdomainSolver, name)
+
+            def counted(*args, _name=name, _method=method, **kwargs):
+                calls.append(_name)
+                return _method(*args, **kwargs)
+            monkeypatch.setattr(SubdomainSolver, name, counted)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            eta, report = run_pr(setup.solvers, cfg, references=refs)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.status == "converged"
+        assert not any(s.robin_maps or s.forms for s in setup.solvers)
+        ops = setup.ops_1
+        column = 8 * ops.grid.n_steps * ops.n_interface ** 2
+        assert kept < column
+        n_blocks = -(-report.n_iterations // setup.solver_1.block_width())
+        assert calls.count("robin_solve") == \
+            2 * report.n_iterations + n_blocks
+        assert calls.count("dirichlet_solve") == 2 * n_blocks
+        assert calls.count("flux_recovery") == 2 * n_blocks + 2
 
     @pytest.mark.parametrize("width", [1, 3, 100])
     @pytest.mark.parametrize("tol, max_iter", [(1e-6, 60), (0.0, 7), (0.0, 4)],
@@ -583,9 +642,13 @@ class TestPeacemanRachford:
         # reference: the tracking of each iterate on its own, with a
         # loaded Dirichlet solve and a flux recovery per subdomain and a
         # Robin solve for the residual; width 3 leaves a short last
-        # block, width 100 one block
+        # block, width 100 one block.  The untracked run is made on
+        # fresh solvers, so that it realizes its resolvents as a first
+        # run does: by Robin solves at max_iter 4, by maps otherwise
+        # (the Robin sweep makes no resolvent)
         import rrlab.subsolve
         from rrlab.lab import field_error_norm
+        from rrlab.subsolve import SubdomainSolver
         setup = small_setup(nx=6, n_steps=4)
         refs = references_from_monolithic(setup)
         u1_ref, u2_ref = reference_fields(setup)
@@ -595,6 +658,7 @@ class TestPeacemanRachford:
         assert s1.block_width() == width
         cfg = IterationConfig(s=0.7, tol=tol, max_iter=max_iter)
         _, report = run(setup.solvers, cfg, references=refs)
+        assert bool(s2.robin_maps) == (max_iter > 4)
         assert report.status == ("converged" if tol else "max_iter")
         assert 1 < report.n_iterations <= max_iter
         if width == 3:
@@ -606,11 +670,12 @@ class TestPeacemanRachford:
         tau, Mg = s1.ops.grid.tau, s1.ops.M_gamma
         want = {"errors_1": [], "errors_2": [], "gaps_1": [], "gaps_2": [],
                 "residuals": []}
-        _, untracked = run(setup.solvers, cfg)
+        fresh = [SubdomainSolver(solver.ops) for solver in setup.solvers]
+        _, untracked = run(fresh, cfg)
+        assert bool(fresh[1].robin_maps) == (run is run_pr and max_iter > 4)
         eta = None
         for n in range(1, report.n_iterations + 1):
-            eta, _ = run(setup.solvers,
-                         IterationConfig(s=0.7, tol=0.0, max_iter=n))
+            eta, _ = run(fresh, IterationConfig(s=0.7, tol=0.0, max_iter=n))
             u1 = s1.dirichlet_solve(eta=eta, loads=s1.ops.loads)
             u2 = s2.dirichlet_solve(eta=eta, loads=s2.ops.loads)
             S1_eta = s1.flux_recovery(u1, s1.ops.loads) + chi_1
