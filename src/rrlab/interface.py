@@ -633,7 +633,8 @@ def _dirichlet_x_norm(solver: SubdomainSolver, d: np.ndarray,
     return step_norm(ops.MK, u.values[:, 1:], ops.grid.tau)
 
 
-def _gram(fields: np.ndarray, ops: SubdomainOperators) -> np.ndarray:
+def _gram(fields: np.ndarray, ops: SubdomainOperators,
+          width: int) -> np.ndarray:
     """The X-norm Gram of the Robin probe's fields, over Robin data
     ordered (dof, step) with the steps reversed.
 
@@ -643,37 +644,54 @@ def _gram(fields: np.ndarray, ops: SubdomainOperators) -> np.ndarray:
     = sum over k >= max(j, l) of Q[(g, k-j), (h, k-l)]; in reversed
     steps that is Q plus the entry one step back on both axes, one
     cumulative sum down the block diagonals.
+
+    G is written in place, the rows of ``width`` data at a time (the
+    probe's block of solves): beside the fields and G only the rows'
+    product with M + K, which is symmetric, is held, about two blocks
+    of fields.
     """
     n_g, n_steps, n_dofs = fields.shape
     X = fields.reshape(n_g * n_steps, n_dofs)
-    G = ops.grid.tau * (X @ (ops.MK @ X.T))
-    blocks = G.reshape(n_g, n_steps, n_g, n_steps)
-    for a in range(1, n_steps):
-        blocks[:, a, :, 1:] += blocks[:, a - 1, :, :-1]
+    G = np.empty((len(X), len(X)))
+    for lo in range(0, len(X), width * n_steps):
+        rows = G[lo:lo + width * n_steps]
+        WX = ops.MK @ X[lo:lo + len(rows)].T
+        WX *= ops.grid.tau
+        np.matmul(WX.T, X.T, out=rows)
+        del WX          # freed before the next block's product
+        blocks = rows.reshape(-1, n_steps, n_g, n_steps)
+        for a in range(1, n_steps):
+            blocks[:, a, :, 1:] += blocks[:, a - 1, :, :-1]
     return G
 
 
 def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     """Probe (sJ + S_i)^-1 by Robin solves of the unit dual signals at
     step 1, block_width() signals per solve, and keep the solver's
-    SteklovForms; the probe's fields are kept for the Gram only while
-    it is made, and only where it fits GRAM_VALUES."""
-    ops = solver.ops
-    fields = [] if solver.gram_fits() else None
+    SteklovForms.  Where the Gram fits GRAM_VALUES, each block's fields
+    are written into one array as the probe runs; it is dropped once
+    the Gram is made from it."""
+    ops, width = solver.ops, solver.block_width()
+    n_g = ops.n_interface
+    fields = (np.empty((n_g, ops.grid.n_steps, ops.n_dofs))
+              if solver.gram_fits() else None)
+    n_probed = 0
 
     def robin_traces(lam):
+        nonlocal n_probed
         u = solver.robin_solve(s, lam=lam)
         if fields is not None:
-            fields.append(u.values[:, 1:])
+            # BlockToeplitz.probe passes the unit data in order
+            fields[n_probed:n_probed + len(u.values)] = u.values[:, 1:]
+            n_probed += len(u.values)
         return solver.trace(u)
 
-    robin_map = BlockToeplitz.probe(robin_traces, ops.grid.n_steps,
-                                    ops.n_interface, "dual",
-                                    solver.block_width())
+    robin_map = BlockToeplitz.probe(robin_traces, ops.grid.n_steps, n_g,
+                                    "dual", width)
     steklov = _shifted(robin_map.inverse().first, -_sJ(ops, s))
     solver.forms = SteklovForms(
         s, BlockToeplitz(steklov),
-        None if fields is None else _gram(np.concatenate(fields), ops))
+        None if fields is None else _gram(fields, ops, width))
     return robin_map
 
 

@@ -73,12 +73,16 @@ BLOCK_VALUES = 2 ** 16
 # SteklovForms) when it has at most this many values, (n_steps *
 # n_interface) ** 2, and holds the probe's fields only while it makes
 # the Gram.  At 16 steps that admits nx = 16 (57,600 values, 0.46 MB)
-# and not nx = 32 (246,016) or nx = 64 (1,016,064: 8.1 MB).  Admitting
-# nx = 32 raised the peak resident memory of the check benchmark from
-# 76.5 to 85.0 MB (2 cores, one BLAS thread): rrlab check keeps its
-# nx = 32 problem, with its Grams, to the end, and each Gram is made
-# from 2 MB of probe fields.
-GRAM_VALUES = 2 ** 16
+# and nx = 32 (246,016: 2 MB), and not nx = 64 (1,016,064: 8.1 MB).
+# Measured on 2 cores, one BLAS thread: at nx = 32 the Gram halves a
+# lone tracked converge run at s = 0.1 (411 -> 207 ms) and s = 10
+# (317 -> 157 ms), but slows s = 1 (112 -> 138 ms), whose 23 iterations
+# do not repay the build; the converge benchmark's wall time fell about
+# 5 %, and its peak memory, set by nx = 64, did not move.  Nothing in
+# rrlab check probes nx = 32.  At 2 ** 20, which admits nx = 64, the
+# nx = 64 cases ran 1700 -> 939, 502 -> 533 and 981 -> 668 ms, but the
+# converge peak went 82 -> 168 MB.
+GRAM_VALUES = 2 ** 18
 
 
 class SolverFailure(RuntimeError):

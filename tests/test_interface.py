@@ -58,6 +58,28 @@ def reference_fields(setup):
     return [restrict_field(u_ref, setup.dec, i) for i in (1, 2)]
 
 
+def count_solves(monkeypatch):
+    """The names of the subdomain solves, flux recoveries and pr_step
+    calls made from now on, in order, as a list that grows."""
+    from rrlab.subsolve import SubdomainSolver
+    calls = []
+
+    def counting(owner, name):
+        method = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+    for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
+        monkeypatch.setattr(SubdomainSolver, name,
+                            counting(SubdomainSolver, name))
+    monkeypatch.setattr(rrlab.interface, "pr_step",
+                        counting(rrlab.interface, "pr_step"))
+    return calls
+
+
 def rand_signal(rng, n_steps, n_g, kind="primal"):
     return InterfaceSignal(rng.standard_normal((n_steps, n_g)), kind)
 
@@ -543,23 +565,7 @@ class TestPeacemanRachford:
         # and each block costs a Dirichlet solve and a flux recovery per
         # subdomain, as before the forms.
         import rrlab.subsolve
-        from rrlab.subsolve import SubdomainSolver
-        calls = []
-
-        def counting(owner, name):
-            method = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return method(*args, **kwargs)
-            return counted
-
-        for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
-            monkeypatch.setattr(SubdomainSolver, name,
-                                counting(SubdomainSolver, name))
-        monkeypatch.setattr(rrlab.interface, "pr_step",
-                            counting(rrlab.interface, "pr_step"))
-
+        calls = count_solves(monkeypatch)
         for width in (1, 2, 4, 100):
             setup = small_setup()
             ops = setup.ops_1
@@ -598,7 +604,6 @@ class TestPeacemanRachford:
         # and one Robin solve for the residuals; the sources chi_1 and
         # chi_2 are one flux recovery each
         import tracemalloc
-        from rrlab.subsolve import SubdomainSolver
         setup = small_setup(nx=6, n_steps=rrlab.interface.RESOLVENT_STEPS + 1)
         refs = references_from_monolithic(setup)
         cfg = IterationConfig(s=0.7, tol=1e-8, max_iter=10 ** 6)
@@ -606,14 +611,7 @@ class TestPeacemanRachford:
             solver._robin_factor(cfg.s)
             solver._dirichlet_factor()
             solver.source_field()
-        calls = []
-        for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
-            method = getattr(SubdomainSolver, name)
-
-            def counted(*args, _name=name, _method=method, **kwargs):
-                calls.append(_name)
-                return _method(*args, **kwargs)
-            monkeypatch.setattr(SubdomainSolver, name, counted)
+        calls = count_solves(monkeypatch)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -833,6 +831,64 @@ class TestSteklovForms:
         else:
             assert gram is None
             assert kept <= columns < fields
+
+    def test_build_peak_memory_is_bounded(self):
+        # while the first probe at nx = 32 runs and makes its Gram it
+        # holds the probe's fields, written into one array, and the Gram,
+        # beside three columns (R, S and the shifted copy S is made from)
+        # and one block of work: a block of Robin solves, or a block of
+        # fields times M + K.  A list of the probe's fields joined after
+        # the probe, or a dense (M + K) F^T, holds another array of fields
+        import tracemalloc
+        import rrlab.subsolve
+        setup = setup_problem(default_problem(nx=32))
+        solver = setup.solver_1
+        ops = solver.ops
+        assert solver.gram_fits()
+        solver._robin_factor(1.0)       # kept either way
+        tracemalloc.start()
+        try:
+            robin_trace_map(solver, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_steps, n_g = ops.grid.n_steps, ops.n_interface
+        fields = 8 * n_steps * n_g * ops.n_dofs
+        gram = 8 * solver.forms.gram.size
+        columns = 3 * 8 * n_steps * n_g * n_g + 2 ** 15
+        block = 2 * 8 * rrlab.subsolve.BLOCK_VALUES
+        assert peak <= fields + gram + columns + block
+        assert block < fields
+
+    def test_gram_budget_admits_nx32_not_nx64(self):
+        # at 16 steps the Gram has (16 n_interface)^2 values: 246,016 at
+        # nx = 32, within GRAM_VALUES, and 1,016,064 at nx = 64, beyond it
+        for nx, fits in ((32, True), (64, False)):
+            setup = setup_problem(default_problem(nx=nx))
+            assert [s.gram_fits() for s in setup.solvers] == [fits] * 2
+
+    def test_tracked_run_at_nx32_makes_no_solve_after_the_probe(
+            self, monkeypatch):
+        # on the maps, a tracked run at nx = 32 probes both resolvents
+        # before the first pr_step, by ceil(n_interface / width) Robin
+        # solves each, and then reads every tracked quantity from the
+        # forms: no Robin or Dirichlet solve and no flux recovery
+        setup = setup_problem(default_problem(nx=32))
+        refs = references_from_monolithic(setup)
+        calls = count_solves(monkeypatch)
+        max_iter = 40
+        run_pr(setup.solvers, IterationConfig(s=1.0, tol=0.0,
+                                              max_iter=max_iter),
+               references=refs)
+        first = calls.index("pr_step")
+        before, after = calls[:first], calls[first:]
+        n_g, width = setup.ops_1.n_interface, setup.solver_1.block_width()
+        assert [s.ops.n_interface for s in setup.solvers] == [n_g] * 2
+        assert before.count("robin_solve") == 2 * -(-n_g // width)
+        assert after.count("pr_step") == max_iter
+        for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
+            assert after.count(name) == 0
+        assert all(s.forms.gram is not None for s in setup.solvers)
 
 
 class TestDenseGuard:

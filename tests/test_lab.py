@@ -301,6 +301,25 @@ class TestScenarios:
             assert a[2] == pytest.approx(b[2], rel=1e-8, abs=1e-13)
             assert a[3] == pytest.approx(b[3], rel=1e-8, abs=1e-13)
 
+    @pytest.mark.parametrize("s, n", [(0.1, 179), (1.0, 23), (10.0, 102)])
+    def test_converge_at_nx32_reads_the_gram_as_dirichlet_solves(
+            self, s, n, monkeypatch):
+        # at nx = 32 the X-norm errors come from the Gram of the Robin
+        # probe; with GRAM_VALUES at 0, from a homogeneous Dirichlet
+        # solve per subdomain and block.  Iterates, gaps and residuals
+        # are made the same way on both, so only err_X may move
+        import rrlab.subsolve
+        cfg = ScenarioConfig(scenario="converge", nx=32, ny=32, s=s,
+                             max_iter=1000)
+        gram = np.array(run_scenario(cfg).report.rows)
+        monkeypatch.setattr(rrlab.subsolve, "GRAM_VALUES", 0)
+        dirichlet = np.array(run_scenario(cfg).report.rows)
+        assert len(gram) == len(dirichlet) == n
+        np.testing.assert_array_equal(gram[:, [0, 1, 4, 5, 6]],
+                                      dirichlet[:, [0, 1, 4, 5, 6]])
+        np.testing.assert_allclose(gram[:, 2:4], dirichlet[:, 2:4],
+                                   rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("variant, name", [("pr_interface", "run_pr"),
                                                ("rr_pde", "run_rr")])
     def test_converge_runs_the_driver_bound_in_lab(self, variant, name,
