@@ -602,10 +602,11 @@ class SteklovForms:
     ``steklov`` is the s-independent column of S_i: the inverse of
     R(s0) less s0 J.  Every other resolvent is one inverse of it
     shifted by sJ (robin_trace_map).  Where the Gram fits GRAM_VALUES
-    (SubdomainSolver.gram_fits), ``gram`` is the X-norm form of the
-    probe's own fields: with y = (s0 J + S_i) d the Robin datum of a
-    trace d, the homogeneous Dirichlet field of d is the probe's field
-    of y, U y, and ||D d||_X^2 = y^T G y with G = U^T W U and
+    (SubdomainSolver.gram_fits; up to nx = 32 at 16 steps on the
+    default problem), ``gram`` is the X-norm form of the probe's own
+    fields: with y = (s0 J + S_i) d the Robin datum of a trace d, the
+    homogeneous Dirichlet field of d is the probe's field of y, U y,
+    and ||D d||_X^2 = y^T G y with G = U^T W U and
     W = tau blockdiag(M + K) (_dirichlet_x_norm).  Above the budget it
     is None, and no probe field is kept.
     """

@@ -74,14 +74,15 @@ BLOCK_VALUES = 2 ** 16
 # n_interface) ** 2, and holds the probe's fields only while it makes
 # the Gram.  At 16 steps that admits nx = 16 (57,600 values, 0.46 MB)
 # and nx = 32 (246,016: 2 MB), and not nx = 64 (1,016,064: 8.1 MB).
-# Measured on 2 cores, one BLAS thread: at nx = 32 the Gram halves a
-# lone tracked converge run at s = 0.1 (411 -> 207 ms) and s = 10
-# (317 -> 157 ms), but slows s = 1 (112 -> 138 ms), whose 23 iterations
-# do not repay the build; the converge benchmark's wall time fell about
-# 5 %, and its peak memory, set by nx = 64, did not move.  Nothing in
-# rrlab check probes nx = 32.  At 2 ** 20, which admits nx = 64, the
-# nx = 64 cases ran 1700 -> 939, 502 -> 533 and 981 -> 668 ms, but the
-# converge peak went 82 -> 168 MB.
+# Measured on 2 cores, one BLAS thread: at nx = 32 the Gram cut a lone
+# tracked converge run from 473 to 190 ms at s = 0.1 and from 278 to
+# 155 ms at s = 10.  Its build, about 10.6 ms per subdomain, costs 2.5
+# Dirichlet solves of a block of iterates, so a run that stops within
+# about 17 iterations pays more for it than it saves.  The converge
+# benchmark's wall time fell 6.4 %, and its peak memory, set by nx = 64,
+# did not move; nothing in rrlab check probes nx = 32.  At 2 ** 20,
+# which admits nx = 64, the nx = 64 cases ran 1700 -> 939, 502 -> 533
+# and 981 -> 668 ms, but the converge peak memory went 82 -> 168 MB.
 GRAM_VALUES = 2 ** 18
 
 

@@ -855,10 +855,11 @@ class TestSteklovForms:
         n_steps, n_g = ops.grid.n_steps, ops.n_interface
         fields = 8 * n_steps * n_g * ops.n_dofs
         gram = 8 * solver.forms.gram.size
-        columns = 3 * 8 * n_steps * n_g * n_g + 2 ** 15
+        columns = 3 * 8 * n_steps * n_g * n_g
         block = 2 * 8 * rrlab.subsolve.BLOCK_VALUES
-        assert peak <= fields + gram + columns + block
-        assert block < fields
+        slack = 2 ** 18
+        assert peak <= fields + gram + columns + block + slack
+        assert block + slack < fields
 
     def test_gram_budget_admits_nx32_not_nx64(self):
         # at 16 steps the Gram has (16 n_interface)^2 values: 246,016 at
@@ -882,9 +883,8 @@ class TestSteklovForms:
                references=refs)
         first = calls.index("pr_step")
         before, after = calls[:first], calls[first:]
-        n_g, width = setup.ops_1.n_interface, setup.solver_1.block_width()
-        assert [s.ops.n_interface for s in setup.solvers] == [n_g] * 2
-        assert before.count("robin_solve") == 2 * -(-n_g // width)
+        assert before.count("robin_solve") == sum(
+            -(-s.ops.n_interface // s.block_width()) for s in setup.solvers)
         assert after.count("pr_step") == max_iter
         for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
             assert after.count(name) == 0
