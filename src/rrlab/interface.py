@@ -25,14 +25,13 @@ GRAM_VALUES, the X-norm Gram of the trace-to-field map, from the
 probe's own fields.  The PDE-level sweep stays two Robin solves with
 loads.  The sources chi enter only the affine part of the step, so only
 the Peaceman-Rachford iterates read them: every tracked quantity is a
-form of d = eta_ref - eta (_track_block), in which they cancel.  A
-tracked run that takes the maps reads these forms from the
-SteklovForms, with no subdomain solve where the Gram is kept and one
-homogeneous Dirichlet solve per subdomain for a block of iterates above
-it; a run on Robin solves makes no probe, and tracks by a homogeneous
-Dirichlet solve and a flux recovery per subdomain and block, as S_i is
-applied in the acceptance criteria and the oracles of the tests
-(SteklovOperator).
+form of d = eta_ref - eta (_track_block), in which they cancel.
+Tracking has two paths, chosen by whether both solvers hold a Gram once
+the run's resolvents are made: on the Gram it reads every form from the
+SteklovForms and makes no subdomain solve; otherwise it makes a
+homogeneous Dirichlet solve and a flux recovery per subdomain and block
+of iterates, as S_i is applied in the acceptance criteria and the
+oracles of the tests (SteklovOperator).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ __all__ = [
     "init_robin_sweep", "robin_sweep", "run_equivalence", "h_norm",
     "assemble_dense", "spectral_analysis", "SpectralRow", "BlockToeplitz",
     "robin_trace_map", "robin_resolvent", "check_dense_columns",
-    "SteklovForms", "steklov_forms",
+    "SteklovForms",
 ]
 
 DENSE_COLUMN_GUARD = 2000
@@ -155,9 +154,10 @@ class IterationConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("Robin parameter s must be positive")
-        if self.tol < 0:
+        # written so that nan fails too
+        if not 0.0 < self.s < math.inf:
+            raise ValueError("Robin parameter s must be finite and positive")
+        if not self.tol >= 0:
             raise ValueError("tol must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -327,31 +327,28 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     residual pushed through the resolvent (sJ + S2)^-1 (the iteration's
     own metric).  These are forms of eta_ref - eta^n (_track_block),
     computed for a block of SubdomainSolver.block_width() iterates at
-    once, with one apply of the subdomain-2 resolvent.  Where the maps
-    pay for config.max_iter applies on both subdomains (robin_resolvent)
-    the forms are read from the SteklovForms of the probe the maps make
-    anyway: no subdomain solve within GRAM_VALUES, one homogeneous
-    Dirichlet solve per subdomain above it.  Otherwise each subdomain
-    makes a homogeneous Dirichlet solve and a flux recovery per block,
-    and nothing is probed.  Everything a block reads is made before the
-    first iterate is drawn.
+    once, with one apply of the subdomain-2 resolvent.  The run's two
+    resolvents (robin_resolvent, for config.max_iter applies) are made
+    first; the Peaceman-Rachford iterates take the same ones, kept by s.
+    If both solvers then hold a Gram, the forms are read from their
+    SteklovForms with no subdomain solve; otherwise each subdomain makes
+    a homogeneous Dirichlet solve and a flux recovery per block.
+    Everything a block reads is made before the first iterate is drawn.
     """
-    s1, s2 = solvers
-    ops = s1.ops
+    ops = solvers[0].ops
     tau, Mg = ops.grid.tau, ops.M_gamma
     eta = InterfaceSignal(np.zeros((ops.grid.n_steps, ops.n_interface)), "primal")
 
     report = ConvergenceReport()
     track = references is not None
     if track:
-        use_forms = all(_map_pays(solver, config.max_iter)
-                        for solver in solvers)
-        if use_forms:
-            for solver in solvers:
-                steklov_forms(solver, config.s)
         # made before the first iterate is drawn, so that every
-        # iteration does the same work (perfbench pools later iterations)
-        resolvent = robin_resolvent(s2, config.s, config.max_iter)
+        # iteration does the same work (perfbench pools later iterations);
+        # both, so that any probe they make has kept its forms
+        _, resolvent = [robin_resolvent(solver, config.s, config.max_iter)
+                        for solver in solvers]
+        on_gram = all(solver.forms is not None
+                      and solver.forms.gram is not None for solver in solvers)
         width = min(solver.block_width() for solver in solvers)
         pending = []
         rows = (report.errors_1, report.gaps_1, report.errors_2,
@@ -360,7 +357,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
         def flush(n_tracked):
             # track the pending block; its first n_tracked iterates count
             values = _track_block(solvers, resolvent, references.eta_ref,
-                                  pending, use_forms)
+                                  pending, on_gram)
             for value, row in zip(values, rows):
                 row.extend(value[:n_tracked].tolist())
             pending.clear()
@@ -394,7 +391,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
 
 
 def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
-                 pending: list, use_forms: bool):
+                 pending: list, on_gram: bool):
     """X-norm errors and gaps of both subdomains, and residuals, of a
     block of iterates given as eta^n values; one array each, in the
     order errors_1, gaps_1, errors_2, gaps_2, residuals.
@@ -404,16 +401,17 @@ def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
     S_i eta_ref - S_i eta = S_i d, so chi cancels from every quantity:
     the error is ||D_i d||_X, gap_i = (S_i d) . d, and the residual
     (S1 + S2) eta - chi is -(S1 + S2) d, whose norm after
-    ``resolvent``, (sJ + S2)^-1, is that of (S1 + S2) d.  With
-    ``use_forms``, S_i d and ||D_i d||_X come from each solver's
-    SteklovForms (_dirichlet_x_norm); without, from the field D_i d of
-    a Dirichlet solve and its flux recovery.
+    ``resolvent``, (sJ + S2)^-1, is that of (S1 + S2) d.  On the Gram
+    (``on_gram``), S_i d and ||D_i d||_X come from each solver's
+    SteklovForms: its column of S_i and its Gram (_dirichlet_x_norm);
+    otherwise from the field D_i d of a Dirichlet solve and its flux
+    recovery.
     """
     ops = solvers[0].ops
     d = eta_ref.values - np.array(pending)
     out, flux = [], 0.0
     for solver in solvers:
-        if use_forms:
+        if on_gram:
             Sd = solver.forms.steklov.apply(d)
             err = _dirichlet_x_norm(solver, d, Sd)
         else:
@@ -436,10 +434,10 @@ def run_pr(solvers, config: IterationConfig,
     probes both resolvents, ceil(n_interface / width) Robin solves each
     (none if the solvers were probed already), and an iteration then
     makes no subdomain solve; otherwise it makes two Robin solves.
-    Tracking then costs no subdomain solve, or above GRAM_VALUES one
-    homogeneous Dirichlet solve per subdomain and block of iterates, on
-    the maps; one Dirichlet solve and one flux recovery per subdomain
-    and block on Robin solves.
+    Tracking then costs no subdomain solve where both solvers hold a
+    Gram (within GRAM_VALUES, on the maps), and one homogeneous
+    Dirichlet solve and one flux recovery per subdomain and block of
+    iterates otherwise.
     """
     return _run_iteration(solvers, config, _pr_iterates, references)
 
@@ -602,13 +600,14 @@ class SteklovForms:
     ``steklov`` is the s-independent column of S_i: the inverse of
     R(s0) less s0 J.  Every other resolvent is one inverse of it
     shifted by sJ (robin_trace_map).  Where the Gram fits GRAM_VALUES
-    (SubdomainSolver.gram_fits; up to nx = 32 at 16 steps on the
-    default problem), ``gram`` is the X-norm form of the probe's own
-    fields: with y = (s0 J + S_i) d the Robin datum of a trace d, the
-    homogeneous Dirichlet field of d is the probe's field of y, U y,
-    and ||D d||_X^2 = y^T G y with G = U^T W U and
-    W = tau blockdiag(M + K) (_dirichlet_x_norm).  Above the budget it
-    is None, and no probe field is kept.
+    (gram_fits; up to nx = 32 at 16 steps on the default problem),
+    ``gram`` is the X-norm form of the probe's own fields: with
+    y = (s0 J + S_i) d the Robin datum of a trace d, the homogeneous
+    Dirichlet field of d is the probe's field of y, U y, and
+    ||D d||_X^2 = y^T G y with G = U^T W U and W = tau blockdiag(M + K)
+    (_dirichlet_x_norm).  Above the budget it is None, and no probe
+    field is kept.  Tracking reads the forms only where both solvers of
+    a run keep a Gram (_track_block).
     """
 
     s0: float
@@ -620,18 +619,36 @@ def _dirichlet_x_norm(solver: SubdomainSolver, d: np.ndarray,
                       Sd: np.ndarray) -> np.ndarray:
     """||D d||_X, the X norm of the homogeneous Dirichlet field, of each
     trace of the block d, shaped (m, n_steps, n_interface), given
-    Sd = S_i d: from the Gram of the solver's SteklovForms, or above
-    GRAM_VALUES by one Dirichlet solve of the block, so callers pass at
-    most block_width() traces."""
-    ops, forms = solver.ops, solver.forms
-    if forms.gram is not None:
-        y = _sJ(ops, forms.s0) * d + Sd
-        # the Gram is kept over (dof, step) with the steps reversed
-        flat = np.swapaxes(y[:, ::-1], 1, 2).reshape(len(y), -1)
-        return np.sqrt(np.maximum(
-            np.sum((flat @ forms.gram) * flat, axis=1), 0.0))
-    u = solver.dirichlet_solve(eta=InterfaceSignal(d))
-    return step_norm(ops.MK, u.values[:, 1:], ops.grid.tau)
+    Sd = S_i d, from the Gram of the solver's SteklovForms."""
+    forms = solver.forms
+    y = _sJ(solver.ops, forms.s0) * d + Sd
+    # the Gram is kept over (dof, step) with the steps reversed
+    flat = np.swapaxes(y[:, ::-1], 1, 2).reshape(len(y), -1)
+    return np.sqrt(np.maximum(
+        np.sum((flat @ forms.gram) * flat, axis=1), 0.0))
+
+
+# A subdomain keeps the X-norm Gram of its Robin probe (SteklovForms) when
+# it has at most this many values, (n_steps * n_interface) ** 2, and
+# holds the probe's fields only while it makes the Gram.  Tracking has
+# two paths: on the Gram, with no subdomain solve, where both solvers
+# keep one, and a homogeneous Dirichlet solve and a flux recovery per
+# subdomain and block of iterates otherwise (_track_block).  At 16 steps
+# the budget admits nx = 16 (57,600 values, 0.46 MB) and nx = 32
+# (246,016: 2 MB), and not nx = 64 (1,016,064: 8.1 MB).  Measured on 2
+# cores, one BLAS thread: at nx = 32 the Gram cut a lone tracked
+# converge run by 44-60 % at s = 0.1 and 10; its build, about 10.6 ms
+# per subdomain, costs 2.5 Dirichlet solves of a block of iterates.  At
+# 2 ** 20, which admits nx = 64, the nx = 64 cases at s = 0.1 and 10
+# ran 1.5-1.8 times faster, but the converge peak memory went 82 -> 168 MB.
+GRAM_VALUES = 2 ** 18
+
+
+def gram_fits(solver: SubdomainSolver) -> bool:
+    """Whether the X-norm Gram of a solver's Robin probe, (n_steps *
+    n_interface) ** 2 values, fits GRAM_VALUES."""
+    ops = solver.ops
+    return (ops.grid.n_steps * ops.n_interface) ** 2 <= GRAM_VALUES
 
 
 def _gram(fields: np.ndarray, ops: SubdomainOperators,
@@ -675,7 +692,7 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     ops, width = solver.ops, solver.block_width()
     n_g = ops.n_interface
     fields = (np.empty((n_g, ops.grid.n_steps, ops.n_dofs))
-              if solver.gram_fits() else None)
+              if gram_fits(solver) else None)
     n_probed = 0
 
     def robin_traces(lam):
@@ -706,20 +723,14 @@ def robin_trace_map(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     is kept in ``solver.robin_maps`` by s, and an apply costs no solve.
     """
     key = float(s)
+    if not 0.0 < key < math.inf:
+        raise ValueError("Robin parameter s must be finite and positive")
     if key not in solver.robin_maps:
         solver.robin_maps[key] = (
             _first_probe(solver, key) if solver.forms is None else
             BlockToeplitz(_shifted(solver.forms.steklov.first,
                                    _sJ(solver.ops, key))).inverse())
     return solver.robin_maps[key]
-
-
-def steklov_forms(solver: SubdomainSolver, s: float) -> SteklovForms:
-    """The SteklovForms of one subdomain, made by a first Robin probe at
-    s (robin_trace_map) unless the solver holds them already."""
-    if solver.forms is None:
-        robin_trace_map(solver, s)
-    return solver.forms
 
 
 def _map_pays(solver: SubdomainSolver, n_applies: int) -> bool:

@@ -17,8 +17,9 @@ from . import __version__
 from .assembly import (GlobalOperators, SubdomainOperators,
                        build_global_operators, build_subdomain_operators)
 from .interface import (IterationConfig, PRReferences, SpectralRow,
-                        assemble_dense, check_dense_columns, run_equivalence,
-                        run_pr, run_rr, spectral_analysis, steklov_forms)
+                        assemble_dense, check_dense_columns,
+                        robin_trace_map, run_equivalence, run_pr, run_rr,
+                        spectral_analysis)
 from .mesh import Decomposition, Mesh, ProblemSpec, build_mesh, decompose
 from .subsolve import (InterfaceSignal, MonolithicSolver, SpaceTimeField,
                        SubdomainSolver, step_norm)
@@ -184,17 +185,24 @@ class MmsRow:
     order: float      # pairwise observed order, nan on the first row
 
 
-def _mms_errors(spec: ProblemSpec):
-    mesh = build_mesh(spec)
-    dec = decompose(mesh, spec)
-    ops = build_global_operators(spec, mesh, dec)
-    u = MonolithicSolver(ops).solve()
-    times = np.arange(1, spec.n_steps + 1) * spec.tau
-    exact = mms_exact_nodal(mesh, ops.dof_nodes, times)
-    e = u.values[1:] - exact
+def _mms_row(spec: ProblemSpec, ops: GlobalOperators, e) -> MmsRow:
+    """The row of the level ``spec`` with the L2 and X norms of its
+    error e, over the steps; its order is set by _with_orders."""
     l2 = step_norm(ops.M, e, spec.tau)
     x = np.sqrt(l2 ** 2 + step_norm(ops.K, e, spec.tau) ** 2)
-    return l2, float(x)
+    return MmsRow(spec.length_x / spec.nx, spec.tau, l2, float(x), np.nan)
+
+
+def _with_orders(rows: list[MmsRow], scale: str) -> list[MmsRow]:
+    """The rows of a refinement study, each after the first with the
+    observed order of its l2 error against the previous row's, over the
+    refined ``scale`` ("h" or "tau")."""
+    out = rows[:1]
+    for prev, row in zip(rows, rows[1:]):
+        ratio = getattr(prev, scale) / getattr(row, scale)
+        out.append(replace(row, order=float(
+            np.log(prev.l2_error / row.l2_error) / np.log(ratio))))
+    return out
 
 
 def run_mms_spatial(theta: float, levels=(4, 8, 16),
@@ -206,18 +214,16 @@ def run_mms_spatial(theta: float, levels=(4, 8, 16),
     fast as the spatial one.
     """
     rows = []
-    prev = None
     for nx in levels:
         n_steps = max(4, nx * nx // 4) if theta == 1.0 else max(4, nx)
         spec = mms_spec(dimension, nx, n_steps, theta)
-        l2, x = _mms_errors(spec)
-        h = spec.length_x / nx
-        order = np.nan
-        if prev is not None:
-            order = float(np.log(prev[1] / l2) / np.log(prev[0] / h))
-        rows.append(MmsRow(h, spec.tau, l2, x, order))
-        prev = (h, l2)
-    return rows
+        mesh = build_mesh(spec)
+        ops = build_global_operators(spec, mesh, decompose(mesh, spec))
+        u = MonolithicSolver(ops).solve()
+        times = np.arange(1, n_steps + 1) * spec.tau
+        exact = mms_exact_nodal(mesh, ops.dof_nodes, times)
+        rows.append(_mms_row(spec, ops, u.values[1:] - exact))
+    return _with_orders(rows, "h")
 
 
 def run_mms_temporal(theta: float, steps=(4, 8, 16), ref_factor: int = 8,
@@ -236,21 +242,14 @@ def run_mms_temporal(theta: float, steps=(4, 8, 16), ref_factor: int = 8,
     u_ref = MonolithicSolver(ops_ref).solve()
 
     rows = []
-    prev = None
     for n_steps in steps:
         spec = mms_spec(dimension, nx, n_steps, theta)
         ops = build_global_operators(spec, mesh, dec)
         u = MonolithicSolver(ops).solve()
         stride = ref_steps // n_steps
         e = u.values[1:] - u_ref.values[stride::stride]
-        l2 = step_norm(ops.M, e, spec.tau)
-        x = np.sqrt(l2 ** 2 + step_norm(ops.K, e, spec.tau) ** 2)
-        order = np.nan
-        if prev is not None:
-            order = float(np.log(prev[1] / l2) / np.log(prev[0] / spec.tau))
-        rows.append(MmsRow(spec.length_x / nx, spec.tau, l2, float(x), order))
-        prev = (spec.tau, l2)
-    return rows
+        rows.append(_mms_row(spec, ops, e))
+    return _with_orders(rows, "tau")
 
 
 def least_squares_order(scales, errors) -> float:
@@ -261,7 +260,7 @@ def least_squares_order(scales, errors) -> float:
 def spectral_portrait(setup: LabSetup, s_values) -> list[SpectralRow]:
     """spectral_analysis of the problem's S_1 and S_2 at every s of
     ``s_values``.  Each is the dense matrix of the column its solver
-    keeps (steklov_forms; a solver not yet probed is probed at the first
+    keeps (_kept_steklov; a solver not yet probed is probed at the first
     s, after the dense guard has passed)."""
     ops = setup.ops_1
     n_steps, n_g = ops.grid.n_steps, ops.n_interface
@@ -275,8 +274,10 @@ def spectral_portrait(setup: LabSetup, s_values) -> list[SpectralRow]:
 
 
 def _kept_steklov(solver: SubdomainSolver, s: float):
-    """The signal map of S_i from its kept column."""
-    steklov = steklov_forms(solver, s).steklov
+    """The signal map of S_i from its kept column, probed at s if need be."""
+    if solver.forms is None:
+        robin_trace_map(solver, s)
+    steklov = solver.forms.steklov
     return lambda eta: InterfaceSignal(steklov.apply(eta.values), "dual")
 
 

@@ -69,22 +69,6 @@ DENSE_MAX_DOFS = 200
 # run over nx = 16, 32 and 64 by 3 MB.
 BLOCK_VALUES = 2 ** 16
 
-# A subdomain keeps the X-norm Gram of its Robin probe (interface.
-# SteklovForms) when it has at most this many values, (n_steps *
-# n_interface) ** 2, and holds the probe's fields only while it makes
-# the Gram.  At 16 steps that admits nx = 16 (57,600 values, 0.46 MB)
-# and nx = 32 (246,016: 2 MB), and not nx = 64 (1,016,064: 8.1 MB).
-# Measured on 2 cores, one BLAS thread: at nx = 32 the Gram cut a lone
-# tracked converge run from 473 to 190 ms at s = 0.1 and from 278 to
-# 155 ms at s = 10.  Its build, about 10.6 ms per subdomain, costs 2.5
-# Dirichlet solves of a block of iterates, so a run that stops within
-# about 17 iterations pays more for it than it saves.  The converge
-# benchmark's wall time fell 6.4 %, and its peak memory, set by nx = 64,
-# did not move; nothing in rrlab check probes nx = 32.  At 2 ** 20,
-# which admits nx = 64, the nx = 64 cases ran 1700 -> 939, 502 -> 533
-# and 981 -> 668 ms, but the converge peak memory went 82 -> 168 MB.
-GRAM_VALUES = 2 ** 18
-
 
 class SolverFailure(RuntimeError):
     """A linear solve could not be completed."""
@@ -291,9 +275,9 @@ class SubdomainSolver:
         self._dirichlet = None
         self._robin: dict[float, Factorization] = {}
         # interface.robin_trace_map keeps its maps here, keyed by s; the
-        # first is probed by Robin solves, and that probe leaves the
-        # interface.SteklovForms (the column of S_i, and the X-norm Gram
-        # where gram_fits()) in ``forms``, from which the others are made
+        # first is probed, and leaves the interface.SteklovForms in
+        # ``forms``: the column of S_i and, within interface.GRAM_VALUES,
+        # the Gram that tracking reads where both solvers keep one
         self.robin_maps: dict[float, object] = {}
         self.forms = None
         self._source = None
@@ -308,9 +292,9 @@ class SubdomainSolver:
         return self._dirichlet
 
     def _robin_factor(self, s: float) -> Factorization:
-        if s <= 0:
-            raise ValueError("Robin parameter s must be positive")
         key = float(s)
+        if not 0.0 < key < np.inf:      # nan fails too
+            raise ValueError("Robin parameter s must be finite and positive")
         if key not in self._robin:
             A_rob, _ = build_step_operators(self.ops, s=key)
             self._robin[key] = Factorization(
@@ -346,12 +330,6 @@ class SubdomainSolver:
         BLOCK_VALUES field values, and at least one column."""
         grid, n = self.ops.grid, self.ops.n_dofs
         return max(1, BLOCK_VALUES // ((grid.n_steps + 1) * n))
-
-    def gram_fits(self) -> bool:
-        """Whether the X-norm Gram over the interface, (n_steps *
-        n_interface) ** 2 values, fits GRAM_VALUES."""
-        grid = self.ops.grid
-        return (grid.n_steps * self.ops.n_interface) ** 2 <= GRAM_VALUES
 
     def trace(self, u: SpaceTimeField) -> InterfaceSignal:
         """Interface trace of a subdomain field (steps 1..n)."""

@@ -44,10 +44,10 @@ def small_setup(nx=6, n_steps=4, dimension=2, source="cos", alpha=None,
 @pytest.fixture(params=["gram", "dirichlet"])
 def tracking(request, monkeypatch):
     """The realization of tracking: the X-norm Gram of the Robin probe,
-    or, with GRAM_VALUES at 0, homogeneous Dirichlet solves."""
+    or, with GRAM_VALUES at 0, homogeneous Dirichlet solves and flux
+    recoveries."""
     if request.param == "dirichlet":
-        import rrlab.subsolve
-        monkeypatch.setattr(rrlab.subsolve, "GRAM_VALUES", 0)
+        monkeypatch.setattr(rrlab.interface, "GRAM_VALUES", 0)
     return request.param
 
 
@@ -557,13 +557,12 @@ class TestPeacemanRachford:
                                             monkeypatch):
         # n_interface = 5: probing pays for 12 applies, not for 5.  With
         # probed maps run_pr probes both resolvents before the first
-        # pr_step, by ceil(n_interface / width) Robin solves each, an
-        # iteration makes no subdomain solve, and tracking reads the
-        # probe's forms: no subdomain solve on the Gram, one homogeneous
-        # Dirichlet solve per subdomain and block without it.  Else an
-        # iteration is two Robin solves, each block's residuals one more,
-        # and each block costs a Dirichlet solve and a flux recovery per
-        # subdomain, as before the forms.
+        # pr_step, by ceil(n_interface / width) Robin solves each, and an
+        # iteration makes no subdomain solve.  Else an iteration is two
+        # Robin solves, and each block's residuals one more.  Tracking
+        # reads the probe's forms, with no subdomain solve, where both
+        # solvers keep a Gram; otherwise each block costs a homogeneous
+        # Dirichlet solve and a flux recovery per subdomain.
         import rrlab.subsolve
         calls = count_solves(monkeypatch)
         for width in (1, 2, 4, 100):
@@ -585,9 +584,9 @@ class TestPeacemanRachford:
                 assert before.count("robin_solve") == \
                     2 * -(-ops.n_interface // width)
                 assert after.count("robin_solve") == 0
-                assert after.count("dirichlet_solve") == \
-                    (2 * n_blocks if tracking == "dirichlet" else 0)
-                assert after.count("flux_recovery") == 0
+                for name in ("dirichlet_solve", "flux_recovery"):
+                    assert after.count(name) == \
+                        (2 * n_blocks if tracking == "dirichlet" else 0)
             else:
                 assert before.count("robin_solve") == 0
                 assert after.count("robin_solve") == 2 * max_iter + n_blocks
@@ -740,12 +739,32 @@ class TestPeacemanRachford:
             + ["pr_step", "robin_sweep"] * 2
 
     def test_iteration_config_validation(self):
-        with pytest.raises(ValueError):
-            IterationConfig(s=0.0)
-        with pytest.raises(ValueError):
-            IterationConfig(tol=-1.0)
-        with pytest.raises(ValueError):
-            IterationConfig(max_iter=0)
+        for bad in ({"s": 0.0}, {"s": np.nan}, {"s": np.inf},
+                    {"tol": -1.0}, {"tol": np.nan}, {"max_iter": 0}):
+            with pytest.raises(ValueError):
+                IterationConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_robin_parameter_keeps_nothing(self, bad):
+        # a non-finite s is refused before a solver keeps a Robin factor,
+        # a map or forms: on a fresh solver (the probe path of
+        # robin_trace_map) and on a probed one (its inverse path).  The
+        # solvers then still run at s = 1
+        setup = setup_problem(default_problem(nx=8, n_steps=4))
+        fresh, probed = setup.solvers
+        robin_trace_map(probed, 0.7)
+        for call in (lambda: fresh.robin_solve(bad),
+                     lambda: robin_trace_map(fresh, bad),
+                     lambda: robin_resolvent(fresh, bad, 10 ** 6),
+                     lambda: robin_trace_map(probed, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+        assert fresh.forms is None and not fresh.robin_maps
+        assert not fresh._robin
+        assert list(probed.robin_maps) == [0.7]
+        _, report = run_pr(setup.solvers, IterationConfig(s=1.0),
+                           references=references_from_monolithic(setup))
+        assert report.status == "converged"
 
 
 class TestRobinRobinSweep:
@@ -813,7 +832,7 @@ class TestSteklovForms:
         solver = setup.solver_1
         n_steps, n_g = solver.ops.grid.n_steps, solver.ops.n_interface
         if not fits:
-            monkeypatch.setattr(rrlab.subsolve, "GRAM_VALUES",
+            monkeypatch.setattr(rrlab.interface, "GRAM_VALUES",
                                 (n_steps * n_g) ** 2 - 1)
         solver._robin_factor(1.0)       # kept either way
         tracemalloc.start()
@@ -826,7 +845,7 @@ class TestSteklovForms:
         fields = 8 * n_steps * n_g * solver.ops.n_dofs
         gram = solver.forms.gram
         if fits:
-            assert gram.size <= rrlab.subsolve.GRAM_VALUES
+            assert gram.size <= rrlab.interface.GRAM_VALUES
             assert kept <= 8 * gram.size + columns
         else:
             assert gram is None
@@ -844,7 +863,7 @@ class TestSteklovForms:
         setup = setup_problem(default_problem(nx=32))
         solver = setup.solver_1
         ops = solver.ops
-        assert solver.gram_fits()
+        assert rrlab.interface.gram_fits(solver)
         solver._robin_factor(1.0)       # kept either way
         tracemalloc.start()
         try:
@@ -866,7 +885,8 @@ class TestSteklovForms:
         # nx = 32, within GRAM_VALUES, and 1,016,064 at nx = 64, beyond it
         for nx, fits in ((32, True), (64, False)):
             setup = setup_problem(default_problem(nx=nx))
-            assert [s.gram_fits() for s in setup.solvers] == [fits] * 2
+            assert [rrlab.interface.gram_fits(s)
+                    for s in setup.solvers] == [fits] * 2
 
     def test_tracked_run_at_nx32_makes_no_solve_after_the_probe(
             self, monkeypatch):

@@ -304,21 +304,26 @@ class TestScenarios:
     @pytest.mark.parametrize("s, n", [(0.1, 179), (1.0, 23), (10.0, 102)])
     def test_converge_at_nx32_reads_the_gram_as_dirichlet_solves(
             self, s, n, monkeypatch):
-        # at nx = 32 the X-norm errors come from the Gram of the Robin
-        # probe; with GRAM_VALUES at 0, from a homogeneous Dirichlet
-        # solve per subdomain and block.  Iterates, gaps and residuals
-        # are made the same way on both, so only err_X may move
-        import rrlab.subsolve
+        # at nx = 32 the tracked forms come from the Robin probe: S_i d
+        # from its column of S_i and the X-norm errors from its Gram; with
+        # GRAM_VALUES at 0, from a homogeneous Dirichlet solve and a flux
+        # recovery per subdomain and block.  The iterates are made the
+        # same way on both, so n and the increments stay equal; the
+        # errors, gaps and residuals agree to roundoff
+        import rrlab.interface
         cfg = ScenarioConfig(scenario="converge", nx=32, ny=32, s=s,
                              max_iter=1000)
         gram = np.array(run_scenario(cfg).report.rows)
-        monkeypatch.setattr(rrlab.subsolve, "GRAM_VALUES", 0)
+        monkeypatch.setattr(rrlab.interface, "GRAM_VALUES", 0)
         dirichlet = np.array(run_scenario(cfg).report.rows)
         assert len(gram) == len(dirichlet) == n
-        np.testing.assert_array_equal(gram[:, [0, 1, 4, 5, 6]],
-                                      dirichlet[:, [0, 1, 4, 5, 6]])
+        np.testing.assert_array_equal(gram[:, :2], dirichlet[:, :2])
         np.testing.assert_allclose(gram[:, 2:4], dirichlet[:, 2:4],
                                    rtol=1e-13, atol=0)
+        for col in (4, 5, 6):       # gap1, gap2, sp_residual
+            np.testing.assert_allclose(
+                gram[:, col], dirichlet[:, col], rtol=0,
+                atol=1e-13 * np.abs(dirichlet[:, col]).max())
 
     @pytest.mark.parametrize("variant, name", [("pr_interface", "run_pr"),
                                                ("rr_pde", "run_rr")])
@@ -357,6 +362,27 @@ class TestScenarios:
         for row in rep.rows:
             assert 0 < row[1] < 1          # contraction
             assert min(row[2:5]) > 0       # bijectivity indicators
+
+    def test_spectral_portrait_reads_the_kept_columns(self, monkeypatch):
+        # on solvers probed at s = 0.7, a portrait at other s makes no
+        # map and analyses the dense matrices of the kept columns of S_i
+        from rrlab.interface import robin_trace_map
+        setup = setup_problem(default_problem(nx=8, n_steps=4))
+        for solver in setup.solvers:
+            robin_trace_map(solver, 0.7)
+        analysed, analysis = [], rrlab.lab.spectral_analysis
+
+        def spy(S1, S2, *args):
+            analysed.append((S1, S2))
+            return analysis(S1, S2, *args)
+
+        monkeypatch.setattr(rrlab.lab, "spectral_analysis", spy)
+        rows = rrlab.lab.spectral_portrait(setup, (1.0, 10.0))
+        assert [row.s for row in rows] == [1.0, 10.0]
+        [pair] = analysed
+        for S, solver in zip(pair, setup.solvers):
+            assert list(solver.robin_maps) == [0.7]
+            np.testing.assert_array_equal(S, solver.forms.steklov.dense())
 
     def test_coercivity_scenario_deterministic(self):
         cfg = small_config(scenario="coercivity", samples=5, nx=4, n_steps=4)
