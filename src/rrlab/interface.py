@@ -418,6 +418,7 @@ def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
             u = solver.dirichlet_solve(eta=InterfaceSignal(d))
             Sd = solver.flux_recovery(u).values
             err = step_norm(solver.ops.MK, u.values[:, 1:], ops.grid.tau)
+            del u       # freed before the next subdomain's solve
         out += [err, np.sum(Sd * d, axis=(-2, -1))]
         flux = flux + Sd
     precond = InterfaceSignal(resolvent(flux), "primal")
