@@ -295,8 +295,8 @@ def robin_coefficient(s: float, tau: float) -> float:
     unit time, and the iteration contracts uniformly over a wide range
     of s on desk-scale problems.
     """
-    if s < 0:
-        raise ValueError("Robin parameter must be nonnegative")
+    if not 0.0 <= s < np.inf:      # nan fails too
+        raise ValueError("Robin parameter must be finite and nonnegative")
     return s / tau
 
 
@@ -305,7 +305,8 @@ def build_step_operators(ops: SubdomainOperators | GlobalOperators,
     """Per-step matrices (A, C): A u^k = f^k + C u^{k-1}.
 
     A = M/tau + theta K, C = M/tau - (1-theta) K.  When ``s`` is given
-    the Robin interface term is added to the (Gamma, Gamma) block of A.
+    the Robin interface term is added to the (Gamma, Gamma) block of A;
+    a negative or non-finite s is refused (robin_coefficient).
     """
     grid = ops.grid
     A = (ops.M / grid.tau + grid.theta * ops.K).tocsr()
@@ -313,9 +314,10 @@ def build_step_operators(ops: SubdomainOperators | GlobalOperators,
     if s is not None:
         if not isinstance(ops, SubdomainOperators):
             raise ValueError("Robin mode requires subdomain operators")
-        if s > 0:
-            A = (A + robin_coefficient(s, grid.tau)
-                 * ops.embed_interface(lumped_interface_mass(ops.M_gamma))).tocsr()
+        weight = robin_coefficient(s, grid.tau)
+        if weight > 0:
+            A = (A + weight * ops.embed_interface(
+                lumped_interface_mass(ops.M_gamma))).tocsr()
     A.sort_indices()
     C.sort_indices()
     return A, C

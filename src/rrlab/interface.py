@@ -20,15 +20,17 @@ realizes each resolvent by robin_resolvent: as its BlockToeplitz
 costs, and by a Robin solve per apply otherwise.  A subdomain is probed
 by Robin solves once, at the first s a map is made for; that probe
 gives the solver's SteklovForms: the s-independent column of S_i, from
-which every other resolvent is one inverse, and, where it fits
-GRAM_VALUES, the X-norm Gram of the trace-to-field map, from the
-probe's own fields.  The PDE-level sweep stays two Robin solves with
-loads.  The sources chi enter only the affine part of the step, so only
-the Peaceman-Rachford iterates read them: every tracked quantity is a
-form of d = eta_ref - eta (_track_block), in which they cancel.
-Tracking has two paths, chosen by whether both solvers hold a Gram once
-the run's resolvents are made: on the Gram it reads every form from the
-SteklovForms and makes no subdomain solve; otherwise it makes a
+which every other resolvent is one inverse, and the X-norm form of the
+trace-to-field map.  That form is block-Hankel in time up to an
+interface term, because the probe's step map A_R^-1 C has symmetric
+A_R and C, so its 2 n_steps - 1 interface blocks hold all of it; they
+come from the probe's own map and its last-step fields.  The PDE-level
+sweep stays two Robin solves with loads.  The sources chi enter only
+the affine part of the step, so only the Peaceman-Rachford iterates
+read them: every tracked quantity is a form of d = eta_ref - eta
+(_track_block), in which they cancel.  Tracking has two paths, chosen
+by whether both solvers hold SteklovForms once the run's resolvents are
+made: on the forms it makes no subdomain solve; otherwise it makes a
 homogeneous Dirichlet solve and a flux recovery per subdomain and block
 of iterates, as S_i is applied in the acceptance criteria and the
 oracles of the tests (SteklovOperator).
@@ -330,9 +332,10 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     once, with one apply of the subdomain-2 resolvent.  The run's two
     resolvents (robin_resolvent, for config.max_iter applies) are made
     first; the Peaceman-Rachford iterates take the same ones, kept by s.
-    If both solvers then hold a Gram, the forms are read from their
-    SteklovForms with no subdomain solve; otherwise each subdomain makes
-    a homogeneous Dirichlet solve and a flux recovery per block.
+    If both solvers then hold SteklovForms (both were probed), every
+    tracked quantity is read from them with no subdomain solve;
+    otherwise each subdomain makes a homogeneous Dirichlet solve and a
+    flux recovery per block.
     Everything a block reads is made before the first iterate is drawn.
     """
     ops = solvers[0].ops
@@ -347,8 +350,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
         # both, so that any probe they make has kept its forms
         _, resolvent = [robin_resolvent(solver, config.s, config.max_iter)
                         for solver in solvers]
-        on_gram = all(solver.forms is not None
-                      and solver.forms.gram is not None for solver in solvers)
+        on_forms = all(solver.forms is not None for solver in solvers)
         width = min(solver.block_width() for solver in solvers)
         pending = []
         rows = (report.errors_1, report.gaps_1, report.errors_2,
@@ -357,7 +359,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
         def flush(n_tracked):
             # track the pending block; its first n_tracked iterates count
             values = _track_block(solvers, resolvent, references.eta_ref,
-                                  pending, on_gram)
+                                  pending, on_forms)
             for value, row in zip(values, rows):
                 row.extend(value[:n_tracked].tolist())
             pending.clear()
@@ -391,7 +393,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
 
 
 def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
-                 pending: list, on_gram: bool):
+                 pending: list, on_forms: bool):
     """X-norm errors and gaps of both subdomains, and residuals, of a
     block of iterates given as eta^n values; one array each, in the
     order errors_1, gaps_1, errors_2, gaps_2, residuals.
@@ -401,19 +403,19 @@ def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
     S_i eta_ref - S_i eta = S_i d, so chi cancels from every quantity:
     the error is ||D_i d||_X, gap_i = (S_i d) . d, and the residual
     (S1 + S2) eta - chi is -(S1 + S2) d, whose norm after
-    ``resolvent``, (sJ + S2)^-1, is that of (S1 + S2) d.  On the Gram
-    (``on_gram``), S_i d and ||D_i d||_X come from each solver's
-    SteklovForms: its column of S_i and its Gram (_dirichlet_x_norm);
-    otherwise from the field D_i d of a Dirichlet solve and its flux
-    recovery.
+    ``resolvent``, (sJ + S2)^-1, is that of (S1 + S2) d.  On the forms
+    (``on_forms``), S_i d and ||D_i d||_X come from each solver's
+    SteklovForms: its column of S_i and its Hankel blocks
+    (_forms_x_norm); otherwise from the field D_i d of a Dirichlet
+    solve and its flux recovery.
     """
     ops = solvers[0].ops
     d = eta_ref.values - np.array(pending)
     out, flux = [], 0.0
     for solver in solvers:
-        if on_gram:
+        if on_forms:
             Sd = solver.forms.steklov.apply(d)
-            err = _dirichlet_x_norm(solver, d, Sd)
+            err = _forms_x_norm(solver, d, Sd)
         else:
             u = solver.dirichlet_solve(eta=InterfaceSignal(d))
             Sd = solver.flux_recovery(u).values
@@ -435,10 +437,10 @@ def run_pr(solvers, config: IterationConfig,
     probes both resolvents, ceil(n_interface / width) Robin solves each
     (none if the solvers were probed already), and an iteration then
     makes no subdomain solve; otherwise it makes two Robin solves.
-    Tracking then costs no subdomain solve where both solvers hold a
-    Gram (within GRAM_VALUES, on the maps), and one homogeneous
-    Dirichlet solve and one flux recovery per subdomain and block of
-    iterates otherwise.
+    Tracking then costs no subdomain solve where both solvers hold
+    SteklovForms (on the maps, at every size: the X norm is read from
+    their Hankel blocks), and one homogeneous Dirichlet solve and one
+    flux recovery per subdomain and block of iterates otherwise.
     """
     return _run_iteration(solvers, config, _pr_iterates, references)
 
@@ -600,117 +602,104 @@ class SteklovForms:
 
     ``steklov`` is the s-independent column of S_i: the inverse of
     R(s0) less s0 J.  Every other resolvent is one inverse of it
-    shifted by sJ (robin_trace_map).  Where the Gram fits GRAM_VALUES
-    (gram_fits; up to nx = 32 at 16 steps on the default problem),
-    ``gram`` is the X-norm form of the probe's own fields: with
-    y = (s0 J + S_i) d the Robin datum of a trace d, the homogeneous
-    Dirichlet field of d is the probe's field of y, U y, and
-    ||D d||_X^2 = y^T G y with G = U^T W U and W = tau blockdiag(M + K)
-    (_dirichlet_x_norm).  Above the budget it is None, and no probe
-    field is kept.  Tracking reads the forms only where both solvers of
-    a run keep a Gram (_track_block).
+    shifted by sJ (robin_trace_map).  ``hankel`` is the X-norm form of
+    the probe's trace-to-field map, held as its 2 n_steps - 1 interface
+    blocks q(0), ..., q(2 n_steps - 2), side by side: row g, column
+    p * n_interface + h holds q(p)[g, h].  With y = (s0 J + S_i) d the
+    Robin datum of a trace d, the homogeneous Dirichlet field of d is
+    the probe's field of y, and its X norm is a Hankel form in time of
+    y less an interface term (_forms_x_norm).  Tracking reads the forms
+    where both solvers of a run keep them (_track_block).
     """
 
     s0: float
     steklov: BlockToeplitz
-    gram: np.ndarray | None
+    hankel: np.ndarray
 
 
-def _dirichlet_x_norm(solver: SubdomainSolver, d: np.ndarray,
-                      Sd: np.ndarray) -> np.ndarray:
+def _forms_x_norm(solver: SubdomainSolver, d: np.ndarray,
+                  Sd: np.ndarray) -> np.ndarray:
     """||D d||_X, the X norm of the homogeneous Dirichlet field, of each
     trace of the block d, shaped (m, n_steps, n_interface), given
-    Sd = S_i d, from the Gram of the solver's SteklovForms."""
-    forms = solver.forms
-    y = _sJ(solver.ops, forms.s0) * d + Sd
-    # the Gram is kept over (dof, step) with the steps reversed
-    flat = np.swapaxes(y[:, ::-1], 1, 2).reshape(len(y), -1)
-    return np.sqrt(np.maximum(
-        np.sum((flat @ forms.gram) * flat, axis=1), 0.0))
+    Sd = S_i d, from the Hankel blocks of the solver's SteklovForms.
 
-
-# A subdomain keeps the X-norm Gram of its Robin probe (SteklovForms) when
-# it has at most this many values, (n_steps * n_interface) ** 2, and
-# holds the probe's fields only while it makes the Gram.  Tracking has
-# two paths: on the Gram, with no subdomain solve, where both solvers
-# keep one, and a homogeneous Dirichlet solve and a flux recovery per
-# subdomain and block of iterates otherwise (_track_block).  At 16 steps
-# the budget admits nx = 16 (57,600 values, 0.46 MB) and nx = 32
-# (246,016: 2 MB), and not nx = 64 (1,016,064: 8.1 MB).  Measured on 2
-# cores, one BLAS thread: at nx = 32 the Gram cut a lone tracked
-# converge run by 44-60 % at s = 0.1 and 10; its build, about 10.6 ms
-# per subdomain, costs 2.5 Dirichlet solves of a block of iterates.  At
-# 2 ** 20, which admits nx = 64, the nx = 64 cases at s = 0.1 and 10
-# ran 1.5-1.8 times faster, but the converge peak memory went 82 -> 168 MB.
-GRAM_VALUES = 2 ** 18
-
-
-def gram_fits(solver: SubdomainSolver) -> bool:
-    """Whether the X-norm Gram of a solver's Robin probe, (n_steps *
-    n_interface) ** 2 values, fits GRAM_VALUES."""
-    ops = solver.ops
-    return (ops.grid.n_steps * ops.n_interface) ** 2 <= GRAM_VALUES
-
-
-def _gram(fields: np.ndarray, ops: SubdomainOperators,
-          width: int) -> np.ndarray:
-    """The X-norm Gram of the Robin probe's fields, over Robin data
-    ordered (dof, step) with the steps reversed.
-
-    fields[g, a] is the field at step a + 1 of the unit datum g at step
-    1, and the datum at step j reaches step k as fields[:, k - j].  With
-    Q = tau F^T (M + K) F over (g, a) pairs, G[(g, N-1-j), (h, N-1-l)]
-    = sum over k >= max(j, l) of Q[(g, k-j), (h, k-l)]; in reversed
-    steps that is Q plus the entry one step back on both axes, one
-    cumulative sum down the block diagonals.
-
-    G is written in place, the rows of ``width`` data at a time (the
-    probe's block of solves): beside the fields and G only the rows'
-    product with M + K, which is symmetric, is held, about two blocks
-    of fields.
+    With y = (s0 J + S_i) d, the Robin datum of the field,
+    ||D d||_X^2 = sum_k [sum_{j, l <= k} y_j^T q(2k - j - l) y_l -
+    alpha d_k^T s0J d_k] (_first_probe), and each bracket is
+    tau u_k^T (M + K) u_k >= 0, so the sum over k does not cancel.  With
+    Z[j, p] = y_j^T q(p), one product, the double sum of step k is
+    sum_{l <= k} v[2k - l] . y_l, where v[t] = sum_{j <= k} Z[j, t - j]
+    is built up one step at a time: O(n_steps^2 n_interface) work.
     """
-    n_g, n_steps, n_dofs = fields.shape
-    X = fields.reshape(n_g * n_steps, n_dofs)
-    G = np.empty((len(X), len(X)))
-    for lo in range(0, len(X), width * n_steps):
-        rows = G[lo:lo + width * n_steps]
-        WX = ops.MK @ X[lo:lo + len(rows)].T
-        WX *= ops.grid.tau
-        np.matmul(WX.T, X.T, out=rows)
-        del WX          # freed before the next block's product
-        blocks = rows.reshape(-1, n_steps, n_g, n_steps)
-        for a in range(1, n_steps):
-            blocks[:, a, :, 1:] += blocks[:, a - 1, :, :-1]
-    return G
+    forms, grid = solver.forms, solver.ops.grid
+    sJ0 = _sJ(solver.ops, forms.s0)
+    y = sJ0 * d + Sd
+    m, n_steps, n_g = y.shape
+    n_lags = 2 * n_steps - 1
+    Z = (y.reshape(-1, n_g) @ forms.hankel).reshape(m, n_steps, n_lags, n_g)
+    alpha = 1.0 + grid.tau * (1.0 - grid.theta)
+    steps = -alpha * np.sum(sJ0 * d * d, axis=2)
+    v = np.zeros((m, n_lags, n_g))
+    for k in range(n_steps):
+        v[:, k:] += Z[:, k, :n_lags - k]
+        steps[:, k] += np.einsum("mtg,mtg->m", v[:, k:2 * k + 1],
+                                 y[:, k::-1])
+    return np.sqrt(np.maximum(np.sum(steps, axis=1), 0.0))
 
 
 def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     """Probe (sJ + S_i)^-1 by Robin solves of the unit dual signals at
     step 1, block_width() signals per solve, and keep the solver's
-    SteklovForms.  Where the Gram fits GRAM_VALUES, each block's fields
-    are written into one array as the probe runs; it is dropped once
-    the Gram is made from it."""
+    SteklovForms.
+
+    The probe field at step a + 1 is F_a = Phi^a A_R^-1 E / tau, with A_R
+    the Robin step matrix at s, E the interface embedding and
+    Phi = A_R^-1 C.  A_R and C are symmetric, so Phi^T A_R = C and
+    tau F_a^T A_R F_b = R_{a+b}, tau F_a^T C F_b = R_{a+b+1}, symmetric
+    blocks: lags of the probed map below N = n_steps, and
+    R_{N+b} = tau (C F_{N-1})^T F_b beyond.  With alpha = 1 + tau (1 -
+    theta) and beta = tau theta - 1, M + K = alpha A_R + beta C -
+    alpha (s / tau) E ML_Gamma E^T, so the X-norm form of the fields is
+    q(r) = alpha R_r + beta R_{r+1} in time, less an interface term.
+    Each block of fields gives R_{N+b}[g, h] for its data h and every
+    g <= h probed so far, so beside the block only the C F_{N-1} probed
+    so far are held; symmetry gives the rest.
+    """
     ops, width = solver.ops, solver.block_width()
-    n_g = ops.n_interface
-    fields = (np.empty((n_g, ops.grid.n_steps, ops.n_dofs))
-              if gram_fits(solver) else None)
+    grid = ops.grid
+    n_steps, n_g = grid.n_steps, ops.n_interface
+    C_last = np.empty((n_g, ops.n_dofs))        # tau C F_{N-1}
+    beyond = np.empty((n_g, n_steps, n_g))      # R_{N+b}[g, h] at [g, b, h]
     n_probed = 0
 
     def robin_traces(lam):
         nonlocal n_probed
         u = solver.robin_solve(s, lam=lam)
-        if fields is not None:
-            # BlockToeplitz.probe passes the unit data in order
-            fields[n_probed:n_probed + len(u.values)] = u.values[:, 1:]
-            n_probed += len(u.values)
+        lo, hi = n_probed, n_probed + len(u.values)
+        # BlockToeplitz.probe passes the unit data in order
+        C_last[lo:hi] = grid.tau * (solver.C @ u.values[:, -1].T).T
+        fields = u.values[:, 1:].reshape(-1, ops.n_dofs)
+        beyond[:hi, :, lo:hi] = np.moveaxis(
+            (C_last[:hi] @ fields.T).reshape(hi, hi - lo, n_steps), 1, 2)
+        n_probed = hi
         return solver.trace(u)
 
-    robin_map = BlockToeplitz.probe(robin_traces, ops.grid.n_steps, n_g,
-                                    "dual", width)
-    steklov = _shifted(robin_map.inverse().first, -_sJ(ops, s))
+    robin_map = BlockToeplitz.probe(robin_traces, n_steps, n_g, "dual", width)
+    del C_last
+    # inverted before the lags are joined, so not beside them
+    steklov = BlockToeplitz(_shifted(robin_map.inverse().first,
+                                     -_sJ(ops, s)))
+    upper = np.triu_indices(n_g, 1)
+    beyond[upper[1], :, upper[0]] = beyond[upper[0], :, upper[1]]
+    lags = np.concatenate([np.swapaxes(robin_map.first, 0, 1), beyond], 1)
+    del beyond                                  # R_r[g, h] at [g, r, h]
+    alpha = 1.0 + grid.tau * (1.0 - grid.theta)
+    beta = grid.tau * grid.theta - 1.0
+    for r in range(2 * n_steps - 1):        # lag r + 1 still holds R
+        lags[:, r] = alpha * lags[:, r] + beta * lags[:, r + 1]
+    # q(0 .. 2N - 2) side by side, a view: R_{2N-1} stays, unread
     solver.forms = SteklovForms(
-        s, BlockToeplitz(steklov),
-        None if fields is None else _gram(fields, ops, width))
+        s, steklov, lags.reshape(n_g, -1)[:, :(2 * n_steps - 1) * n_g])
     return robin_map
 
 

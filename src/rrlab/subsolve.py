@@ -276,8 +276,8 @@ class SubdomainSolver:
         self._robin: dict[float, Factorization] = {}
         # interface.robin_trace_map keeps its maps here, keyed by s; the
         # first is probed, and leaves the interface.SteklovForms in
-        # ``forms``: the column of S_i and, within interface.GRAM_VALUES,
-        # the Gram that tracking reads where both solvers keep one
+        # ``forms``: the column of S_i and the Hankel blocks of the X-norm
+        # form, which tracking reads where both solvers keep them
         self.robin_maps: dict[float, object] = {}
         self.forms = None
         self._source = None
@@ -304,10 +304,10 @@ class SubdomainSolver:
     # -- helpers -----------------------------------------------------------
 
     def _check_loads(self, loads):
-        """Loads, shared by every column of a block."""
+        """Loads, shared by every column of a block; None (zero loads)."""
         grid = self.ops.grid
         if loads is None:
-            return np.zeros((grid.n_steps, self.ops.n_dofs))
+            return None
         loads = np.asarray(loads, dtype=float)
         if loads.shape != (grid.n_steps, self.ops.n_dofs):
             raise ValueError(
@@ -366,7 +366,9 @@ class SubdomainSolver:
         u = np.zeros(eta_v.shape[:-2] + (grid.n_steps + 1, n))
         u[..., 1:, nI:] = eta_v
         # f_I^k - A_IG eta^k + C_IG eta^{k-1}, for all k at once
-        rhs = loads[:, :nI] - _dofwise(self._A_IG, eta_v)
+        rhs = -_dofwise(self._A_IG, eta_v)
+        if loads is not None:
+            rhs += loads[:, :nI]
         rhs += _dofwise(self._C_IG, u[..., :-1, nI:])
         return _march(fac, self._C_II, rhs, u, f"omega{self.ops.index}",
                       slice(nI))
@@ -383,7 +385,9 @@ class SubdomainSolver:
         batch = lam_v.shape[:-2]
         loads = self._check_loads(loads)
         fac = self._robin_factor(s)
-        rhs = np.broadcast_to(loads, batch + loads.shape).copy()
+        shape = batch + (grid.n_steps, self.ops.n_dofs)
+        rhs = (np.zeros(shape) if loads is None else
+               np.broadcast_to(loads, shape).copy())
         rhs[..., self.ops.n_interior:] += lam_v / grid.tau
         u = np.zeros(batch + (grid.n_steps + 1, self.ops.n_dofs))
         return _march(fac, self._C_step, rhs, u, f"omega{self.ops.index}")
@@ -403,7 +407,9 @@ class SubdomainSolver:
         U, nI = u.values, self.ops.n_interior
         res = (_dofwise(self._A_G, U[..., 1:, :])
                - _dofwise(self._C_G, U[..., :-1, :]))
-        return InterfaceSignal(grid.tau * (res - loads[:, nI:]), "dual")
+        if loads is not None:
+            res -= loads[:, nI:]
+        return InterfaceSignal(grid.tau * res, "dual")
 
 
 class MonolithicSolver:

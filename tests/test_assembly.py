@@ -8,7 +8,8 @@ from rrlab.assembly import (TimeGrid, assemble_interface_mass,
                             assemble_interface_stiffness,
                             assemble_mass_stiffness, build_global_operators,
                             build_step_operators, build_subdomain_operators,
-                            element_diffusion, lumped_interface_mass)
+                            element_diffusion, lumped_interface_mass,
+                            robin_coefficient)
 from rrlab.mesh import ProblemSpec, build_mesh, decompose
 
 
@@ -213,6 +214,18 @@ class TestStepOperators:
         expected = (s / ops.grid.tau) * ops.embed_interface(
             lumped_interface_mass(ops.M_gamma)).toarray()
         np.testing.assert_allclose(added, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_robin_refuses_negative_or_non_finite_s(self, bad):
+        # nan fails "s > 0" and would silently drop the Robin term
+        spec = spec_2d()
+        mesh, dec = setup(spec)
+        ops = build_subdomain_operators(spec, mesh, dec, 1)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            build_step_operators(ops, s=bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            robin_coefficient(bad, ops.grid.tau)
+        assert robin_coefficient(0.0, ops.grid.tau) == 0.0
 
     def test_crank_nicolson_halves_stiffness(self):
         spec_be = spec_2d(theta=1.0)

@@ -41,13 +41,22 @@ def small_setup(nx=6, n_steps=4, dimension=2, source="cos", alpha=None,
         n_steps=n_steps, **kw))
 
 
-@pytest.fixture(params=["gram", "dirichlet"])
+def track_by_dirichlet_solves(monkeypatch):
+    """Make tracking drop the solvers' SteklovForms: a homogeneous
+    Dirichlet solve and a flux recovery per subdomain and block.  The
+    probes, maps and iterates stay those of a run on the forms."""
+    track = rrlab.interface._track_block
+    monkeypatch.setattr(rrlab.interface, "_track_block",
+                        lambda *args: track(*args[:-1], False))
+
+
+@pytest.fixture(params=["forms", "dirichlet"])
 def tracking(request, monkeypatch):
-    """The realization of tracking: the X-norm Gram of the Robin probe,
-    or, with GRAM_VALUES at 0, homogeneous Dirichlet solves and flux
-    recoveries."""
+    """The realization of tracking: the SteklovForms of the Robin probe
+    where both solvers keep them, or homogeneous Dirichlet solves and
+    flux recoveries (track_by_dirichlet_solves)."""
     if request.param == "dirichlet":
-        monkeypatch.setattr(rrlab.interface, "GRAM_VALUES", 0)
+        track_by_dirichlet_solves(monkeypatch)
     return request.param
 
 
@@ -561,7 +570,7 @@ class TestPeacemanRachford:
         # iteration makes no subdomain solve.  Else an iteration is two
         # Robin solves, and each block's residuals one more.  Tracking
         # reads the probe's forms, with no subdomain solve, where both
-        # solvers keep a Gram; otherwise each block costs a homogeneous
+        # solvers keep them; otherwise each block costs a homogeneous
         # Dirichlet solve and a flux recovery per subdomain.
         import rrlab.subsolve
         calls = count_solves(monkeypatch)
@@ -821,19 +830,16 @@ class TestBlockToeplitz:
 
 
 class TestSteklovForms:
-    @pytest.mark.parametrize("fits", [True, False], ids=["gram", "no-gram"])
-    def test_kept_memory_is_bounded(self, fits, monkeypatch):
-        # what a first probe leaves on the solver: the Gram, of at most
-        # GRAM_VALUES values, beside the columns of R and S; above the
-        # budget only the columns, less than one array of probe fields
+    @pytest.mark.parametrize("nx", [16, 64])
+    def test_kept_memory_is_bounded(self, nx):
+        # what a first probe leaves on the solver: the columns of R and S
+        # and the 2 n_steps - 1 Hankel blocks of the X-norm form, at
+        # every size; no probe field is kept.  The blocks are a view of
+        # the probe's 2 n_steps lags, so one lag more is kept
         import tracemalloc
-        import rrlab.subsolve
-        setup = setup_problem(default_problem())
+        setup = setup_problem(default_problem(nx=nx))
         solver = setup.solver_1
         n_steps, n_g = solver.ops.grid.n_steps, solver.ops.n_interface
-        if not fits:
-            monkeypatch.setattr(rrlab.interface, "GRAM_VALUES",
-                                (n_steps * n_g) ** 2 - 1)
         solver._robin_factor(1.0)       # kept either way
         tracemalloc.start()
         try:
@@ -841,74 +847,59 @@ class TestSteklovForms:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        columns = 2 * 8 * n_steps * n_g * n_g + 2 ** 15
-        fields = 8 * n_steps * n_g * solver.ops.n_dofs
-        gram = solver.forms.gram
-        if fits:
-            assert gram.size <= rrlab.interface.GRAM_VALUES
-            assert kept <= 8 * gram.size + columns
-        else:
-            assert gram is None
-            assert kept <= columns < fields
+        columns = 2 * 8 * n_steps * n_g * n_g
+        hankel = 8 * (2 * n_steps - 1) * n_g * n_g
+        slack = 8 * n_g * n_g + 2 ** 15
+        assert solver.forms.hankel.shape == (n_g, (2 * n_steps - 1) * n_g)
+        assert kept <= columns + hankel + slack
+        assert slack < hankel
 
     def test_build_peak_memory_is_bounded(self):
-        # while the first probe at nx = 32 runs and makes its Gram it
-        # holds the probe's fields, written into one array, and the Gram,
-        # beside three columns (R, S and the shifted copy S is made from)
-        # and one block of work: a block of Robin solves, or a block of
-        # fields times M + K.  A list of the probe's fields joined after
-        # the probe, or a dense (M + K) F^T, holds another array of fields
+        # while the first probe at nx = 64 runs and makes its forms it
+        # holds, beside what it keeps and one block of Robin solves, at
+        # most C times the last-step field of each datum.  Keeping the
+        # probe's fields, or the lags of R and the Hankel blocks as
+        # separate arrays, holds one array of last-step fields more
         import tracemalloc
-        import rrlab.subsolve
-        setup = setup_problem(default_problem(nx=32))
+        setup = setup_problem(default_problem(nx=64))
         solver = setup.solver_1
         ops = solver.ops
-        assert rrlab.interface.gram_fits(solver)
         solver._robin_factor(1.0)       # kept either way
         tracemalloc.start()
         try:
             robin_trace_map(solver, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         n_steps, n_g = ops.grid.n_steps, ops.n_interface
-        fields = 8 * n_steps * n_g * ops.n_dofs
-        gram = 8 * solver.forms.gram.size
-        columns = 3 * 8 * n_steps * n_g * n_g
-        block = 2 * 8 * rrlab.subsolve.BLOCK_VALUES
-        slack = 2 ** 18
-        assert peak <= fields + gram + columns + block + slack
-        assert block + slack < fields
+        last = 8 * n_g * ops.n_dofs
+        block = 8 * solver.block_width() * (n_steps + 1) * ops.n_dofs
+        slack = 2 ** 17
+        assert peak <= last + kept + block + slack
+        assert block + slack < last
 
-    def test_gram_budget_admits_nx32_not_nx64(self):
-        # at 16 steps the Gram has (16 n_interface)^2 values: 246,016 at
-        # nx = 32, within GRAM_VALUES, and 1,016,064 at nx = 64, beyond it
-        for nx, fits in ((32, True), (64, False)):
-            setup = setup_problem(default_problem(nx=nx))
-            assert [rrlab.interface.gram_fits(s)
-                    for s in setup.solvers] == [fits] * 2
-
-    def test_tracked_run_at_nx32_makes_no_solve_after_the_probe(
-            self, monkeypatch):
-        # on the maps, a tracked run at nx = 32 probes both resolvents
-        # before the first pr_step, by ceil(n_interface / width) Robin
-        # solves each, and then reads every tracked quantity from the
-        # forms: no Robin or Dirichlet solve and no flux recovery
-        setup = setup_problem(default_problem(nx=32))
+    @pytest.mark.parametrize("nx", [32, 64])
+    def test_tracked_run_makes_no_solve_after_the_probe(self, nx,
+                                                        monkeypatch):
+        # on the maps (converge's s = 1 runs, to tol 1e-10 within 1000
+        # iterations), a tracked run probes both resolvents before the
+        # first pr_step, by ceil(n_interface / width) Robin solves each,
+        # and then reads every tracked quantity from the forms, at every
+        # size: no Robin or Dirichlet solve and no flux recovery
+        setup = setup_problem(default_problem(nx=nx))
         refs = references_from_monolithic(setup)
         calls = count_solves(monkeypatch)
-        max_iter = 40
-        run_pr(setup.solvers, IterationConfig(s=1.0, tol=0.0,
-                                              max_iter=max_iter),
-               references=refs)
+        cfg = IterationConfig(s=1.0, max_iter=1000)
+        _, report = run_pr(setup.solvers, cfg, references=refs)
+        assert report.status == "converged"
         first = calls.index("pr_step")
         before, after = calls[:first], calls[first:]
         assert before.count("robin_solve") == sum(
             -(-s.ops.n_interface // s.block_width()) for s in setup.solvers)
-        assert after.count("pr_step") == max_iter
+        assert after.count("pr_step") == report.n_iterations
         for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
             assert after.count(name) == 0
-        assert all(s.forms.gram is not None for s in setup.solvers)
+        assert all(s.forms is not None for s in setup.solvers)
 
 
 class TestDenseGuard:

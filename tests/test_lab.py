@@ -301,28 +301,32 @@ class TestScenarios:
             assert a[2] == pytest.approx(b[2], rel=1e-8, abs=1e-13)
             assert a[3] == pytest.approx(b[3], rel=1e-8, abs=1e-13)
 
-    @pytest.mark.parametrize("s, n", [(0.1, 179), (1.0, 23), (10.0, 102)])
-    def test_converge_at_nx32_reads_the_gram_as_dirichlet_solves(
-            self, s, n, monkeypatch):
-        # at nx = 32 the tracked forms come from the Robin probe: S_i d
-        # from its column of S_i and the X-norm errors from its Gram; with
-        # GRAM_VALUES at 0, from a homogeneous Dirichlet solve and a flux
-        # recovery per subdomain and block.  The iterates are made the
-        # same way on both, so n and the increments stay equal; the
-        # errors, gaps and residuals agree to roundoff
+    @pytest.mark.parametrize("nx, s, n", [(32, 0.1, 179), (32, 1.0, 23),
+                                          (32, 10.0, 102), (64, 1.0, 37)])
+    def test_converge_reads_the_forms_as_dirichlet_solves(
+            self, nx, s, n, monkeypatch):
+        # on the maps the tracked forms come from the Robin probe: S_i d
+        # from its column of S_i and the X-norm errors from its Hankel
+        # blocks; with the forms dropped by tracking, from a homogeneous
+        # Dirichlet solve and a flux recovery per subdomain and block.
+        # The iterates are made the same way on both, so n and the
+        # increments stay equal; the errors, gaps and residuals agree to
+        # roundoff
         import rrlab.interface
-        cfg = ScenarioConfig(scenario="converge", nx=32, ny=32, s=s,
+        cfg = ScenarioConfig(scenario="converge", nx=nx, ny=nx, s=s,
                              max_iter=1000)
-        gram = np.array(run_scenario(cfg).report.rows)
-        monkeypatch.setattr(rrlab.interface, "GRAM_VALUES", 0)
+        forms = np.array(run_scenario(cfg).report.rows)
+        track = rrlab.interface._track_block
+        monkeypatch.setattr(rrlab.interface, "_track_block",
+                            lambda *args: track(*args[:-1], False))
         dirichlet = np.array(run_scenario(cfg).report.rows)
-        assert len(gram) == len(dirichlet) == n
-        np.testing.assert_array_equal(gram[:, :2], dirichlet[:, :2])
-        np.testing.assert_allclose(gram[:, 2:4], dirichlet[:, 2:4],
+        assert len(forms) == len(dirichlet) == n
+        np.testing.assert_array_equal(forms[:, :2], dirichlet[:, :2])
+        np.testing.assert_allclose(forms[:, 2:4], dirichlet[:, 2:4],
                                    rtol=1e-13, atol=0)
         for col in (4, 5, 6):       # gap1, gap2, sp_residual
             np.testing.assert_allclose(
-                gram[:, col], dirichlet[:, col], rtol=0,
+                forms[:, col], dirichlet[:, col], rtol=0,
                 atol=1e-13 * np.abs(dirichlet[:, col]).max())
 
     @pytest.mark.parametrize("variant, name", [("pr_interface", "run_pr"),

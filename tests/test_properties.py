@@ -6,9 +6,11 @@ resolvent round trip, the agreement of the dense and banded time
 steps, the agreement of block solves with column-by-column solves, the
 probed Robin trace map against the Robin solves it replaces, the maps
 made from it by BlockToeplitz.inverse (S_i and every other resolvent),
-and the Peaceman-Rachford step through those maps against the step made
-of Robin solves."""
+the Peaceman-Rachford step through those maps against the step made of
+Robin solves, and the X norm of a Dirichlet field read from the probe's
+Hankel blocks against the field itself."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -17,13 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrlab import subsolve
-from rrlab.interface import (BlockToeplitz, SteklovOperator, assemble_dense,
-                             interface_gram, interface_source, pr_step,
-                             robin_trace_map, run_equivalence,
+from rrlab.interface import (BlockToeplitz, SteklovOperator, _forms_x_norm,
+                             assemble_dense, interface_gram, interface_source,
+                             pr_step, robin_trace_map, run_equivalence,
                              solve_robin_resolvent)
 from rrlab.lab import setup_problem
 from rrlab.mesh import ProblemSpec
-from rrlab.subsolve import InterfaceSignal, SubdomainSolver
+from rrlab.subsolve import InterfaceSignal, SubdomainSolver, step_norm
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None,
                              derandomize=True, database=None)
@@ -273,3 +275,26 @@ def test_pr_step_equals_two_robin_solve_step(spec, s):
                 for got, ref in ((eta, eta_want), (lam, want)):
                     assert np.linalg.norm(got.values - ref.values) \
                         <= 1e-12 * np.linalg.norm(ref.values)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.integers(2, 16), st.floats(0.1, 10.0),
+       st.integers(1, 5))
+def test_forms_x_norm_equals_dirichlet_field_norm(spec, n_steps, s0, width):
+    # the X norm of the homogeneous Dirichlet field of a trace d, read
+    # from the Hankel blocks of a probe at s0 made in blocks of ``width``
+    # unit signals, equals step_norm of the field of a Dirichlet solve
+    spec = dataclasses.replace(spec, n_steps=n_steps)
+    setup = setup_problem(spec)
+    rng = np.random.default_rng(0)
+    d = rng.standard_normal((3, n_steps, setup.ops_1.n_interface))
+    for ops in (setup.ops_1, setup.ops_2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsolve, "BLOCK_VALUES",
+                       width * (n_steps + 1) * ops.n_dofs)
+            solver = SubdomainSolver(ops)
+            robin_trace_map(solver, s0)
+        got = _forms_x_norm(solver, d, solver.forms.steklov.apply(d))
+        u = solver.dirichlet_solve(eta=InterfaceSignal(d))
+        want = step_norm(ops.MK, u.values[:, 1:], ops.grid.tau)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
