@@ -217,15 +217,6 @@ def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal, s: float,
     return InterfaceSignal(eta_next, "primal"), InterfaceSignal(lam_next, "dual")
 
 
-@dataclass
-class PRReferences:
-    """Reference data enabling error and gap tracking inside run_pr:
-    the trace of the monolithic solve, from which every tracked
-    quantity is a form (_track_block)."""
-
-    eta_ref: InterfaceSignal
-
-
 # ---------------------------------------------------------------------------
 # PDE-level Robin-Robin sweep
 # ---------------------------------------------------------------------------
@@ -317,21 +308,23 @@ def _rr_iterates(solvers, s: float, max_iter: int):
 
 
 def _run_iteration(solvers, config: IterationConfig, make_iterates,
-                   references: PRReferences | None):
+                   references: InterfaceSignal | None):
     """Shared driver: draw interface iterates, track diagnostics.
 
     ``make_iterates`` (_pr_iterates or _rr_iterates) gives the iterates
     eta^1, eta^2, ... (eta^0 = 0); at most config.max_iter of them are
     drawn, and the stopping rule reads only the increments.  When
-    ``references`` is given, the report also holds, per iteration, the
-    subdomain X-norm errors of the interface-parametrized fields, the
-    monotone gaps against the reference trace, and the Steklov-Poincare
-    residual pushed through the resolvent (sJ + S2)^-1 (the iteration's
-    own metric).  These are forms of eta_ref - eta^n (_track_block),
-    computed for a block of SubdomainSolver.block_width() iterates at
-    once, with one apply of the subdomain-2 resolvent.  The run's two
-    resolvents (robin_resolvent, for config.max_iter applies) are made
-    first; the Peaceman-Rachford iterates take the same ones, kept by s.
+    ``references``, a reference trace eta_ref such as the monolithic
+    one (lab.references_from_monolithic), is given, the report also
+    holds, per iteration, the subdomain X-norm errors of the
+    interface-parametrized fields, the monotone gaps against eta_ref,
+    and the Steklov-Poincare residual pushed through the resolvent
+    (sJ + S2)^-1 (the iteration's own metric).  These are forms of
+    eta_ref - eta^n (_track_block), computed for a block of
+    SubdomainSolver.block_width() iterates at once, with one apply of
+    the subdomain-2 resolvent.  The run's two resolvents
+    (robin_resolvent, for config.max_iter applies) are made first; the
+    Peaceman-Rachford iterates take the same ones, kept by s.
     If both solvers then hold SteklovForms (both were probed), every
     tracked quantity is read from them with no subdomain solve;
     otherwise each subdomain makes a homogeneous Dirichlet solve and a
@@ -358,8 +351,8 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
 
         def flush(n_tracked):
             # track the pending block; its first n_tracked iterates count
-            values = _track_block(solvers, resolvent, references.eta_ref,
-                                  pending, on_forms)
+            values = _track_block(solvers, resolvent, references, pending,
+                                  on_forms)
             for value, row in zip(values, rows):
                 row.extend(value[:n_tracked].tolist())
             pending.clear()
@@ -428,25 +421,26 @@ def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
 
 
 def run_pr(solvers, config: IterationConfig,
-           references: PRReferences | None = None):
+           references: InterfaceSignal | None = None):
     """Run the interface Peaceman-Rachford iteration.
 
-    Returns (eta, report); see _run_iteration for the diagnostics.  An
+    Returns (eta, report); see _run_iteration for the diagnostics,
+    tracked against ``references``, a reference trace, when given.  An
     iteration is the two resolvent applies of pr_step.  Where probing
     pays for config.max_iter applies (robin_resolvent), the run first
     probes both resolvents, ceil(n_interface / width) Robin solves each
     (none if the solvers were probed already), and an iteration then
     makes no subdomain solve; otherwise it makes two Robin solves.
-    Tracking then costs no subdomain solve where both solvers hold
-    SteklovForms (on the maps, at every size: the X norm is read from
-    their Hankel blocks), and one homogeneous Dirichlet solve and one
-    flux recovery per subdomain and block of iterates otherwise.
+    Tracking costs no subdomain solve where both solvers hold
+    SteklovForms (the X norm is read from their Hankel blocks), and one
+    homogeneous Dirichlet solve and one flux recovery per subdomain and
+    block of iterates otherwise.
     """
     return _run_iteration(solvers, config, _pr_iterates, references)
 
 
 def run_rr(solvers, config: IterationConfig,
-           references: PRReferences | None = None):
+           references: InterfaceSignal | None = None):
     """Run the PDE-level Robin-Robin sweep.
 
     The interface iterate is the trace of the second subdomain's Robin
@@ -508,23 +502,6 @@ class BlockToeplitz:
         n_steps, n_out, n_in = self.shape
         return self._stacked.reshape(n_steps, n_in, n_out)[::-1] \
             .transpose(0, 2, 1)
-
-    @classmethod
-    def probe(cls, apply_fn, n_steps: int, n_in: int, kind: str = "primal",
-              width: int | None = None) -> "BlockToeplitz":
-        """Probe ``apply_fn`` with the n_in unit ``kind`` signals at step 1,
-        as blocks of at most ``width`` signals (all in one by default)."""
-        width = width or n_in
-        first = None
-        for lo in range(0, n_in, width):
-            units = np.zeros((min(width, n_in - lo), n_steps, n_in))
-            units[:, 0, lo:lo + len(units)] = np.eye(len(units))
-            out = apply_fn(InterfaceSignal(units, kind)).values
-            if first is None:
-                first = np.empty((n_steps, out.shape[-1], n_in))
-            # (unit, step, output) -> (step, output, unit), in place
-            first[..., lo:lo + len(units)] = np.moveaxis(out, 0, -1)
-        return cls(first)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """y_k = sum_{j <= k} first[k - j] x_j for x shaped
@@ -661,38 +638,34 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     theta) and beta = tau theta - 1, M + K = alpha A_R + beta C -
     alpha (s / tau) E ML_Gamma E^T, so the X-norm form of the fields is
     q(r) = alpha R_r + beta R_{r+1} in time, less an interface term.
-    Each block of fields gives R_{N+b}[g, h] for its data h and every
+    Each block of solves writes into one array of the 2N lags: its
+    traces as lags below N, and R_{N+b}[g, h] for its data h and every
     g <= h probed so far, so beside the block only the C F_{N-1} probed
-    so far are held; symmetry gives the rest.
+    so far are held; symmetry gives the rest.  The lags below N are the
+    map, and all of them then become the Hankel blocks in place.
     """
     ops, width = solver.ops, solver.block_width()
     grid = ops.grid
     n_steps, n_g = grid.n_steps, ops.n_interface
     C_last = np.empty((n_g, ops.n_dofs))        # tau C F_{N-1}
-    beyond = np.empty((n_g, n_steps, n_g))      # R_{N+b}[g, h] at [g, b, h]
-    n_probed = 0
-
-    def robin_traces(lam):
-        nonlocal n_probed
-        u = solver.robin_solve(s, lam=lam)
-        lo, hi = n_probed, n_probed + len(u.values)
-        # BlockToeplitz.probe passes the unit data in order
+    lags = np.empty((n_g, 2 * n_steps, n_g))    # R_r[g, h] at [g, r, h]
+    for lo in range(0, n_g, width):
+        hi = min(lo + width, n_g)
+        units = np.zeros((hi - lo, n_steps, n_g))
+        units[:, 0, lo:hi] = np.eye(hi - lo)
+        u = solver.robin_solve(s, lam=InterfaceSignal(units, "dual"))
+        lags[:, :n_steps, lo:hi] = solver.trace(u).values.T
         C_last[lo:hi] = grid.tau * (solver.C @ u.values[:, -1].T).T
         fields = u.values[:, 1:].reshape(-1, ops.n_dofs)
-        beyond[:hi, :, lo:hi] = np.moveaxis(
+        lags[:hi, n_steps:, lo:hi] = np.moveaxis(
             (C_last[:hi] @ fields.T).reshape(hi, hi - lo, n_steps), 1, 2)
-        n_probed = hi
-        return solver.trace(u)
-
-    robin_map = BlockToeplitz.probe(robin_traces, n_steps, n_g, "dual", width)
+        del u, fields       # freed before the next block is solved
     del C_last
-    # inverted before the lags are joined, so not beside them
+    g, h = np.triu_indices(n_g, 1)
+    lags[h, n_steps:, g] = lags[g, n_steps:, h]
+    robin_map = BlockToeplitz(np.swapaxes(lags[:, :n_steps], 0, 1))
     steklov = BlockToeplitz(_shifted(robin_map.inverse().first,
                                      -_sJ(ops, s)))
-    upper = np.triu_indices(n_g, 1)
-    beyond[upper[1], :, upper[0]] = beyond[upper[0], :, upper[1]]
-    lags = np.concatenate([np.swapaxes(robin_map.first, 0, 1), beyond], 1)
-    del beyond                                  # R_r[g, h] at [g, r, h]
     alpha = 1.0 + grid.tau * (1.0 - grid.theta)
     beta = grid.tau * grid.theta - 1.0
     for r in range(2 * n_steps - 1):        # lag r + 1 still holds R
@@ -706,9 +679,9 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
 def robin_trace_map(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     """The resolvent (sJ + S_i)^-1 of one subdomain as a BlockToeplitz.
 
-    At the first s asked of a solver it is probed by Robin solves, which
-    costs ceil(n_interface / width) Robin solves and keeps the solver's
-    SteklovForms; at every later s it is the inverse of the kept column
+    At the first s asked of a solver it is probed (_first_probe), which
+    costs ceil(n_interface / block_width()) Robin solves and keeps the
+    solver's SteklovForms; at every later s it is the inverse of the kept column
     of S_i shifted by sJ, and makes no subdomain solve.  Either way it
     is kept in ``solver.robin_maps`` by s, and an apply costs no solve.
     """
@@ -773,13 +746,16 @@ def assemble_dense(apply_fn, n_steps: int, n_interface: int) -> np.ndarray:
     zero initial data, as every Steklov-Poincare operator and interface
     pairing of the package does, so it is a BlockToeplitz.  Only the
     n_interface unit primal signals at step 1 are probed, as one block
-    of signals in one call of ``apply_fn``; the result is
-    BlockToeplitz.dense() of that first block column.
+    of signals in one call of ``apply_fn``; their outputs are the first
+    block column, and the result is its BlockToeplitz.dense().
     DENSE_COLUMN_GUARD bounds n_steps * n_interface, the side of the
     square output (check_dense_columns).
     """
     check_dense_columns(n_steps, n_interface)
-    return BlockToeplitz.probe(apply_fn, n_steps, n_interface).dense()
+    units = np.zeros((n_interface, n_steps, n_interface))
+    units[:, 0] = np.eye(n_interface)
+    out = apply_fn(InterfaceSignal(units, "primal")).values
+    return BlockToeplitz(np.moveaxis(out, 0, -1)).dense()
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .assembly import (GlobalOperators, SubdomainOperators,
                        build_global_operators, build_subdomain_operators)
-from .interface import (IterationConfig, PRReferences, SpectralRow,
+from .interface import (IterationConfig, SpectralRow,
                         assemble_dense, check_dense_columns,
                         robin_trace_map, run_equivalence, run_pr, run_rr,
                         spectral_analysis)
@@ -126,9 +126,8 @@ def global_trace(u: SpaceTimeField, dec: Decomposition) -> InterfaceSignal:
     return InterfaceSignal(u.values[1:, pos].copy(), "primal")
 
 
-def references_from_monolithic(setup: LabSetup) -> PRReferences:
-    return PRReferences(eta_ref=global_trace(solve_monolithic(setup),
-                                             setup.dec))
+def references_from_monolithic(setup: LabSetup) -> InterfaceSignal:
+    return global_trace(solve_monolithic(setup), setup.dec)
 
 
 def field_error_norm(u: SpaceTimeField, u_ref: SpaceTimeField,

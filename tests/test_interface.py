@@ -4,7 +4,7 @@ Peaceman-Rachford iteration, and its PDE-level Robin-Robin twin."""
 import numpy as np
 import pytest
 
-from rrlab.assembly import lumped_interface_mass
+from rrlab.assembly import build_step_operators, lumped_interface_mass
 from rrlab.dense import dense_schur_complement
 import rrlab.interface
 from rrlab.interface import (BlockToeplitz, IterationConfig, SteklovOperator,
@@ -16,7 +16,7 @@ from rrlab.interface import (BlockToeplitz, IterationConfig, SteklovOperator,
 from rrlab.lab import (default_problem, references_from_monolithic,
                        setup_problem)
 from rrlab.mesh import ProblemSpec
-from rrlab.subsolve import InterfaceSignal
+from rrlab.subsolve import InterfaceSignal, SubdomainSolver
 
 
 def small_setup(nx=6, n_steps=4, dimension=2, source="cos", alpha=None,
@@ -256,8 +256,8 @@ class TestInterfaceSource:
         # (S1 + S2) eta_ref = chi_1 + chi_2 for the monolithic trace
         setup = small_setup(nx=8, n_steps=6)
         refs = references_from_monolithic(setup)
-        lhs = (SteklovOperator(setup.solver_1).apply(refs.eta_ref)
-               + SteklovOperator(setup.solver_2).apply(refs.eta_ref))
+        lhs = (SteklovOperator(setup.solver_1).apply(refs)
+               + SteklovOperator(setup.solver_2).apply(refs))
         rhs = interface_source(setup.solver_1) + interface_source(setup.solver_2)
         scale = np.abs(rhs.values).max()
         np.testing.assert_allclose(lhs.values, rhs.values,
@@ -380,11 +380,11 @@ class TestPeacemanRachford:
         refs = references_from_monolithic(setup)
         chi = (interface_source(setup.solver_1)
                + interface_source(setup.solver_2))
-        lam = robin_datum(setup.solvers, chi, refs.eta_ref, 1.0)
+        lam = robin_datum(setup.solvers, chi, refs, 1.0)
         out, _ = pr_step(setup.solvers, chi, lam, 1.0,
                          robin_solves(setup.solvers, 1.0))
-        num = np.abs(out.values - refs.eta_ref.values).max()
-        assert num <= 1e-10 * np.abs(refs.eta_ref.values).max()
+        num = np.abs(out.values - refs.values).max()
+        assert num <= 1e-10 * np.abs(refs.values).max()
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -686,7 +686,7 @@ class TestPeacemanRachford:
             u2 = s2.dirichlet_solve(eta=eta, loads=s2.ops.loads)
             S1_eta = s1.flux_recovery(u1, s1.ops.loads) + chi_1
             S2_eta = s2.flux_recovery(u2, s2.ops.loads) + chi_2
-            diff = refs.eta_ref - eta
+            diff = refs - eta
             want["errors_1"].append(field_error_norm(u1, u1_ref, s1.ops))
             want["errors_2"].append(field_error_norm(u2, u2_ref, s2.ops))
             want["gaps_1"].append((S1_ref - S1_eta).pair(diff))
@@ -720,7 +720,7 @@ class TestPeacemanRachford:
             u2 = s2.dirichlet_solve(eta=eta, loads=ops.loads)
             S2_eta = s2.flux_recovery(u2, ops.loads) + chi_2
             err = field_error_norm(u2, u2_ref, ops)
-            gap = (S2_ref - S2_eta).pair(refs.eta_ref - eta)
+            gap = (S2_ref - S2_eta).pair(refs - eta)
             assert report.errors_2[-1] == pytest.approx(err, rel=1e-10)
             assert report.gaps_2[-1] == pytest.approx(gap, rel=1e-9)
 
@@ -877,6 +877,51 @@ class TestSteklovForms:
         slack = 2 ** 17
         assert peak <= last + kept + block + slack
         assert block + slack < last
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    @pytest.mark.parametrize("n_steps", [3, 5])
+    def test_hankel_blocks_match_their_definition(self, n_steps, theta,
+                                                  monkeypatch):
+        # the fields F_a (step a + 1) of one Robin solve of all unit data
+        # at step 1 give lag a + b of the probed map twice over:
+        # R_{a+b} = tau F_a^T A_R F_b and R_{a+b+1} = tau F_a^T C F_b.
+        # Every pair must agree on its lag, and the Hankel blocks of a
+        # probe made in blocks of any width must be
+        # q(r) = alpha R_r + beta R_{r+1}, side by side
+        s = 0.7
+        setup = small_setup(nx=6, n_steps=n_steps, theta=theta)
+        for ops in (setup.ops_1, setup.ops_2):
+            grid, n_g, n = ops.grid, ops.n_interface, ops.n_dofs
+            A_R, C = build_step_operators(ops, s=s)
+            units = np.zeros((n_g, n_steps, n_g))
+            units[:, 0] = np.eye(n_g)
+            F = SubdomainSolver(ops).robin_solve(
+                s, lam=InterfaceSignal(units, "dual")).values[:, 1:]
+            blocks = [[] for _ in range(2 * n_steps)]
+            for M, shift in ((A_R, 0), (C, 1)):
+                MF = (M @ F.reshape(-1, n).T).T.reshape(F.shape)
+                pairs = grid.tau * np.einsum("gax,hbx->abgh", F, MF)
+                for a in range(n_steps):
+                    for b in range(n_steps):
+                        blocks[a + b + shift].append(pairs[a, b])
+            R = [lag[0] for lag in blocks]
+            for lag, want in zip(blocks, R):
+                for got in lag:
+                    np.testing.assert_allclose(
+                        got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+            alpha = 1.0 + grid.tau * (1.0 - grid.theta)
+            beta = grid.tau * grid.theta - 1.0
+            want = np.hstack([alpha * R[r] + beta * R[r + 1]
+                              for r in range(2 * n_steps - 1)])
+            for width in (1, 2, n_g):
+                monkeypatch.setattr(rrlab.subsolve, "BLOCK_VALUES",
+                                    width * (n_steps + 1) * n)
+                solver = SubdomainSolver(ops)
+                assert solver.block_width() == width
+                robin_trace_map(solver, s)
+                np.testing.assert_allclose(
+                    solver.forms.hankel, want, rtol=0,
+                    atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("nx", [32, 64])
     def test_tracked_run_makes_no_solve_after_the_probe(self, nx,
