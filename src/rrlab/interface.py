@@ -30,15 +30,20 @@ the affine part of the step, so only the Peaceman-Rachford iterates
 read them: every tracked quantity is a form of d = eta_ref - eta
 (_track_block), in which they cancel.  Tracking has two paths, chosen
 by whether both solvers hold SteklovForms once the run's resolvents are
-made: on the forms it makes no subdomain solve; otherwise it makes a
-homogeneous Dirichlet solve and a flux recovery per subdomain and block
-of iterates, as S_i is applied in the acceptance criteria and the
-oracles of the tests (SteklovOperator).
+made (_tracks_on_forms): on the forms it makes no subdomain solve, and a
+block of iterates holds interface values only, so it is sized by them;
+otherwise it makes a homogeneous Dirichlet solve and a flux recovery per
+subdomain and block of iterates sized by their fields, as S_i is applied
+in the acceptance criteria and the oracles of the tests
+(SteklovOperator).  At desk scale these dense interface products are
+the iteration's cost, so BlockToeplitz.apply skips the zero-padded
+upper triangle of its windows where the product is large.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +69,19 @@ DENSE_COLUMN_GUARD = 2000
 # BlockToeplitz.apply gathers at most this many input values per product
 # (2 MB), so its temporary is bounded whatever n_steps is.
 APPLY_WINDOW_VALUES = 2 ** 18
+
+# Where one product of all output steps would multiply at least this many
+# values, m * n_steps^2 * n_in * n_out for a block of m signals,
+# BlockToeplitz.apply splits the output steps in halves: the first half
+# then skips the zero-padded upper triangle of the windows, so the
+# product does three quarters of the work.  Measured (16 steps, in us,
+# without the split against with it; 2 cores, one BLAS thread):
+# n_interface = 63 123 -> 74 at m = 1, 532 -> 285 at m = 4 and
+# 1789 -> 1077 at m = 17; n_interface = 31 114 -> 100 at m = 4;
+# n_interface = 15 138 -> 120 at m = 17.  Below it the second product
+# costs more than it saves: at m = 1, 14 -> 19 at n_interface = 15 and
+# 28 -> 29 at n_interface = 31.
+SPLIT_APPLY_VALUES = 2 ** 18
 
 # A map of the resolvent (sJ + S_i)^-1 is made by a probe, about
 # n_interface one-column Robin solves, on the first s a solver makes a
@@ -161,6 +179,10 @@ class IterationConfig:
             raise ValueError("Robin parameter s must be finite and positive")
         if not self.tol >= 0:
             raise ValueError("tol must be nonnegative")
+        # bool is an Integral, and True would run one iteration
+        if isinstance(self.max_iter, bool) or \
+                not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -320,15 +342,16 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     interface-parametrized fields, the monotone gaps against eta_ref,
     and the Steklov-Poincare residual pushed through the resolvent
     (sJ + S2)^-1 (the iteration's own metric).  These are forms of
-    eta_ref - eta^n (_track_block), computed for a block of
-    SubdomainSolver.block_width() iterates at once, with one apply of
-    the subdomain-2 resolvent.  The run's two resolvents
-    (robin_resolvent, for config.max_iter applies) are made first; the
-    Peaceman-Rachford iterates take the same ones, kept by s.
-    If both solvers then hold SteklovForms (both were probed), every
-    tracked quantity is read from them with no subdomain solve;
-    otherwise each subdomain makes a homogeneous Dirichlet solve and a
-    flux recovery per block.
+    eta_ref - eta^n (_track_block), computed for a block of iterates at
+    once, with one apply of the subdomain-2 resolvent.  The run's two
+    resolvents (robin_resolvent, for config.max_iter applies) are made
+    first; the Peaceman-Rachford iterates take the same ones, kept by s.
+    If both solvers then hold SteklovForms (both were probed,
+    _tracks_on_forms), every tracked quantity is read from them with no
+    subdomain solve, and a block holds BLOCK_VALUES interface values,
+    n_steps^2 * n_interface per iterate (block_width of that); otherwise
+    each subdomain makes a homogeneous Dirichlet solve and a flux
+    recovery per block of SubdomainSolver.block_width() iterates.
     Everything a block reads is made before the first iterate is drawn.
     """
     ops = solvers[0].ops
@@ -343,8 +366,10 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
         # both, so that any probe they make has kept its forms
         _, resolvent = [robin_resolvent(solver, config.s, config.max_iter)
                         for solver in solvers]
-        on_forms = all(solver.forms is not None for solver in solvers)
-        width = min(solver.block_width() for solver in solvers)
+        on_forms = _tracks_on_forms(solvers)
+        width = (solvers[0].block_width(ops.grid.n_steps ** 2
+                                        * ops.n_interface) if on_forms else
+                 min(solver.block_width() for solver in solvers))
         pending = []
         rows = (report.errors_1, report.gaps_1, report.errors_2,
                 report.gaps_2, report.residuals)
@@ -385,6 +410,12 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     return eta, report
 
 
+def _tracks_on_forms(solvers) -> bool:
+    """Whether a run tracks on the SteklovForms: both solvers hold them
+    once the run's resolvents are made."""
+    return all(solver.forms is not None for solver in solvers)
+
+
 def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
                  pending: list, on_forms: bool):
     """X-norm errors and gaps of both subdomains, and residuals, of a
@@ -400,7 +431,9 @@ def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
     (``on_forms``), S_i d and ||D_i d||_X come from each solver's
     SteklovForms: its column of S_i and its Hankel blocks
     (_forms_x_norm); otherwise from the field D_i d of a Dirichlet
-    solve and its flux recovery.
+    solve and its flux recovery.  The block's width is chosen with the
+    path (_run_iteration): the forms' products hold interface values
+    only, the Dirichlet solves fields.
     """
     ops = solvers[0].ops
     d = eta_ref.values - np.array(pending)
@@ -432,9 +465,11 @@ def run_pr(solvers, config: IterationConfig,
     (none if the solvers were probed already), and an iteration then
     makes no subdomain solve; otherwise it makes two Robin solves.
     Tracking costs no subdomain solve where both solvers hold
-    SteklovForms (the X norm is read from their Hankel blocks), and one
-    homogeneous Dirichlet solve and one flux recovery per subdomain and
-    block of iterates otherwise.
+    SteklovForms (the X norm is read from their Hankel blocks; blocks of
+    iterates sized by interface values, 17 / 8 / 4 iterates at
+    nx = 16 / 32 / 64 and 16 steps), and one homogeneous Dirichlet solve
+    and one flux recovery per subdomain and block of block_width()
+    iterates otherwise.
     """
     return _run_iteration(solvers, config, _pr_iterates, references)
 
@@ -481,7 +516,9 @@ class BlockToeplitz:
     its first block column determines it: first[k], an n_out x n_in
     block, is the output at step k + 1 of the unit inputs at step 1.
     The column is kept once, stacked for apply: from the last lag to
-    lag 0, each block transposed.
+    lag 0, each block transposed.  ``first`` is copied into that layout
+    unless it is already the first column of such a stacked array (as
+    inverse makes it), which is then kept as it is.
     """
 
     def __init__(self, first: np.ndarray):
@@ -510,6 +547,9 @@ class BlockToeplitz:
         step 1) times the last hi lags of the stacked column.  A chunk
         gathers at most APPLY_WINDOW_VALUES input values (and at least
         one step), so the temporary does not grow with n_steps squared.
+        Where one chunk would multiply SPLIT_APPLY_VALUES values or more,
+        chunks are at most half the steps, so that the first skips the
+        zero windows above step hi.
         """
         x = np.asarray(values, dtype=float)
         n_steps, n_out, n_in = self.shape
@@ -519,6 +559,8 @@ class BlockToeplitz:
         y = np.empty(batch + (n_steps, n_out))
         per_step = max(1, math.prod(batch)) * n_steps * n_in
         chunk = max(1, APPLY_WINDOW_VALUES // per_step)
+        if per_step * n_steps * n_out >= SPLIT_APPLY_VALUES:
+            chunk = min(chunk, -(-n_steps // 2))
         for lo in range(0, n_steps, chunk):
             hi = min(lo + chunk, n_steps)
             steps = self._windows[:hi - lo, n_steps - hi:] + lo
@@ -548,7 +590,10 @@ class BlockToeplitz:
         (Golub & Van Loan, Matrix Computations, section 4.7): with A_k
         the blocks of the first column, Y_0 = A_0^-1 and
         Y_k = -A_0^-1 sum_{j=1..k} A_j Y_{k-j}, each sum one product of
-        the lags side by side with the earlier Y_j stacked.
+        the lags side by side with the earlier Y_j stacked.  Y_k is
+        written where the new map's stacked column holds lag k, so
+        Y_{k-1}, ..., Y_0 lie stacked below it; each block is transposed
+        in place at the end, and that array becomes the column.
         """
         n_steps, n_out, n_in = self.shape
         if n_out != n_in:
@@ -556,20 +601,23 @@ class BlockToeplitz:
         A = self.first
         inv0 = np.linalg.inv(A[0])
         lags = A[1:].transpose(1, 0, 2).reshape(n_out, -1)
-        Y = np.empty(self.shape)
+        stacked = np.empty((n_steps * n_in, n_in))
+        Y = stacked.reshape(self.shape)[::-1]       # Y[k], a view
         Y[0] = inv0
         for k in range(1, n_steps):
             Y[k] = -inv0 @ (lags[:, :k * n_in]
-                            @ Y[k - 1::-1].reshape(k * n_in, n_in))
-        return BlockToeplitz(Y)
+                            @ stacked[(n_steps - k) * n_in:])
+        for block in Y:
+            block[...] = block.T
+        return BlockToeplitz(Y.transpose(0, 2, 1))       # keeps stacked
 
 
-def _shifted(first: np.ndarray, sJ: np.ndarray) -> np.ndarray:
-    """The first block column of the map plus the block-diagonal
-    pairing with diagonal sJ: a copy with sJ added to the lag-0 block."""
-    out = np.array(first)
-    out[0][np.diag_indices_from(out[0])] += sJ
-    return out
+def _shift(op: BlockToeplitz, sJ: np.ndarray) -> BlockToeplitz:
+    """Add the block-diagonal pairing with diagonal sJ to the map, in
+    place: sJ is added to the diagonal of its lag-0 block."""
+    lag0 = op.first[0]
+    lag0[np.diag_indices_from(lag0)] += sJ
+    return op
 
 
 @dataclass
@@ -664,8 +712,7 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     g, h = np.triu_indices(n_g, 1)
     lags[h, n_steps:, g] = lags[g, n_steps:, h]
     robin_map = BlockToeplitz(np.swapaxes(lags[:, :n_steps], 0, 1))
-    steklov = BlockToeplitz(_shifted(robin_map.inverse().first,
-                                     -_sJ(ops, s)))
+    steklov = _shift(robin_map.inverse(), -_sJ(ops, s))
     alpha = 1.0 + grid.tau * (1.0 - grid.theta)
     beta = grid.tau * grid.theta - 1.0
     for r in range(2 * n_steps - 1):        # lag r + 1 still holds R
@@ -691,8 +738,8 @@ def robin_trace_map(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     if key not in solver.robin_maps:
         solver.robin_maps[key] = (
             _first_probe(solver, key) if solver.forms is None else
-            BlockToeplitz(_shifted(solver.forms.steklov.first,
-                                   _sJ(solver.ops, key))).inverse())
+            _shift(BlockToeplitz(solver.forms.steklov.first.copy()),
+                   _sJ(solver.ops, key)).inverse())
     return solver.robin_maps[key]
 
 

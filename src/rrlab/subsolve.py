@@ -66,7 +66,10 @@ DENSE_MAX_DOFS = 200
 # much per column as one) and wide ones lose (at nx = 64 a 16-column
 # Dirichlet block took 1.23 ms per column against 1.04 ms for one; 2
 # cores, one BLAS thread).  2 ** 17 raised the peak memory of a converge
-# run over nx = 16, 32 and 64 by 3 MB.
+# run over nx = 16, 32 and 64 by 3 MB.  Tracking on the SteklovForms
+# (rrlab.interface) holds no field: it takes blocks of this many
+# interface values, n_steps^2 * n_interface per iterate, 17 / 8 / 4
+# iterates at nx = 16 / 32 / 64 and 16 steps.
 BLOCK_VALUES = 2 ** 16
 
 
@@ -325,11 +328,14 @@ class SubdomainSolver:
             raise ValueError("signal shape does not match the interface")
         return signal.values
 
-    def block_width(self) -> int:
+    def block_width(self, column_values: int | None = None) -> int:
         """Columns of a block of independent solves: at most
-        BLOCK_VALUES field values, and at least one column."""
-        grid, n = self.ops.grid, self.ops.n_dofs
-        return max(1, BLOCK_VALUES // ((grid.n_steps + 1) * n))
+        BLOCK_VALUES values, and at least one column.  A column holds a
+        field, (n_steps + 1) * n_dofs values, unless ``column_values``
+        says otherwise."""
+        if column_values is None:
+            column_values = (self.ops.grid.n_steps + 1) * self.ops.n_dofs
+        return max(1, BLOCK_VALUES // column_values)
 
     def trace(self, u: SpaceTimeField) -> InterfaceSignal:
         """Interface trace of a subdomain field (steps 1..n)."""

@@ -1,6 +1,8 @@
 """Steklov-Poincare operator oracles, resolvent round trips, the
 Peaceman-Rachford iteration, and its PDE-level Robin-Robin twin."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,12 +44,12 @@ def small_setup(nx=6, n_steps=4, dimension=2, source="cos", alpha=None,
 
 
 def track_by_dirichlet_solves(monkeypatch):
-    """Make tracking drop the solvers' SteklovForms: a homogeneous
-    Dirichlet solve and a flux recovery per subdomain and block.  The
-    probes, maps and iterates stay those of a run on the forms."""
-    track = rrlab.interface._track_block
-    monkeypatch.setattr(rrlab.interface, "_track_block",
-                        lambda *args: track(*args[:-1], False))
+    """Make runs choose to track without the solvers' SteklovForms: a
+    homogeneous Dirichlet solve and a flux recovery per subdomain and
+    block of block_width() iterates.  The probes, maps and iterates stay
+    those of a run on the forms."""
+    monkeypatch.setattr(rrlab.interface, "_tracks_on_forms",
+                        lambda solvers: False)
 
 
 @pytest.fixture(params=["forms", "dirichlet"])
@@ -603,6 +605,33 @@ class TestPeacemanRachford:
                 assert after.count("flux_recovery") == 2 * n_blocks
                 assert not any(s.robin_maps or s.forms for s in setup.solvers)
 
+    @pytest.mark.parametrize("nx, forms_width", [(16, 17), (32, 8), (64, 4)])
+    def test_tracking_block_width(self, nx, forms_width, tracking,
+                                  monkeypatch):
+        # on the forms a block holds interface values only, n_steps^2 *
+        # n_interface per iterate, and BLOCK_VALUES of them make a block;
+        # a block of Dirichlet solves holds fields and keeps
+        # block_width() iterates (32 / 7 / 1).  Every block, the padded
+        # last one too, has the full width
+        setup = setup_problem(default_problem(nx=nx))
+        refs = references_from_monolithic(setup)
+        widths = []
+        track = rrlab.interface._track_block
+
+        def counted(solvers, resolvent, eta_ref, pending, on_forms):
+            widths.append(len(pending))
+            return track(solvers, resolvent, eta_ref, pending, on_forms)
+
+        monkeypatch.setattr(rrlab.interface, "_track_block", counted)
+        _, report = run_pr(setup.solvers,
+                           IterationConfig(tol=0.0, max_iter=70),
+                           references=refs)
+        assert all(s.forms is not None for s in setup.solvers)
+        want = (forms_width if tracking == "forms" else
+                setup.solver_1.block_width())
+        assert widths == [want] * -(-70 // want)
+        assert len(report.errors_1) == len(report.residuals) == 70
+
     def test_tracked_run_beyond_resolvent_steps_keeps_no_map(self,
                                                              monkeypatch):
         # at more than RESOLVENT_STEPS steps a map never pays, whatever
@@ -753,6 +782,14 @@ class TestPeacemanRachford:
             with pytest.raises(ValueError):
                 IterationConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+    def test_iteration_config_refuses_a_non_integral_max_iter(self, bad):
+        # refused when the config is made, not by range() inside the
+        # run; True would otherwise run one iteration
+        with pytest.raises(ValueError, match="max_iter"):
+            IterationConfig(max_iter=bad)
+        assert IterationConfig(max_iter=np.int64(3)).max_iter == 3
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_robin_parameter_keeps_nothing(self, bad):
         # a non-finite s is refused before a solver keeps a Robin factor,
@@ -799,10 +836,17 @@ class TestRobinRobinSweep:
 
 
 class TestBlockToeplitz:
-    @pytest.mark.parametrize("n_steps, batch", [(5, ()), (40, (3,)),
-                                                (700, (2,))])
-    def test_apply_equals_dense_product(self, n_steps, batch):
-        # at 700 steps the product runs in several chunks of steps
+    @pytest.mark.parametrize("n_steps, batch, split", [
+        (5, (), False), (40, (3,), False), (700, (2,), True),
+        (147, (), False), (148, (), True), (101, (7,), True),
+        (41, (4, 10), True)])
+    def test_apply_equals_dense_product(self, n_steps, batch, split):
+        # at 700 steps the product runs in several chunks of steps; at
+        # 147 and 148 it lies just below and just above the size at
+        # which apply splits the steps in halves, and at an odd number
+        # of steps those halves differ by one step
+        assert split == (math.prod(batch) * n_steps ** 2 * 4 * 3 >=
+                         rrlab.interface.SPLIT_APPLY_VALUES)
         rng = np.random.default_rng(4)
         op = BlockToeplitz(rng.standard_normal((n_steps, 3, 4)))
         x = rng.standard_normal(batch + (n_steps, 4))

@@ -307,8 +307,9 @@ class TestScenarios:
             self, nx, s, n, monkeypatch):
         # on the maps the tracked forms come from the Robin probe: S_i d
         # from its column of S_i and the X-norm errors from its Hankel
-        # blocks; with the forms dropped by tracking, from a homogeneous
-        # Dirichlet solve and a flux recovery per subdomain and block.
+        # blocks; with tracking made to choose the other path, from a
+        # homogeneous Dirichlet solve and a flux recovery per subdomain
+        # and block.
         # The iterates are made the same way on both, so n and the
         # increments stay equal; the errors, gaps and residuals agree to
         # roundoff
@@ -316,9 +317,8 @@ class TestScenarios:
         cfg = ScenarioConfig(scenario="converge", nx=nx, ny=nx, s=s,
                              max_iter=1000)
         forms = np.array(run_scenario(cfg).report.rows)
-        track = rrlab.interface._track_block
-        monkeypatch.setattr(rrlab.interface, "_track_block",
-                            lambda *args: track(*args[:-1], False))
+        monkeypatch.setattr(rrlab.interface, "_tracks_on_forms",
+                            lambda solvers: False)
         dirichlet = np.array(run_scenario(cfg).report.rows)
         assert len(forms) == len(dirichlet) == n
         np.testing.assert_array_equal(forms[:, :2], dirichlet[:, :2])
