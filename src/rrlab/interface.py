@@ -736,6 +736,8 @@ def robin_trace_map(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     if not 0.0 < key < math.inf:
         raise ValueError("Robin parameter s must be finite and positive")
     if key not in solver.robin_maps:
+        # a copy of S_i's column: a map made of the column itself would
+        # keep it, and _shift would change S_i
         solver.robin_maps[key] = (
             _first_probe(solver, key) if solver.forms is None else
             _shift(BlockToeplitz(solver.forms.steklov.first.copy()),
