@@ -368,4 +368,4 @@ def random_smooth_field(mesh, dec, ops: SubdomainOperators, rng,
                     c = rng.standard_normal() / (p * p + q * q + r * r)
                     values += c * np.outer(np.sin(r * np.pi * times / T), shape)
     values[0] = 0.0
-    return SpaceTimeField(values, f"omega{ops.index}")
+    return SpaceTimeField(values)

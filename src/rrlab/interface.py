@@ -28,16 +28,16 @@ come from the probe's own map and its last-step fields.  The PDE-level
 sweep stays two Robin solves with loads.  The sources chi enter only
 the affine part of the step, so only the Peaceman-Rachford iterates
 read them: every tracked quantity is a form of d = eta_ref - eta
-(_track_block), in which they cancel.  Tracking has two paths, chosen
-by whether both solvers hold SteklovForms once the run's resolvents are
-made (_tracks_on_forms): on the forms it makes no subdomain solve, and a
-block of iterates holds interface values only, so it is sized by them;
-otherwise it makes a homogeneous Dirichlet solve and a flux recovery per
-subdomain and block of iterates sized by their fields, as S_i is applied
-in the acceptance criteria and the oracles of the tests
-(SteklovOperator).  At desk scale these dense interface products are
-the iteration's cost, so BlockToeplitz.apply skips the zero-padded
-upper triangle of its windows where the product is large.
+(_track_block), in which they cancel.  One kernel gives a subdomain's
+forms (_subdomain_forms), to tracking and to acceptance criterion 5: on
+the SteklovForms, where both solvers hold them once the run's
+resolvents are made (_tracks_on_forms), with no subdomain solve and
+blocks of iterates sized by their interface values; otherwise by a
+homogeneous Dirichlet solve and a flux recovery per block sized by its
+fields, as S_i is applied in the acceptance criteria and the oracles of
+the tests (SteklovOperator).  At desk scale these dense interface
+products are the iteration's cost, so BlockToeplitz.apply skips the
+zero-padded upper triangle of its windows where the product is large.
 """
 
 from __future__ import annotations
@@ -295,13 +295,6 @@ def robin_sweep(solvers, state: RobinSweepState, s: float) -> RobinSweepState:
 # Iteration drivers shared by both realizations
 # ---------------------------------------------------------------------------
 
-def _orbit(step, x):
-    """Yield step(x), step(step(x)), ... without end."""
-    while True:
-        x = step(x)
-        yield x
-
-
 def _pr_iterates(solvers, s: float, max_iter: int):
     """Peaceman-Rachford iterates from eta^0 = 0, whose Robin datum is
     chi = chi_1 + chi_2 itself.  Both resolvents, made for max_iter
@@ -323,10 +316,11 @@ def _rr_iterates(solvers, s: float, max_iter: int):
     """Traces of u2 after each Robin sweep; the initial sweep state is
     built at once, before the first iterate is drawn.  The sweep reads
     no interface source."""
-    s2 = solvers[1]
-    sweeps = _orbit(lambda state: robin_sweep(solvers, state, s),
-                    init_robin_sweep(solvers, s))
-    return (s2.trace(state.u2) for state in sweeps)
+    def iterates(state):
+        while True:
+            state = robin_sweep(solvers, state, s)
+            yield solvers[1].trace(state.u2)
+    return iterates(init_robin_sweep(solvers, s))
 
 
 def _run_iteration(solvers, config: IterationConfig, make_iterates,
@@ -353,6 +347,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     each subdomain makes a homogeneous Dirichlet solve and a flux
     recovery per block of SubdomainSolver.block_width() iterates.
     Everything a block reads is made before the first iterate is drawn.
+    A block is tracked when full, and the last, a shorter one, at the end.
     """
     ops = solvers[0].ops
     tau, Mg = ops.grid.tau, ops.M_gamma
@@ -374,12 +369,11 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
         rows = (report.errors_1, report.gaps_1, report.errors_2,
                 report.gaps_2, report.residuals)
 
-        def flush(n_tracked):
-            # track the pending block; its first n_tracked iterates count
+        def flush():
             values = _track_block(solvers, resolvent, references, pending,
                                   on_forms)
             for value, row in zip(values, rows):
-                row.extend(value[:n_tracked].tolist())
+                row.extend(value.tolist())
             pending.clear()
     iterates = make_iterates(solvers, config.s, config.max_iter)
 
@@ -391,7 +385,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
         if track:
             pending.append(eta.values)
             if len(pending) == width:
-                flush(width)
+                flush()
 
         scale0 = report.increments[0]
         if not np.isfinite(inc) or (scale0 > 0 and inc > 1e6 * scale0):
@@ -401,12 +395,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
             report.status = "converged"
             break
     if track and pending:
-        # a last block of full width, padded with the last iterate, so
-        # that every block of a run does the same work (perfbench times
-        # repeated work at its fastest repetition)
-        n_tracked = len(pending)
-        pending += pending[-1:] * (width - n_tracked)
-        flush(n_tracked)
+        flush()
     return eta, report
 
 
@@ -427,30 +416,38 @@ def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
     S_i eta_ref - S_i eta = S_i d, so chi cancels from every quantity:
     the error is ||D_i d||_X, gap_i = (S_i d) . d, and the residual
     (S1 + S2) eta - chi is -(S1 + S2) d, whose norm after
-    ``resolvent``, (sJ + S2)^-1, is that of (S1 + S2) d.  On the forms
-    (``on_forms``), S_i d and ||D_i d||_X come from each solver's
-    SteklovForms: its column of S_i and its Hankel blocks
-    (_forms_x_norm); otherwise from the field D_i d of a Dirichlet
-    solve and its flux recovery.  The block's width is chosen with the
-    path (_run_iteration): the forms' products hold interface values
-    only, the Dirichlet solves fields.
+    ``resolvent``, (sJ + S2)^-1, is that of (S1 + S2) d.  Each
+    subdomain's S_i d, gap and error come from _subdomain_forms on the
+    path ``on_forms``, which also sets the block's width (_run_iteration).
     """
     ops = solvers[0].ops
     d = eta_ref.values - np.array(pending)
     out, flux = [], 0.0
     for solver in solvers:
-        if on_forms:
-            Sd = solver.forms.steklov.apply(d)
-            err = _forms_x_norm(solver, d, Sd)
-        else:
-            u = solver.dirichlet_solve(eta=InterfaceSignal(d))
-            Sd = solver.flux_recovery(u).values
-            err = step_norm(solver.ops.MK, u.values[:, 1:], ops.grid.tau)
-            del u       # freed before the next subdomain's solve
-        out += [err, np.sum(Sd * d, axis=(-2, -1))]
+        Sd, gap, err = _subdomain_forms(solver, d, on_forms)
+        out += [err, gap]
         flux = flux + Sd
     precond = InterfaceSignal(resolvent(flux), "primal")
     return out + [h_norm(precond, ops.M_gamma, ops.grid.tau)]
+
+
+def _subdomain_forms(solver: SubdomainSolver, d: np.ndarray, on_forms: bool):
+    """S_i d, the gap (S_i d) . d and ||D_i d||_X, with D_i the
+    homogeneous Dirichlet solve, of the block of traces d, shaped (m,
+    n_steps, n_interface); the last two hold one value per trace.  On the
+    forms (``on_forms``) they come from the solver's SteklovForms
+    (_forms_x_norm) with no subdomain solve, otherwise from one Dirichlet
+    solve of the block and its flux recovery (block_width() traces at
+    most).  Tracking (_track_block) and acceptance criterion 5 call it.
+    """
+    if on_forms:
+        Sd = solver.forms.steklov.apply(d)
+        err = _forms_x_norm(solver, d, Sd)
+    else:
+        u = solver.dirichlet_solve(eta=InterfaceSignal(d))
+        Sd = solver.flux_recovery(u).values
+        err = step_norm(solver.ops.MK, u.values[:, 1:], solver.ops.grid.tau)
+    return Sd, np.sum(Sd * d, axis=(-2, -1)), err
 
 
 def run_pr(solvers, config: IterationConfig,

@@ -96,7 +96,7 @@ def solve_monolithic(setup: LabSetup) -> SpaceTimeField:
 
 def restrict_field(u: SpaceTimeField, dec: Decomposition, i: int) -> SpaceTimeField:
     """Restrict a monolithic field to subdomain i dof ordering."""
-    return SpaceTimeField(dec.restrict(i, u.values), f"omega{i}")
+    return SpaceTimeField(dec.restrict(i, u.values))
 
 
 def glue_fields(u1: SpaceTimeField, u2: SpaceTimeField,
@@ -117,7 +117,7 @@ def glue_fields(u1: SpaceTimeField, u2: SpaceTimeField,
     out[:, np.searchsorted(free, dec.interior_1)] = u1.values[:, :n1]
     out[:, np.searchsorted(free, dec.interior_2)] = u2.values[:, :n2]
     out[:, np.searchsorted(free, dec.interface)] = trace
-    return SpaceTimeField(out, "global")
+    return SpaceTimeField(out)
 
 
 def global_trace(u: SpaceTimeField, dec: Decomposition) -> InterfaceSignal:
@@ -231,7 +231,8 @@ def run_mms_temporal(theta: float, steps=(4, 8, 16), ref_factor: int = 8,
 
     Each step count is compared against a fine-step reference on the
     same mesh, which removes the spatial error floor and exposes the
-    pure temporal order of the theta scheme.
+    pure temporal order of the theta scheme.  Each step count must
+    divide the reference's max(steps) * ref_factor steps (ValueError).
     """
     ref_steps = max(steps) * ref_factor
     spec_ref = mms_spec(dimension, nx, ref_steps, theta)
@@ -243,6 +244,8 @@ def run_mms_temporal(theta: float, steps=(4, 8, 16), ref_factor: int = 8,
     rows = []
     for n_steps in steps:
         spec = mms_spec(dimension, nx, n_steps, theta)
+        if ref_steps % n_steps:
+            raise ValueError(f"{n_steps} steps do not divide {ref_steps}")
         ops = build_global_operators(spec, mesh, dec)
         u = MonolithicSolver(ops).solve()
         stride = ref_steps // n_steps

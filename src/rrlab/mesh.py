@@ -168,18 +168,14 @@ class Decomposition:
         return self.interface.size
 
     def interiors(self, i: int) -> np.ndarray:
-        if i == 1:
-            return self.interior_1
-        if i == 2:
-            return self.interior_2
-        raise ValueError(f"subdomain index must be 1 or 2, got {i}")
+        return (self.interior_1, self.interior_2)[_side(i)]
 
     def subdomain_nodes(self, i: int) -> np.ndarray:
         """Global node ids of subdomain i dofs, interior first."""
         return np.concatenate([self.interiors(i), self.interface])
 
     def elements_of(self, i: int) -> np.ndarray:
-        return self.elements_1 if i == 1 else self.elements_2
+        return (self.elements_1, self.elements_2)[_side(i)]
 
     def restriction_matrix(self, i: int) -> sp.csr_matrix:
         """Sparse 0/1 map from monolithic dof vectors to subdomain i."""
@@ -193,6 +189,13 @@ class Decomposition:
         """Extract subdomain i values from a monolithic dof vector."""
         pos = np.searchsorted(self.free, self.subdomain_nodes(i))
         return np.asarray(free_values)[..., pos]
+
+
+def _side(i: int) -> int:
+    """0 for subdomain 1 and 1 for subdomain 2; ValueError otherwise."""
+    if i not in (1, 2):
+        raise ValueError(f"subdomain index must be 1 or 2, got {i}")
+    return 0 if i == 1 else 1
 
 
 def build_mesh(spec: ProblemSpec) -> Mesh:

@@ -81,11 +81,11 @@ class SolverFailure(RuntimeError):
 class SpaceTimeField:
     """Nodal values over (time step, dof); row 0 is the initial slice.
 
-    The initial slice must vanish (homogeneous initial condition).
+    The initial slice must vanish (homogeneous initial condition).  A
+    field holds no label of its domain; its readers check its shape.
     """
 
     values: np.ndarray          # ([m,] n_steps + 1, n_dofs)
-    domain: str = "subdomain"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -233,7 +233,7 @@ def _step_operator(C: sp.spmatrix):
 
 
 def _march(fac: Factorization, C, rhs: np.ndarray, u: np.ndarray,
-           domain: str, cols=slice(None)) -> SpaceTimeField:
+           cols=slice(None)) -> SpaceTimeField:
     """Run the theta scheme u^k = A^-1 (rhs^k + C u^{k-1}) on the dofs
     ``cols`` of u, shaped ([m,] n_steps + 1, n_dofs) like rhs.
 
@@ -252,7 +252,7 @@ def _march(fac: Factorization, C, rhs: np.ndarray, u: np.ndarray,
     for k in range(1, len(x)):
         x[k] = fac.solve(rhs[k - 1] + C @ x[k - 1])
     try:
-        return SpaceTimeField(u, domain)
+        return SpaceTimeField(u)
     except ValueError:
         raise SolverFailure(f"non-finite solution from {fac.label}") from None
 
@@ -376,8 +376,7 @@ class SubdomainSolver:
         if loads is not None:
             rhs += loads[:, :nI]
         rhs += _dofwise(self._C_IG, u[..., :-1, nI:])
-        return _march(fac, self._C_II, rhs, u, f"omega{self.ops.index}",
-                      slice(nI))
+        return _march(fac, self._C_II, rhs, u, slice(nI))
 
     def robin_solve(self, s: float, lam: InterfaceSignal | None = None,
                     loads: np.ndarray | None = None) -> SpaceTimeField:
@@ -396,7 +395,7 @@ class SubdomainSolver:
                np.broadcast_to(loads, shape).copy())
         rhs[..., self.ops.n_interior:] += lam_v / grid.tau
         u = np.zeros(batch + (grid.n_steps + 1, self.ops.n_dofs))
-        return _march(fac, self._C_step, rhs, u, f"omega{self.ops.index}")
+        return _march(fac, self._C_step, rhs, u)
 
     def flux_recovery(self, u: SpaceTimeField,
                       loads: np.ndarray | None = None) -> InterfaceSignal:
@@ -431,4 +430,4 @@ class MonolithicSolver:
         grid = self.ops.grid
         loads = self.ops.loads if loads is None else np.asarray(loads, dtype=float)
         u = np.zeros((grid.n_steps + 1, self.ops.n_dofs))
-        return _march(self._factor, self._C_step, loads, u, "global")
+        return _march(self._factor, self._C_step, loads, u)

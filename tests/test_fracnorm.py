@@ -231,7 +231,7 @@ class TestParabolicCoercivity:
         for _ in range(10):
             vals = rng.standard_normal((ops.grid.n_steps + 1, ops.n_dofs))
             vals[0] = 0.0
-            u = SpaceTimeField(vals, "omega1")
+            u = SpaceTimeField(vals)
             rep = parabolic_coercivity(ops, u, phi)
             window = padded_extension(vals, 8, "zero")
             U = np.fft.fft(window, axis=0)

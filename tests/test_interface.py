@@ -611,8 +611,9 @@ class TestPeacemanRachford:
         # on the forms a block holds interface values only, n_steps^2 *
         # n_interface per iterate, and BLOCK_VALUES of them make a block;
         # a block of Dirichlet solves holds fields and keeps
-        # block_width() iterates (32 / 7 / 1).  Every block, the padded
-        # last one too, has the full width
+        # block_width() iterates (32 / 7 / 1).  Every block but the
+        # last has the full width; the last holds the iterates left over,
+        # so each of the 70 iterates is tracked once
         setup = setup_problem(default_problem(nx=nx))
         refs = references_from_monolithic(setup)
         widths = []
@@ -629,7 +630,9 @@ class TestPeacemanRachford:
         assert all(s.forms is not None for s in setup.solvers)
         want = (forms_width if tracking == "forms" else
                 setup.solver_1.block_width())
-        assert widths == [want] * -(-70 // want)
+        full, rest = divmod(70, want)
+        assert widths == [want] * full + ([rest] if rest else [])
+        assert sum(widths) == 70
         assert len(report.errors_1) == len(report.residuals) == 70
 
     def test_tracked_run_beyond_resolvent_steps_keeps_no_map(self,

@@ -90,8 +90,8 @@ class TestFieldNorms:
         setup = setup_problem(default_problem(nx=4, n_steps=4))
         g = setup.global_ops
         u = solve_monolithic(setup)
-        zero = SpaceTimeField(np.zeros_like(u.values), "global")
-        double = SpaceTimeField(2 * u.values, "global")
+        zero = SpaceTimeField(np.zeros_like(u.values))
+        double = SpaceTimeField(2 * u.values)
         n1 = field_error_norm(u, zero, g)
         n2 = field_error_norm(double, zero, g)
         assert n2 == pytest.approx(2 * n1, rel=1e-13)
@@ -102,8 +102,8 @@ class TestFieldNorms:
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((5, g.n_dofs))
         vals[0] = 0.0
-        u = SpaceTimeField(vals, "global")
-        zero = SpaceTimeField(np.zeros_like(vals), "global")
+        u = SpaceTimeField(vals)
+        zero = SpaceTimeField(np.zeros_like(vals))
         MK = (g.M + g.K).toarray()
         direct = np.sqrt(sum(g.grid.tau * v @ MK @ v for v in vals[1:]))
         assert field_error_norm(u, zero, g) == \
@@ -126,7 +126,7 @@ class TestGluing:
         vals = restrict_field(u, setup.dec, 2).values
         vals[-1, -1] += 1e-12
         with pytest.raises(ValueError, match="interface traces"):
-            glue_fields(u1, SpaceTimeField(vals, "omega2"), setup.dec)
+            glue_fields(u1, SpaceTimeField(vals), setup.dec)
 
     def test_global_trace_matches_restrictions(self):
         setup = setup_problem(default_problem(nx=8, n_steps=4))
@@ -158,6 +158,12 @@ class TestManufacturedSolutions:
         order = least_squares_order([r.tau for r in rows],
                                     [r.l2_error for r in rows])
         assert order == pytest.approx(1.0, abs=0.2)
+
+    def test_temporal_steps_must_divide_the_reference(self):
+        # 3 steps do not divide the reference's 4 * 8 = 32: their times
+        # are not reference times, so the study is refused
+        with pytest.raises(ValueError, match="divide"):
+            run_mms_temporal(1.0, steps=(3, 4), nx=8)
 
 
 class TestConfigParsing:

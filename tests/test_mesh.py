@@ -128,6 +128,14 @@ class TestDecompose:
             np.testing.assert_array_equal(
                 dec.restriction_matrix(i) @ v, dec.restrict(i, v))
 
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_subdomain_index_is_one_or_two(self, i):
+        spec = spec_2d(nx=4, ny=4, gamma=0.5)
+        dec = decompose(build_mesh(spec), spec)
+        for lookup in (dec.elements_of, dec.interiors):
+            with pytest.raises(ValueError, match="subdomain index"):
+                lookup(i)
+
     def test_interface_dofs_touch_both_sides(self):
         spec = spec_2d(nx=4, ny=4, gamma=0.5)
         mesh = build_mesh(spec)

@@ -7,8 +7,9 @@ steps, the agreement of block solves with column-by-column solves, the
 probed Robin trace map against the Robin solves it replaces, the maps
 made from it by BlockToeplitz.inverse (S_i and every other resolvent),
 the Peaceman-Rachford step through those maps against the step made of
-Robin solves, and the X norm of a Dirichlet field read from the probe's
-Hankel blocks against the field itself."""
+Robin solves, and a subdomain's forms of a block of traces read from
+the probe (S_i d, the gap and the X norm of the Dirichlet field, from
+the derived column and the Hankel blocks) against a Dirichlet solve."""
 
 import dataclasses
 import sys
@@ -19,13 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrlab import subsolve
-from rrlab.interface import (BlockToeplitz, SteklovOperator, _forms_x_norm,
+from rrlab.interface import (BlockToeplitz, SteklovOperator, _subdomain_forms,
                              assemble_dense, interface_gram, interface_source,
                              pr_step, robin_trace_map, run_equivalence,
                              solve_robin_resolvent)
 from rrlab.lab import setup_problem
 from rrlab.mesh import ProblemSpec
-from rrlab.subsolve import InterfaceSignal, SubdomainSolver, step_norm
+from rrlab.subsolve import InterfaceSignal, SubdomainSolver
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None,
                              derandomize=True, database=None)
@@ -283,7 +284,9 @@ def test_pr_step_equals_two_robin_solve_step(spec, s):
 def test_forms_x_norm_equals_dirichlet_field_norm(spec, n_steps, s0, width):
     # the X norm of the homogeneous Dirichlet field of a trace d, read
     # from the Hankel blocks of a probe at s0 made in blocks of ``width``
-    # unit signals, equals step_norm of the field of a Dirichlet solve
+    # unit signals, equals step_norm of the field of a Dirichlet solve;
+    # S_i d and the gap from the derived column equal those of the
+    # solve's flux to the derived column's tolerance
     spec = dataclasses.replace(spec, n_steps=n_steps)
     setup = setup_problem(spec)
     rng = np.random.default_rng(0)
@@ -294,7 +297,8 @@ def test_forms_x_norm_equals_dirichlet_field_norm(spec, n_steps, s0, width):
                        width * (n_steps + 1) * ops.n_dofs)
             solver = SubdomainSolver(ops)
             robin_trace_map(solver, s0)
-        got = _forms_x_norm(solver, d, solver.forms.steklov.apply(d))
-        u = solver.dirichlet_solve(eta=InterfaceSignal(d))
-        want = step_norm(ops.MK, u.values[:, 1:], ops.grid.tau)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        got = _subdomain_forms(solver, d, on_forms=True)
+        want = _subdomain_forms(solver, d, on_forms=False)
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=0)
+        for g, w in zip(got[:2], want[:2]):
+            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()

@@ -438,7 +438,7 @@ class TestStabilityBound:
             eta = primal(np.sin(np.pi * ys)[None, :]
                          * np.sin(np.pi * times)[:, None])
             u = solver.dirichlet_solve(eta=eta, loads=ops.loads)
-            zero = SpaceTimeField(np.zeros_like(u.values), u.domain)
+            zero = SpaceTimeField(np.zeros_like(u.values))
             x_norm = field_error_norm(u, zero, ops)
             f_norm = np.sqrt(sum(ops.grid.tau * lk @ lk for lk in ops.loads))
             z_norm = trace_space_norm(eta, ops.M_gamma, tau=ops.grid.tau)
