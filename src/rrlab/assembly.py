@@ -146,9 +146,12 @@ def assemble_mass_stiffness(mesh: Mesh, alpha: np.ndarray,
 
 def _interface_line(mesh: Mesh, dec: Decomposition):
     """Mass and stiffness of the line x = gamma_x (unit coefficient),
-    restricted to the interface dofs."""
-    gx = mesh.nodes[dec.interface[0], 0]
-    on_line = np.flatnonzero(np.abs(mesh.nodes[:, 0] - gx) <= 1e-9 * max(1.0, abs(gx)))
+    restricted to the interface dofs; a node is on it within 1e-9 of the
+    smallest x spacing, whatever the size of the domain."""
+    x = mesh.nodes[:, 0]
+    gx = x[dec.interface[0]]
+    on_line = np.flatnonzero(
+        np.abs(x - gx) <= 1e-9 * np.diff(np.unique(x)).min())
     line = on_line[np.argsort(mesh.nodes[on_line, 1])]
     h = np.diff(mesh.nodes[line, 1])
     conn = np.column_stack([line[:-1], line[1:]])

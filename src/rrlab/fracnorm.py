@@ -150,14 +150,12 @@ def _symbol_values(omega: np.ndarray, sigma: float, symbol: str) -> np.ndarray:
 
 def _fractional_sq(window: np.ndarray, tau: float, sigma: float,
                    symbol: str, gram=None) -> float:
-    """Squared multiplier norm of an extended (N, m) window."""
+    """Squared multiplier norm of an (N,) window, or (N, m) in ``gram``."""
     U = np.fft.fft(window, axis=0)
     omega = angular_frequencies(window.shape[0], tau)
     sym = _symbol_values(omega, sigma, symbol)
     if window.ndim == 1:
         energy = np.abs(U) ** 2
-    elif gram is None:
-        energy = np.sum(np.abs(U) ** 2, axis=1)
     else:
         G = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram)
         energy = np.real(np.einsum("mi,ij,mj->m", np.conj(U), G, U))

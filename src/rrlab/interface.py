@@ -51,8 +51,8 @@ import scipy.linalg
 
 from .assembly import (SubdomainOperators, lumped_interface_mass,
                        robin_coefficient)
-from .subsolve import (InterfaceSignal, SpaceTimeField, SubdomainSolver,
-                       step_norm)
+from .subsolve import (InterfaceSignal, SolverFailure, SpaceTimeField,
+                       SubdomainSolver, step_norm)
 
 __all__ = [
     "SteklovOperator", "IterationConfig", "ConvergenceReport",
@@ -123,11 +123,15 @@ def interface_gram(eta: InterfaceSignal, ops: SubdomainOperators,
     ML_Gamma eta^k with ML_Gamma the lumped interface mass of ``ops``
     (its diagonal is computed once per subdomain), i.e. the "s J" term
     of the resolvent and reflection operators under the package's Robin
-    pairing convention.
+    pairing convention.  A finite s that overflows s J is a SolverFailure
+    (a Robin sweep pairs before any Robin matrix is factored).
     """
     if eta.kind != "primal":
         raise ValueError("interface pairing acts on primal signals")
-    return InterfaceSignal(_sJ(ops, s) * eta.values, "dual")
+    sJ = _sJ(ops, s)
+    if not np.all(np.isfinite(sJ)):
+        raise SolverFailure(f"subdomain {ops.index} s J (s={s:g}) overflows")
+    return InterfaceSignal(sJ * eta.values, "dual")
 
 
 def _sJ(ops: SubdomainOperators, s: float) -> np.ndarray:
@@ -580,12 +584,14 @@ class BlockToeplitz:
                 column[:(n_steps - k) * n_out]
         return out
 
-    def inverse(self) -> "BlockToeplitz":
-        """The inverse map, which is causal and time-invariant too.
+    def inverse(self, shift=0.0) -> "BlockToeplitz":
+        """The inverse of the map plus the pairing with diagonal
+        ``shift``, added to lag 0: causal and time-invariant too.  The
+        map itself is neither copied nor changed.
 
         Block forward substitution with the inverted diagonal block
         (Golub & Van Loan, Matrix Computations, section 4.7): with A_k
-        the blocks of the first column, Y_0 = A_0^-1 and
+        the blocks of the first column, A_0 shifted, Y_0 = A_0^-1 and
         Y_k = -A_0^-1 sum_{j=1..k} A_j Y_{k-j}, each sum one product of
         the lags side by side with the earlier Y_j stacked.  Y_k is
         written where the new map's stacked column holds lag k, so
@@ -596,7 +602,9 @@ class BlockToeplitz:
         if n_out != n_in:
             raise ValueError("only a map with square blocks has an inverse")
         A = self.first
-        inv0 = np.linalg.inv(A[0])
+        A0 = A[0].copy()
+        A0[np.diag_indices_from(A0)] += shift
+        inv0 = np.linalg.inv(A0)
         lags = A[1:].transpose(1, 0, 2).reshape(n_out, -1)
         stacked = np.empty((n_steps * n_in, n_in))
         Y = stacked.reshape(self.shape)[::-1]       # Y[k], a view
@@ -609,28 +617,21 @@ class BlockToeplitz:
         return BlockToeplitz(Y.transpose(0, 2, 1))       # keeps stacked
 
 
-def _shift(op: BlockToeplitz, sJ: np.ndarray) -> BlockToeplitz:
-    """Add the block-diagonal pairing with diagonal sJ to the map, in
-    place: sJ is added to the diagonal of its lag-0 block."""
-    lag0 = op.first[0]
-    lag0[np.diag_indices_from(lag0)] += sJ
-    return op
-
-
 @dataclass
 class SteklovForms:
     """What the first Robin probe of a subdomain, at s0, gives beyond its
     map R(s0) = (s0 J + S_i)^-1 (_first_probe).
 
     ``steklov`` is the s-independent column of S_i: the inverse of
-    R(s0) less s0 J.  Every other resolvent is one inverse of it
-    shifted by sJ (robin_trace_map).  ``hankel`` is the X-norm form of
-    the probe's trace-to-field map, held as its 2 n_steps - 1 interface
-    blocks q(0), ..., q(2 n_steps - 2), side by side: row g, column
-    p * n_interface + h holds q(p)[g, h].  With y = (s0 J + S_i) d the
-    Robin datum of a trace d, the homogeneous Dirichlet field of d is
-    the probe's field of y, and its X norm is a Hankel form in time of
-    y less an interface term (_forms_x_norm).  Tracking reads the forms
+    R(s0) less s0 J, written by _first_probe alone.  Every other
+    resolvent is its inverse shifted by sJ, ``steklov.inverse(sJ)``
+    (robin_trace_map), which neither copies nor changes it.  ``hankel``
+    is the X-norm form of the probe's trace-to-field map, held as its
+    2 n_steps - 1 interface blocks q(0), ..., q(2 n_steps - 2), side by
+    side: row g, column p * n_interface + h holds q(p)[g, h].  With
+    y = (s0 J + S_i) d the Robin datum of a trace d, the homogeneous
+    Dirichlet field of d is the probe's field of y, and its X norm is a
+    Hankel form in time of y less an interface term (_forms_x_norm).  Tracking reads the forms
     where both solvers of a run keep them (_track_block).
     """
 
@@ -687,7 +688,8 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     traces as lags below N, and R_{N+b}[g, h] for its data h and every
     g <= h probed so far, so beside the block only the C F_{N-1} probed
     so far are held; symmetry gives the rest.  The lags below N are the
-    map, and all of them then become the Hankel blocks in place.
+    map, and all of them then become the Hankel blocks in place.  S_i is
+    the map's inverse less sJ, subtracted in place: its only write.
     """
     ops, width = solver.ops, solver.block_width()
     grid = ops.grid
@@ -709,7 +711,9 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     g, h = np.triu_indices(n_g, 1)
     lags[h, n_steps:, g] = lags[g, n_steps:, h]
     robin_map = BlockToeplitz(np.swapaxes(lags[:, :n_steps], 0, 1))
-    steklov = _shift(robin_map.inverse(), -_sJ(ops, s))
+    steklov = robin_map.inverse()
+    lag0 = steklov.first[0]         # the one place S_i is written
+    lag0[np.diag_indices_from(lag0)] -= _sJ(ops, s)
     alpha = 1.0 + grid.tau * (1.0 - grid.theta)
     beta = grid.tau * grid.theta - 1.0
     for r in range(2 * n_steps - 1):        # lag r + 1 still holds R
@@ -725,20 +729,18 @@ def robin_trace_map(solver: SubdomainSolver, s: float) -> BlockToeplitz:
 
     At the first s asked of a solver it is probed (_first_probe), which
     costs ceil(n_interface / block_width()) Robin solves and keeps the
-    solver's SteklovForms; at every later s it is the inverse of the kept column
-    of S_i shifted by sJ, and makes no subdomain solve.  Either way it
-    is kept in ``solver.robin_maps`` by s, and an apply costs no solve.
+    solver's SteklovForms; at every later s it is forms.steklov.inverse(sJ),
+    which copies and changes nothing of S_i and makes no subdomain solve.
+    Either way it is kept in ``solver.robin_maps`` by s, and an apply
+    costs no solve.
     """
     key = float(s)
     if not 0.0 < key < math.inf:
         raise ValueError("Robin parameter s must be finite and positive")
     if key not in solver.robin_maps:
-        # a copy of S_i's column: a map made of the column itself would
-        # keep it, and _shift would change S_i
         solver.robin_maps[key] = (
             _first_probe(solver, key) if solver.forms is None else
-            _shift(BlockToeplitz(solver.forms.steklov.first.copy()),
-                   _sJ(solver.ops, key)).inverse())
+            solver.forms.steklov.inverse(_sJ(solver.ops, key)))
     return solver.robin_maps[key]
 
 

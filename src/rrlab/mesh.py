@@ -245,13 +245,13 @@ def build_mesh(spec: ProblemSpec) -> Mesh:
 def decompose(mesh: Mesh, spec: ProblemSpec) -> Decomposition:
     """Partition elements and dofs across the interface x = interface_x.
 
+    A node is on it within _ALIGN_TOL mesh spacings, at any domain size.
     Raises ValueError if the interface would touch the exterior boundary
     or if any partition invariant fails.
     """
     gx = spec.interface_x
     x = mesh.nodes[:, 0]
-    hx = spec.length_x / spec.nx
-    tol = _ALIGN_TOL * max(1.0, spec.length_x)
+    tol = _ALIGN_TOL * spec.length_x / spec.nx
 
     centroids = mesh.element_centroids()[:, 0]
     elements_1 = np.flatnonzero(centroids < gx)

@@ -96,10 +96,6 @@ class SpaceTimeField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[-2] - 1
-
 
 @dataclass
 class InterfaceSignal:
@@ -119,10 +115,6 @@ class InterfaceSignal:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("signal contains non-finite values")
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[-2]
 
     def _like(self, values) -> "InterfaceSignal":
         return InterfaceSignal(values, self.kind)
@@ -180,10 +172,11 @@ class Factorization:
     banded triangular solves (dpbtrs) and scatters the result back; at
     or below DENSE_MAX_DOFS it is one product with the inverse, formed
     once by dpbtrs on the identity.
-    Cholesky reads one triangle, so a matrix that is not exactly
-    symmetric is rejected (assembly adds the same element contributions
-    to (i, j) and (j, i), so step matrices are); one that is not
-    positive definite is reported as singular.
+    A matrix with non-finite entries (coefficients or s that overflow)
+    is refused with SolverFailure.  Cholesky reads one triangle, so a
+    matrix that is not exactly symmetric is rejected (assembly adds the
+    same element contributions to (i, j) and (j, i), so step matrices
+    are); one that is not positive definite is reported as singular.
     """
 
     def __init__(self, matrix: sp.spmatrix, label: str = "step matrix"):
@@ -192,6 +185,8 @@ class Factorization:
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"{label}: matrix must be square")
         A = sp.csr_matrix(matrix, dtype=float)
+        if not np.all(np.isfinite(A.data)):
+            raise SolverFailure(f"{label} has non-finite entries")
         if (A != A.T).nnz:
             raise ValueError(f"{label}: matrix must be symmetric")
         n = A.shape[0]

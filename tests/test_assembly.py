@@ -131,6 +131,22 @@ class TestInterfaceMass:
             assemble_interface_stiffness(mesh, dec).toarray(),
             Kg_full[1:-1, 1:-1], rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("length", [4e-9, 1e-12, 1e6])
+    def test_interface_found_at_any_domain_size(self, length):
+        # the interface tolerances scale with the mesh spacing: on the
+        # square of side L the interface carries the same 7 dofs, and its
+        # mass scales as L and its stiffness as 1 / L
+        def line(L):
+            spec = ProblemSpec(dimension=2, nx=8, ny=8, length_x=L,
+                               length_y=L, interface_x=L / 2)
+            mesh, dec = setup(spec)
+            assert dec.n_interface == 7
+            return (assemble_interface_mass(mesh, dec).toarray() / L,
+                    assemble_interface_stiffness(mesh, dec).toarray() * L)
+
+        for got, ref in zip(line(length), line(1.0)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_interface_stiffness_positive_definite(self):
         spec = spec_2d(nx=4, ny=6)
         mesh, dec = setup(spec)

@@ -542,6 +542,41 @@ class TestCli:
         assert cli.main(["run", cfg, "--out", str(out)]) == 4
         assert (out / "converge.csv").exists()   # data still written
 
+    # the overflow itself warns in numpy and scipy before the refusal
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("text, message", [
+        ("scenario = converge\nalpha_right = 1e308\n",
+         "monolithic step matrix has non-finite entries"),
+        ("scenario = spectrum\nalpha_right = 1e308\n",
+         "monolithic step matrix has non-finite entries"),
+        ("scenario = coercivity\nalpha_right = 1e308\nsamples = 2\n",
+         "monolithic step matrix has non-finite entries"),
+        ("scenario = converge\ns = 1e308\n",
+         "subdomain 1 Robin matrix (s=1e+308) has non-finite entries"),
+        ("scenario = equivalence\ns = 1e308\niterations = 2\n",
+         "subdomain 2 s J (s=1e+308) overflows")],
+        ids=["converge-alpha", "spectrum-alpha", "coercivity-alpha",
+             "converge-s", "equivalence-s"])
+    def test_run_overflowing_finite_value_exits_3(self, tmp_path, text,
+                                                   message, capsys):
+        # finite values that pass the config checks but overflow the
+        # step matrices or s J are solver failures, not tracebacks
+        cfg = self.write_config(tmp_path, text + "nx = 4\nny = 4\n"
+                                "n_steps = 4\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 3
+        assert f"error: solver failure: {message}" in capsys.readouterr().err
+
+    def test_run_nanometre_domain_exits_0(self, tmp_path):
+        # the interface is found on a 4 nm square, and the run completes
+        cfg = self.write_config(
+            tmp_path, "scenario = converge\nlength_x = 4e-9\n"
+                      "length_y = 4e-9\nnx = 8\nny = 8\ninterface_x = 2e-9\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        assert (out / "converge.csv").exists()
+
     def test_run_seed_override(self, tmp_path):
         cfg = self.write_config(
             tmp_path, "scenario = coercivity\nnx = 4\nny = 4\n"

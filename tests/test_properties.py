@@ -230,6 +230,12 @@ def test_inverse_maps_between_resolvent_and_robin_operator(spec, s0, s):
                      solve_robin_resolvent(solver, rhs, s).values)):
                 assert np.linalg.norm(a.apply(x) - want) \
                     <= 1e-10 * np.linalg.norm(want)
+            # maps at two more new values of s read S_i's column and
+            # leave it as the probe made it
+            before = steklov.first.copy()
+            for t in (s0 + s, 2 * s0 + s):
+                robin_trace_map(solver, t)
+            assert np.array_equal(steklov.first, before)
 
 
 @PROPERTY_SETTINGS
@@ -247,6 +253,14 @@ def test_inverse_of_a_block_toeplitz_map(n_steps, n):
         assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
     assert np.abs(inv.inverse().first - first).max() \
         <= 1e-12 * np.abs(first).max()
+    # the inverse of the map shifted by a diagonal on lag 0 is the
+    # inverse of the shifted column, bit for bit, and the map is unchanged
+    shift = rng.uniform(0.5, 2.0, n)
+    shifted = first.copy()
+    shifted[0][np.diag_indices(n)] += shift
+    assert np.array_equal(op.inverse(shift).first,
+                          BlockToeplitz(shifted).inverse().first)
+    assert np.array_equal(op.first, first)
 
 
 @PROPERTY_SETTINGS

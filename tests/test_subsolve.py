@@ -83,6 +83,16 @@ class TestFactorization:
         with pytest.raises(ValueError, match="lopsided block"):
             Factorization(A, label="lopsided block")
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entries_refused_with_label(self, bad):
+        # an overflowing coefficient makes inf (and inf - inf = nan)
+        # entries; they are refused before the symmetry check, whose
+        # nan != nan would call the matrix unsymmetric
+        A = sp.csr_matrix(np.array([[bad, 1.0], [1.0, 2.0]]))
+        with pytest.raises(SolverFailure,
+                           match="overflow block has non-finite entries"):
+            Factorization(A, label="overflow block")
+
     def test_indefinite_reports_identity(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(SolverFailure, match="singular saddle block"):
