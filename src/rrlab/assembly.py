@@ -196,11 +196,17 @@ def assemble_loads(spec: ProblemSpec, mesh: Mesh, grid: TimeGrid,
     Assembling per subdomain makes the load-splitting identity hold
     exactly by subassembly.
     """
-    n = dof_nodes.size
-    loads = np.zeros((grid.n_steps, n))
+    mass = _assemble_mesh(mesh, np.ones(mesh.n_elements), elements)[0]
+    return _loads(spec, mesh, grid, mass[dof_nodes])
+
+
+def _loads(spec: ProblemSpec, mesh: Mesh, grid: TimeGrid,
+           mass_rows: sp.csr_matrix) -> np.ndarray:
+    """The loads of assemble_loads from the dof rows of the full-node
+    mass, which the operator builders have assembled already."""
+    loads = np.zeros((grid.n_steps, mass_rows.shape[0]))
     if spec.source is None:
         return loads
-    mass_rows = _assemble_mesh(mesh, np.ones(mesh.n_elements), elements)[0][dof_nodes]
     coords = mesh.nodes
     for k, t in enumerate(grid.load_times()):
         fk = np.asarray(spec.source(*coords.T, t), dtype=float)
@@ -326,25 +332,30 @@ def build_step_operators(ops: SubdomainOperators | GlobalOperators,
     return A, C
 
 
+def _operators(spec: ProblemSpec, mesh: Mesh, elements: np.ndarray,
+               dofs: np.ndarray):
+    """M, K and loads on ``dofs`` from one assembly over ``elements``:
+    the mass does not depend on the diffusion, so the loads take their
+    rows from the same full-node mass."""
+    alpha = element_diffusion(spec, mesh)
+    M, K = _assemble_mesh(mesh, alpha, elements)
+    grid = TimeGrid(spec.tau, spec.n_steps, float(spec.theta))
+    return (_restrict(M, dofs), _restrict(K, dofs), grid,
+            _loads(spec, mesh, grid, M[dofs]))
+
+
 def build_subdomain_operators(spec: ProblemSpec, mesh: Mesh,
                               dec: Decomposition, i: int) -> SubdomainOperators:
     """Assemble mass, stiffness, interface mass, and loads of subdomain i."""
-    alpha = element_diffusion(spec, mesh)
     dofs = dec.subdomain_nodes(i)
-    M, K = assemble_mass_stiffness(mesh, alpha, dec.elements_of(i), dofs)
-    M_gamma = assemble_interface_mass(mesh, dec)
-    grid = TimeGrid(spec.tau, spec.n_steps, float(spec.theta))
-    loads = assemble_loads(spec, mesh, grid, dofs, dec.elements_of(i))
+    M, K, grid, loads = _operators(spec, mesh, dec.elements_of(i), dofs)
     return SubdomainOperators(i, dofs, dec.interiors(i).size, M, K,
-                              M_gamma, grid, loads)
+                              assemble_interface_mass(mesh, dec), grid, loads)
 
 
 def build_global_operators(spec: ProblemSpec, mesh: Mesh,
                            dec: Decomposition) -> GlobalOperators:
     """Assemble the undecomposed operators on the free dofs."""
-    alpha = element_diffusion(spec, mesh)
-    all_elements = np.arange(mesh.n_elements)
-    M, K = assemble_mass_stiffness(mesh, alpha, all_elements, dec.free)
-    grid = TimeGrid(spec.tau, spec.n_steps, float(spec.theta))
-    loads = assemble_loads(spec, mesh, grid, dec.free, all_elements)
+    M, K, grid, loads = _operators(spec, mesh, np.arange(mesh.n_elements),
+                                   dec.free)
     return GlobalOperators(dec.free, M, K, grid, loads)

@@ -839,6 +839,8 @@ def spectral_analysis(S1: np.ndarray, S2: np.ndarray, M_gamma, tau: float,
     defective, and its computed eigenvalues move by O(eps^(1/n_steps))
     (Trefethen & Embree, Spectra and Pseudospectra, 2005).  The singular
     values and symmetric-part eigenvalues come from the full matrices.
+    A finite s that overflows J_0 is a SolverFailure, as in
+    interface_gram.
     """
     n_g = M_gamma.shape[0]
     n_steps = S1.shape[0] // n_g
@@ -850,6 +852,8 @@ def spectral_analysis(S1: np.ndarray, S2: np.ndarray, M_gamma, tau: float,
     rows = []
     for s in s_values:
         J_0 = robin_coefficient(s, tau) * tau * ML
+        if not np.all(np.isfinite(J_0)):
+            raise SolverFailure(f"s J (s={s:g}) overflows")
         T_0 = np.linalg.solve(
             J_0 + S2_0, (J_0 - S1_0) @ np.linalg.solve(J_0 + S1_0, J_0 - S2_0))
         J = np.kron(np.eye(n_steps), J_0)

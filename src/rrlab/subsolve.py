@@ -23,6 +23,24 @@ At or below it, where a step costs more in dispatch than in
 arithmetic, the inverse is formed once from the same factor and a
 step is two dense matrix-vector products, with A^-1 and with C.
 
+The band is stored at a height dpbtrs runs fast at.  Its transposed
+half runs a dot kernel on columns of kd values, and at kd = 0 or 15
+(mod 16) it is 30-40 % slower than one or two heights up.  So from
+kd = 15 up such a band gets one or two zero superdiagonals more, to
+kd = 1 (mod 16); Cholesky fills nothing outside the band, so the
+factor and every solve are exact, and only the roundoff of the sums
+changes.  One-column dpbtrs, median microseconds (2 cores, one BLAS
+thread, OpenBLAS via scipy 1.17):
+
+    n       kd 15   16   17     31   32   33
+    496       22    21   16     27   26   19
+    2016      81    84   60    105  103   73
+
+It is the same at n = 961 and 3969, and at 47 / 48 -> 49.  The
+Dirichlet blocks (kd 15 at nx = 32, 31 at nx = 64) and a Robin matrix
+at each size (16 and 32) sit on such heights; the monolithic factors
+(kd 46 and 94) do not, and so pay no larger dpbtrf.
+
 Each time step does only the work that depends on the previous step;
 data terms are sparse products over the whole trajectory.  Finiteness
 is checked once per trajectory: a non-finite value propagates to the
@@ -167,7 +185,10 @@ class Factorization:
     step matrix, with provenance for error reports.
 
     The matrix is permuted to reverse Cuthill-McKee order, its upper
-    band is packed in LAPACK band storage and factored once (dpbtrf).
+    band is packed in LAPACK band storage and factored once (dpbtrf);
+    a band of height kd >= 15 with kd = 0 or 15 (mod 16) is stored at
+    the next kd = 1 (mod 16), where dpbtrs runs faster (module
+    docstring).
     A solve gathers the right-hand side into that order, runs the two
     banded triangular solves (dpbtrs) and scatters the result back; at
     or below DENSE_MAX_DOFS it is one product with the inverse, formed
@@ -196,6 +217,10 @@ class Factorization:
                 else np.zeros(0)).astype(np.intp)
         upper = sp.triu(A[perm][:, perm], format="coo")
         kd = int((upper.col - upper.row).max()) if upper.nnz else 0
+        # the fast band height (module docstring); the zero rows added
+        # above the band leave the factor exact
+        if kd >= 15 and kd % 16 in (0, 15):
+            kd += (1 - kd) % 16
         band = np.zeros((kd + 1, n))
         band[kd + upper.row - upper.col, upper.col] = upper.data
         self._band, info = dpbtrf(band, overwrite_ab=1)

@@ -4,12 +4,14 @@ step operators, subassembly, and the discrete temporal identity."""
 import numpy as np
 import pytest
 
+from rrlab import assembly
 from rrlab.assembly import (TimeGrid, assemble_interface_mass,
-                            assemble_interface_stiffness,
+                            assemble_interface_stiffness, assemble_loads,
                             assemble_mass_stiffness, build_global_operators,
                             build_step_operators, build_subdomain_operators,
                             element_diffusion, lumped_interface_mass,
                             robin_coefficient)
+from rrlab.lab import default_problem, setup_problem
 from rrlab.mesh import ProblemSpec, build_mesh, decompose
 
 
@@ -190,6 +192,35 @@ class TestLoads:
             recon = sum(dec.restriction_matrix(i + 1).T @ ops[i].loads[k]
                         for i in range(2))
             np.testing.assert_allclose(recon, glob.loads[k], rtol=0, atol=1e-13)
+
+    def test_builders_match_the_public_assemblers(self):
+        spec = spec_2d(nx=6, ny=4, n_steps=3)
+        mesh, dec = setup(spec)
+        alpha = element_diffusion(spec, mesh)
+        grid = TimeGrid(spec.tau, spec.n_steps, float(spec.theta))
+        every = np.arange(mesh.n_elements)
+        for ops, elements in [
+                (build_subdomain_operators(spec, mesh, dec, 1), dec.elements_of(1)),
+                (build_subdomain_operators(spec, mesh, dec, 2), dec.elements_of(2)),
+                (build_global_operators(spec, mesh, dec), every)]:
+            M, K = assemble_mass_stiffness(mesh, alpha, elements, ops.dof_nodes)
+            assert (ops.M != M).nnz == 0 and (ops.K != K).nnz == 0
+            np.testing.assert_array_equal(
+                ops.loads, assemble_loads(spec, mesh, grid, ops.dof_nodes,
+                                          elements))
+
+    def test_one_assembly_per_operator_set(self, monkeypatch):
+        # the loads take their mass rows from the assembly of M and K
+        calls = []
+        assemble = assembly._assemble_mesh
+
+        def counted(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(assembly, "_assemble_mesh", counted)
+        setup_problem(default_problem(nx=4, n_steps=2))
+        assert len(calls) == 3      # subdomains 1 and 2, and the global set
 
     def test_nonfinite_source_rejected(self):
         spec = spec_2d(source=lambda x, y, t: np.full_like(x, np.nan))

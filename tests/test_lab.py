@@ -555,9 +555,11 @@ class TestCli:
         ("scenario = converge\ns = 1e308\n",
          "subdomain 1 Robin matrix (s=1e+308) has non-finite entries"),
         ("scenario = equivalence\ns = 1e308\niterations = 2\n",
-         "subdomain 2 s J (s=1e+308) overflows")],
+         "subdomain 2 s J (s=1e+308) overflows"),
+        ("scenario = spectrum\ns_values = 1,1e308\n",
+         "s J (s=1e+308) overflows")],
         ids=["converge-alpha", "spectrum-alpha", "coercivity-alpha",
-             "converge-s", "equivalence-s"])
+             "converge-s", "equivalence-s", "spectrum-s"])
     def test_run_overflowing_finite_value_exits_3(self, tmp_path, text,
                                                    message, capsys):
         # finite values that pass the config checks but overflow the

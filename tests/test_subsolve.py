@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 from rrlab.assembly import (build_global_operators, build_step_operators,
                             build_subdomain_operators, lumped_interface_mass)
 from rrlab.dense import (dense_space_time_matrix, dense_space_time_solve)
+from rrlab.lab import default_problem, setup_problem
 from rrlab.mesh import ProblemSpec, build_mesh, decompose
 from rrlab.subsolve import (DENSE_MAX_DOFS, Factorization, InterfaceSignal,
                             MonolithicSolver, SolverFailure, SpaceTimeField,
@@ -109,6 +110,42 @@ class TestFactorization:
         fac = Factorization(sp.csr_matrix((0, 0)))
         x = fac.solve(np.zeros(0))
         assert x.shape == (0,)
+        assert fac._band.shape == (1, 0)
+
+    @pytest.mark.parametrize("n, kd, height", [
+        (n, kd, height) for n in (300, 150) for kd, height in [
+            (0, 0), (7, 7), (15, 17), (16, 17), (31, 33), (32, 33),
+            (47, 49), (48, 49)]] + [(16, 15, 17)])
+    def test_band_stored_at_a_fast_height(self, n, kd, height):
+        # a random SPD matrix with a full band of half-width kd, on the
+        # banded (n = 300) and the dense path; heights 0 or 15 (mod 16)
+        # from 15 up are stored at 1 (mod 16), above n - 1 for a full
+        # 16 x 16 matrix, and the zero superdiagonals keep every solve
+        # exact
+        rng = np.random.default_rng(kd)
+        A = np.diag(2.0 * kd + 1 + rng.uniform(0, 1, n))
+        for d in range(1, kd + 1):
+            v = rng.uniform(-1, 1, n - d)
+            A += np.diag(v, d) + np.diag(v, -d)
+        fac = Factorization(sp.csr_matrix(A))
+        assert fac._band.shape == (height + 1, n)
+        b = rng.standard_normal((n, 5))
+        for rhs in (b[:, 0], b):
+            ref = np.linalg.solve(A, rhs)
+            assert np.abs(fac.solve(rhs) - ref).max() \
+                <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("nx", [32, 64])
+    def test_default_problem_bands_at_fast_heights(self, nx):
+        # RCM gives these factors kd = 15 / 16 (nx = 32) and 31 / 32
+        # (nx = 64), where dpbtrs runs slowest
+        setup = setup_problem(default_problem(nx=nx))
+        factors = [setup.mono._factor]
+        for solver in setup.solvers:
+            factors += [solver._dirichlet_factor(), solver._robin_factor(1.0)]
+        for fac in factors:
+            kd = fac._band.shape[0] - 1
+            assert kd < 15 or kd % 16 not in (0, 15), (fac.label, kd)
 
     @pytest.mark.parametrize("side, nx", [("dense", 4), ("banded", 24)])
     def test_one_step_solve_per_time_step(self, monkeypatch, side, nx):
