@@ -24,12 +24,13 @@ which every other resolvent is one inverse, and the X-norm form of the
 trace-to-field map.  That form is block-Hankel in time up to an
 interface term, because the probe's step map A_R^-1 C has symmetric
 A_R and C, so its 2 n_steps - 1 interface blocks hold all of it; they
-come from the probe's own map and its last-step fields.  The PDE-level
-sweep stays two Robin solves with loads.  The sources chi enter only
-the affine part of the step, so only the Peaceman-Rachford iterates
-read them: every tracked quantity is a form of d = eta_ref - eta
-(_track_block), in which they cancel.  One kernel gives a subdomain's
-forms (_subdomain_forms), to tracking and to acceptance criterion 5: on
+come from the probe's own steps, streamed through the Robin solves with
+no field kept (_first_probe).  The PDE-level sweep stays two Robin
+solves with loads.  The sources chi enter only the affine part of the
+step, so only the Peaceman-Rachford iterates read them: every tracked
+quantity is a form of d = eta_ref - eta (_track_block), in which they
+cancel.  One kernel gives a subdomain's forms (_subdomain_forms), to
+tracking and to acceptance criterion 5: on
 the SteklovForms, where both solvers hold them once the run's
 resolvents are made (_tracks_on_forms), with no subdomain solve and
 blocks of iterates sized by their interface values; otherwise by a
@@ -462,9 +463,10 @@ def run_pr(solvers, config: IterationConfig,
     tracked against ``references``, a reference trace, when given.  An
     iteration is the two resolvent applies of pr_step.  Where probing
     pays for config.max_iter applies (robin_resolvent), the run first
-    probes both resolvents, ceil(n_interface / width) Robin solves each
-    (none if the solvers were probed already), and an iteration then
-    makes no subdomain solve; otherwise it makes two Robin solves.
+    probes both resolvents, ceil(n_interface / _probe_width()) streamed
+    Robin solves each, one at nx <= 32 and 8 at nx = 64 (none if the
+    solvers were probed already), and an iteration then makes no
+    subdomain solve; otherwise it makes two Robin solves.
     Tracking costs no subdomain solve where both solvers hold
     SteklovForms (the X norm is read from their Hankel blocks; blocks of
     iterates sized by interface values, 17 / 8 / 4 iterates at
@@ -622,6 +624,7 @@ class SteklovForms:
     """What the first Robin probe of a subdomain, at s0, gives beyond its
     map R(s0) = (s0 J + S_i)^-1 (_first_probe).
 
+    Both come from the probe's streamed steps; no field of it is kept.
     ``steklov`` is the s-independent column of S_i: the inverse of
     R(s0) less s0 J, written by _first_probe alone.  Every other
     resolvent is its inverse shifted by sJ, ``steklov.inverse(sJ)``
@@ -631,8 +634,9 @@ class SteklovForms:
     side: row g, column p * n_interface + h holds q(p)[g, h].  With
     y = (s0 J + S_i) d the Robin datum of a trace d, the homogeneous
     Dirichlet field of d is the probe's field of y, and its X norm is a
-    Hankel form in time of y less an interface term (_forms_x_norm).  Tracking reads the forms
-    where both solvers of a run keep them (_track_block).
+    Hankel form in time of y less an interface term (_forms_x_norm).
+    Tracking reads the forms where both solvers of a run keep them
+    (_track_block).
     """
 
     s0: float
@@ -653,6 +657,9 @@ def _forms_x_norm(solver: SubdomainSolver, d: np.ndarray,
     Z[j, p] = y_j^T q(p), one product, the double sum of step k is
     sum_{l <= k} v[2k - l] . y_l, where v[t] = sum_{j <= k} Z[j, t - j]
     is built up one step at a time: O(n_steps^2 n_interface) work.
+    The form squares the traces, and unlike h_norm it is not rescaled:
+    at values near 1e300 it overflows and the norm reads nan (the gaps
+    of _subdomain_forms inf), near 1e-300 it underflows to 0.
     """
     forms, grid = solver.forms, solver.ops.grid
     sJ0 = _sJ(solver.ops, forms.s0)
@@ -670,44 +677,70 @@ def _forms_x_norm(solver: SubdomainSolver, d: np.ndarray,
     return np.sqrt(np.maximum(np.sum(steps, axis=1), 0.0))
 
 
+def _probe_width(solver: SubdomainSolver) -> int:
+    """Unit data per Robin solve of a first probe: a streamed solve holds
+    about four step arrays of n_dofs values per datum (its data, the
+    right-hand side, the solution and the one before), so block_width
+    of 4 n_dofs (BLOCK_VALUES): every datum at nx <= 32, 8 at nx = 64."""
+    return solver.block_width(4 * solver.ops.n_dofs)
+
+
 def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     """Probe (sJ + S_i)^-1 by Robin solves of the unit dual signals at
-    step 1, block_width() signals per solve, and keep the solver's
-    SteklovForms.
+    step 1, _probe_width() signals per solve, streamed step by step with
+    no field kept, and keep the solver's SteklovForms.
 
     The probe field at step a + 1 is F_a = Phi^a A_R^-1 E / tau, with A_R
     the Robin step matrix at s, E the interface embedding and
     Phi = A_R^-1 C.  A_R and C are symmetric, so Phi^T A_R = C and
     tau F_a^T A_R F_b = R_{a+b}, tau F_a^T C F_b = R_{a+b+1}, symmetric
-    blocks: lags of the probed map below N = n_steps, and
-    R_{N+b} = tau (C F_{N-1})^T F_b beyond.  With alpha = 1 + tau (1 -
+    blocks: the lags of the probed map below N = n_steps, and beyond.
+    Each step F_k of a block J of data, as the solve hands it over, gives
+    three things to one array of the 2N lags: its trace, lag k; the
+    block's own R_{2k} = tau F_k^T A_R F_k and R_{2k-1} =
+    tau F_{k-1}^T C F_{k-1}, from the right-hand side A_R F_k it solved,
+    which is C F_{k-1} beyond step 1, where they are N or more (and
+    R_{2N-1} from C F_{N-1} at the end); and R_{N+k}[g, h] =
+    tau (C F_{N-1})^T F_k for the data g of the earlier blocks, whose
+    tau C F_{N-1} are the only fields held beside the block's last two
+    steps.  Symmetry gives the rest.  A non-finite step propagates into
+    the lags, so they are checked once.  With alpha = 1 + tau (1 -
     theta) and beta = tau theta - 1, M + K = alpha A_R + beta C -
     alpha (s / tau) E ML_Gamma E^T, so the X-norm form of the fields is
     q(r) = alpha R_r + beta R_{r+1} in time, less an interface term.
-    Each block of solves writes into one array of the 2N lags: its
-    traces as lags below N, and R_{N+b}[g, h] for its data h and every
-    g <= h probed so far, so beside the block only the C F_{N-1} probed
-    so far are held; symmetry gives the rest.  The lags below N are the
-    map, and all of them then become the Hankel blocks in place.  S_i is
-    the map's inverse less sJ, subtracted in place: its only write.
+    The lags below N are the map, and all of them then become the Hankel
+    blocks in place.  S_i is the map's inverse less sJ, subtracted in
+    place: its only write.
     """
-    ops, width = solver.ops, solver.block_width()
+    ops, width = solver.ops, _probe_width(solver)
     grid = ops.grid
-    n_steps, n_g = grid.n_steps, ops.n_interface
+    n_steps, n_g, nI = grid.n_steps, ops.n_interface, ops.n_interior
+    tau = grid.tau
     C_last = np.empty((n_g, ops.n_dofs))        # tau C F_{N-1}
     lags = np.empty((n_g, 2 * n_steps, n_g))    # R_r[g, h] at [g, r, h]
+    prev = None                                 # F_{k-1} of the block
     for lo in range(0, n_g, width):
-        hi = min(lo + width, n_g)
-        units = np.zeros((hi - lo, n_steps, n_g))
-        units[:, 0, lo:hi] = np.eye(hi - lo)
-        u = solver.robin_solve(s, lam=InterfaceSignal(units, "dual"))
-        lags[:, :n_steps, lo:hi] = solver.trace(u).values.T
-        C_last[lo:hi] = grid.tau * (solver.C @ u.values[:, -1].T).T
-        fields = u.values[:, 1:].reshape(-1, ops.n_dofs)
-        lags[:hi, n_steps:, lo:hi] = np.moveaxis(
-            (C_last[:hi] @ fields.T).reshape(hi, hi - lo, n_steps), 1, 2)
-        del u, fields       # freed before the next block is solved
+        J = slice(lo, min(lo + width, n_g))
+
+        def step(k, b, x):
+            nonlocal prev
+            x, b = x.reshape(ops.n_dofs, -1), b.reshape(ops.n_dofs, -1)
+            lags[:, k, J] = x[nI:]
+            lags[:lo, n_steps + k, J] = C_last[:lo] @ x
+            if 2 * k >= n_steps:
+                lags[J, 2 * k, J] = tau * (x.T @ b)
+            if 2 * k > n_steps:
+                lags[J, 2 * k - 1, J] = tau * (prev.T @ b)
+            prev = x
+        units = np.zeros((J.stop - lo, n_steps, n_g))
+        units[:, 0, J] = np.eye(J.stop - lo)
+        solver.robin_solve(s, lam=InterfaceSignal(units, "dual"), step=step)
+        C_last[J] = tau * (solver.C @ prev).T
+        lags[J, -1, J] = C_last[J] @ prev
     del C_last
+    if not np.all(np.isfinite(lags)):
+        raise SolverFailure(
+            f"non-finite solution from {solver._robin_factor(s).label}")
     g, h = np.triu_indices(n_g, 1)
     lags[h, n_steps:, g] = lags[g, n_steps:, h]
     robin_map = BlockToeplitz(np.swapaxes(lags[:, :n_steps], 0, 1))
@@ -728,11 +761,11 @@ def robin_trace_map(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     """The resolvent (sJ + S_i)^-1 of one subdomain as a BlockToeplitz.
 
     At the first s asked of a solver it is probed (_first_probe), which
-    costs ceil(n_interface / block_width()) Robin solves and keeps the
-    solver's SteklovForms; at every later s it is forms.steklov.inverse(sJ),
-    which copies and changes nothing of S_i and makes no subdomain solve.
-    Either way it is kept in ``solver.robin_maps`` by s, and an apply
-    costs no solve.
+    costs ceil(n_interface / _probe_width()) streamed Robin solves, keeps
+    no field and keeps the solver's SteklovForms; at every later s it is
+    forms.steklov.inverse(sJ), which copies and changes nothing of S_i
+    and makes no subdomain solve.  Either way it is kept in
+    ``solver.robin_maps`` by s, and an apply costs no solve.
     """
     key = float(s)
     if not 0.0 < key < math.inf:

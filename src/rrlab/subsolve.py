@@ -41,10 +41,15 @@ Dirichlet blocks (kd 15 at nx = 32, 31 at nx = 64) and a Robin matrix
 at each size (16 and 32) sit on such heights; the monolithic factors
 (kd 46 and 94) do not, and so pay no larger dpbtrf.
 
-Each time step does only the work that depends on the previous step;
-data terms are sparse products over the whole trajectory.  Finiteness
-is checked once per trajectory: a non-finite value propagates to the
-last step, so one check sees what a check per step solve would.
+One kernel, _march, runs every solve: each time step does only the
+work that depends on the previous step and hands the step to a
+consumer.  The consumer of dirichlet_solve, robin_solve and
+MonolithicSolver.solve fills a field; a caller of robin_solve may pass
+its own, and keep no field (the first Robin probe of
+rrlab.interface).  Dirichlet data terms are sparse products over the
+whole trajectory; Robin data terms are made one step at a time.
+Finiteness is checked once per field: a non-finite value propagates to
+the last step, so one check sees what a check per step solve would.
 
 A solve also takes a block of independent data along a leading batch
 axis: interface values (m, n_steps, n_interface) give fields
@@ -57,6 +62,7 @@ al., ACM TOMS 16, 1990).  Loads are shared by the block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +93,12 @@ DENSE_MAX_DOFS = 200
 # run over nx = 16, 32 and 64 by 3 MB.  Tracking on the SteklovForms
 # (rrlab.interface) holds no field: it takes blocks of this many
 # interface values, n_steps^2 * n_interface per iterate, 17 / 8 / 4
-# iterates at nx = 16 / 32 / 64 and 16 steps.
+# iterates at nx = 16 / 32 / 64 and 16 steps.  A first Robin probe
+# (rrlab.interface) streams its unit data through robin_solve and holds
+# about 4 n_dofs values per datum: every datum in one block up to
+# nx = 32, 8 at nx = 64.  There one nx = 64 probe took 110-147 ms at
+# 1 datum per block, 107-137 at 4, 92-112 at 8, 94-115 at 16 and
+# 97-125 at 63 (best of 3, both subdomains, three rounds).
 BLOCK_VALUES = 2 ** 16
 
 
@@ -174,10 +185,29 @@ def _dofwise(A, v: np.ndarray) -> np.ndarray:
 
 def step_norm(G, v: np.ndarray, tau: float):
     """sqrt(tau * sum_k v_k^T G v_k) over the steps of v, shaped
-    ([m,] steps, dofs); one value per column of a block."""
+    ([m,] steps, dofs); one value per column of a block.
+
+    The squares of values near the ends of the double range leave it.
+    So a column whose sum overflows, or underflows to 0 while the column
+    is not 0, is summed again divided by its largest absolute value,
+    which then multiplies the root (Blue, ACM TOMS 4, 1978); every other
+    column keeps the plain sum, bit for bit.
+    """
+    sq = tau * _squares(G, v)
+    if sq.ndim == 0 and 0.0 < sq < math.inf:    # one column, cheaply
+        return math.sqrt(sq)
+    scale = np.max(np.abs(v), axis=(-2, -1), initial=0.0)
+    redo = ~((0.0 < sq) & (sq < np.inf)) & (0.0 < scale) & (scale < np.inf)
+    scale = np.where(redo, scale, 1.0)
+    if np.any(redo):
+        sq = np.where(redo, tau * _squares(G, v / scale[..., None, None]), sq)
+    return _per_column(scale * np.sqrt(np.maximum(sq, 0.0)))
+
+
+def _squares(G, v: np.ndarray) -> np.ndarray:
+    """sum_k v_k^T G v_k over the steps of v, one value per column."""
     vt = np.swapaxes(v, -1, -2)
-    total = np.sum(vt * np.swapaxes(_dofwise(G, v), -1, -2), axis=(-2, -1))
-    return _per_column(np.sqrt(np.maximum(tau * total, 0.0)))
+    return np.sum(vt * np.swapaxes(_dofwise(G, v), -1, -2), axis=(-2, -1))
 
 
 class Factorization:
@@ -252,25 +282,44 @@ def _step_operator(C: sp.spmatrix):
     return C.toarray() if C.shape[0] <= DENSE_MAX_DOFS else C.tocsr()
 
 
-def _march(fac: Factorization, C, rhs: np.ndarray, u: np.ndarray,
-           cols=slice(None)) -> SpaceTimeField:
-    """Run the theta scheme u^k = A^-1 (rhs^k + C u^{k-1}) on the dofs
-    ``cols`` of u, shaped ([m,] n_steps + 1, n_dofs) like rhs.
+def _steps(a: np.ndarray) -> np.ndarray:
+    """a, shaped ([m,] n_steps, n), as (n_steps, n[, m]) views: the
+    columns of a block side by side, one column as a vector."""
+    if a.ndim == 2:
+        return a
+    return a[0] if len(a) == 1 else np.moveaxis(a, 0, -1)
 
-    u has a zero step 0; the dofs outside ``cols`` hold known values.
-    Each step is one ``fac.solve``, of all m columns of a block at once.
-    The field's own finiteness check is the one scan of u: a solver
-    trajectory has the field's shape and a zero initial slice, so a
-    non-finite value, which propagates to the last step, is the only
-    reason the field can refuse it.
+
+def _march(fac: Factorization, C, rhs, step) -> None:
+    """Run the theta scheme x_k = A^-1 (rhs_k + C x_{k-1}) from
+    x_{-1} = 0 over the data terms rhs_k, shaped (n[, m]) in the layout
+    of _steps (an array of steps, or steps made one at a time), and hand
+    each step to step(k, b, x), where b = A x_k is the right-hand side
+    just solved.  Each step is one ``fac.solve``, of all m columns of a
+    block at once; the march keeps no step but the last.
     """
-    u_steps = u
-    if u.ndim == 3:     # march (step, dof, column) views of a block
-        u_steps, rhs = ((u[0], rhs[0]) if len(u) == 1 else
-                        (np.moveaxis(u, 0, -1), np.moveaxis(rhs, 0, -1)))
-    x = u_steps[:, cols]
-    for k in range(1, len(x)):
-        x[k] = fac.solve(rhs[k - 1] + C @ x[k - 1])
+    x = None
+    for k, b in enumerate(rhs):
+        if x is not None:
+            b = C @ x + b
+        x = fac.solve(b)
+        step(k, b, x)
+
+
+def _filled(fac: Factorization, C, rhs, u: np.ndarray,
+            cols=slice(None)) -> SpaceTimeField:
+    """_march with the field-filling consumer: step k goes to the dofs
+    ``cols`` of u[k + 1], u shaped ([m,] n_steps + 1, n_dofs) with a
+    zero step 0 and known values outside ``cols``.  The field's own
+    finiteness check is the one scan of u: a solver trajectory has the
+    field's shape and a zero initial slice, so a non-finite value, which
+    propagates to the last step, is the only reason it can be refused.
+    """
+    u_steps = _steps(u)
+
+    def fill(k, b, x):
+        u_steps[k + 1, cols] = x
+    _march(fac, C, rhs, fill)
     try:
         return SpaceTimeField(u)
     except ValueError:
@@ -396,26 +445,37 @@ class SubdomainSolver:
         if loads is not None:
             rhs += loads[:, :nI]
         rhs += _dofwise(self._C_IG, u[..., :-1, nI:])
-        return _march(fac, self._C_II, rhs, u, slice(nI))
+        return _filled(fac, self._C_II, _steps(rhs), u, slice(nI))
 
     def robin_solve(self, s: float, lam: InterfaceSignal | None = None,
-                    loads: np.ndarray | None = None) -> SpaceTimeField:
+                    loads: np.ndarray | None = None, step=None):
         """Solve with Robin interface data ``lam`` (a dual signal).
 
         Satisfies flux_recovery(u, loads) + s * M_Gamma trace(u) = lam
         exactly, step by step.  A block of data gives a block of fields.
+        The right-hand side is made one step at a time.  With ``step``
+        no field is made: each time step is handed to step(k, b, x), as
+        _march does, with x the solution at step k + 1 and b = A_R x,
+        dofs down and the columns of a block across (_steps), and the
+        solve returns None; the caller checks what it keeps.
         """
         grid = self.ops.grid
         lam_v = self._check_signal(lam, "dual")
-        batch = lam_v.shape[:-2]
         loads = self._check_loads(loads)
         fac = self._robin_factor(s)
-        shape = batch + (grid.n_steps, self.ops.n_dofs)
-        rhs = (np.zeros(shape) if loads is None else
-               np.broadcast_to(loads, shape).copy())
-        rhs[..., self.ops.n_interior:] += lam_v / grid.tau
-        u = np.zeros(batch + (grid.n_steps + 1, self.ops.n_dofs))
-        return _march(fac, self._C_step, rhs, u)
+        nI, n = self.ops.n_interior, self.ops.n_dofs
+
+        def rhs():
+            for k, lam_k in enumerate(_steps(lam_v / grid.tau)):
+                b = np.zeros((n,) + lam_k.shape[1:])
+                if loads is not None:
+                    b.T[...] = loads[k]
+                b[nI:] += lam_k
+                yield b
+        if step is not None:
+            return _march(fac, self._C_step, rhs(), step)
+        u = np.zeros(lam_v.shape[:-2] + (grid.n_steps + 1, n))
+        return _filled(fac, self._C_step, rhs(), u)
 
     def flux_recovery(self, u: SpaceTimeField,
                       loads: np.ndarray | None = None) -> InterfaceSignal:
@@ -450,4 +510,4 @@ class MonolithicSolver:
         grid = self.ops.grid
         loads = self.ops.loads if loads is None else np.asarray(loads, dtype=float)
         u = np.zeros((grid.n_steps + 1, self.ops.n_dofs))
-        return _march(self._factor, self._C_step, loads, u)
+        return _filled(self._factor, self._C_step, loads, u)

@@ -14,7 +14,8 @@ from rrlab.interface import (BlockToeplitz, IterationConfig, SteklovOperator,
                              interface_gram, interface_source, pr_step,
                              robin_resolvent, robin_sweep, robin_trace_map,
                              run_equivalence, run_pr, run_rr,
-                             solve_robin_resolvent, spectral_analysis)
+                             solve_robin_resolvent, spectral_analysis,
+                             _probe_width)
 from rrlab.lab import (default_problem, references_from_monolithic,
                        setup_problem)
 from rrlab.mesh import ProblemSpec
@@ -568,12 +569,12 @@ class TestPeacemanRachford:
                                             monkeypatch):
         # n_interface = 5: probing pays for 12 applies, not for 5.  With
         # probed maps run_pr probes both resolvents before the first
-        # pr_step, by ceil(n_interface / width) Robin solves each, and an
-        # iteration makes no subdomain solve.  Else an iteration is two
-        # Robin solves, and each block's residuals one more.  Tracking
-        # reads the probe's forms, with no subdomain solve, where both
-        # solvers keep them; otherwise each block costs a homogeneous
-        # Dirichlet solve and a flux recovery per subdomain.
+        # pr_step, by ceil(n_interface / _probe_width()) Robin solves
+        # each, and an iteration makes no subdomain solve.  Else an
+        # iteration is two Robin solves, and each block's residuals one
+        # more.  Tracking reads the probe's forms, with no subdomain
+        # solve, where both solvers keep them; otherwise each block costs
+        # a homogeneous Dirichlet solve and a flux recovery per subdomain.
         import rrlab.subsolve
         calls = count_solves(monkeypatch)
         for width in (1, 2, 4, 100):
@@ -592,8 +593,8 @@ class TestPeacemanRachford:
             n_blocks = -(-max_iter // width)
             assert after.count("pr_step") == max_iter
             if max_iter == 12:
-                assert before.count("robin_solve") == \
-                    2 * -(-ops.n_interface // width)
+                assert before.count("robin_solve") == 2 * -(
+                    -ops.n_interface // _probe_width(setup.solver_1))
                 assert after.count("robin_solve") == 0
                 for name in ("dirichlet_solve", "flux_recovery"):
                     assert after.count(name) == \
@@ -903,7 +904,8 @@ class TestSteklovForms:
 
     def test_build_peak_memory_is_bounded(self):
         # while the first probe at nx = 64 runs and makes its forms it
-        # holds, beside what it keeps and one block of Robin solves, at
+        # holds, beside what it keeps and the steps of one streamed block
+        # of Robin solves (less than the one-column field ``block``), at
         # most C times the last-step field of each datum.  Keeping the
         # probe's fields, or the lags of R and the Hankel blocks as
         # separate arrays, holds one array of last-step fields more
@@ -933,8 +935,10 @@ class TestSteklovForms:
         # at step 1 give lag a + b of the probed map twice over:
         # R_{a+b} = tau F_a^T A_R F_b and R_{a+b+1} = tau F_a^T C F_b.
         # Every pair must agree on its lag, and the Hankel blocks of a
-        # probe made in blocks of any width must be
-        # q(r) = alpha R_r + beta R_{r+1}, side by side
+        # probe streamed in blocks of any width (one datum, two, all)
+        # must be q(r) = alpha R_r + beta R_{r+1}, side by side; an odd
+        # n_steps leaves the blocks' own lags N .. 2N - 1 to both parities
+        # of the pairing
         s = 0.7
         setup = small_setup(nx=6, n_steps=n_steps, theta=theta)
         for ops in (setup.ops_1, setup.ops_2):
@@ -961,23 +965,50 @@ class TestSteklovForms:
             want = np.hstack([alpha * R[r] + beta * R[r + 1]
                               for r in range(2 * n_steps - 1)])
             for width in (1, 2, n_g):
-                monkeypatch.setattr(rrlab.subsolve, "BLOCK_VALUES",
-                                    width * (n_steps + 1) * n)
+                monkeypatch.setattr(rrlab.interface, "_probe_width",
+                                    lambda solver, width=width: width)
                 solver = SubdomainSolver(ops)
-                assert solver.block_width() == width
                 robin_trace_map(solver, s)
                 np.testing.assert_allclose(
                     solver.forms.hankel, want, rtol=0,
                     atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("fail_at", [1, 6, 12])
+    def test_non_finite_step_of_a_streamed_probe_fails(self, fail_at,
+                                                       monkeypatch):
+        # a streamed probe keeps no field, so no field check sees its
+        # steps: a non-finite step solve (the first, one inside, the
+        # last of 3 blocks of 4 steps) propagates into the lags, which
+        # the probe checks once, naming the Robin matrix; the solver
+        # keeps neither map nor forms
+        from rrlab.subsolve import Factorization, SolverFailure
+        setup = small_setup(nx=6, n_steps=4)
+        solver = setup.solver_1
+        assert solver.ops.n_interface == 5
+        monkeypatch.setattr(rrlab.interface, "_probe_width",
+                            lambda solver: 2)
+        solve, calls = Factorization.solve, []
+
+        def failing(fac, rhs):
+            calls.append(fac.label)
+            x = solve(fac, rhs)
+            return np.full_like(x, np.nan) if len(calls) == fail_at else x
+        monkeypatch.setattr(Factorization, "solve", failing)
+        with pytest.raises(SolverFailure,
+                           match=r"subdomain 1 Robin matrix \(s=0\.7\)"):
+            robin_trace_map(solver, 0.7)
+        assert len(calls) == 12
+        assert solver.forms is None and not solver.robin_maps
 
     @pytest.mark.parametrize("nx", [32, 64])
     def test_tracked_run_makes_no_solve_after_the_probe(self, nx,
                                                         monkeypatch):
         # on the maps (converge's s = 1 runs, to tol 1e-10 within 1000
         # iterations), a tracked run probes both resolvents before the
-        # first pr_step, by ceil(n_interface / width) Robin solves each,
-        # and then reads every tracked quantity from the forms, at every
-        # size: no Robin or Dirichlet solve and no flux recovery
+        # first pr_step, by ceil(n_interface / _probe_width()) Robin
+        # solves each, and then reads every tracked quantity from the
+        # forms, at every size: no Robin or Dirichlet solve and no flux
+        # recovery
         setup = setup_problem(default_problem(nx=nx))
         refs = references_from_monolithic(setup)
         calls = count_solves(monkeypatch)
@@ -987,7 +1018,7 @@ class TestSteklovForms:
         first = calls.index("pr_step")
         before, after = calls[:first], calls[first:]
         assert before.count("robin_solve") == sum(
-            -(-s.ops.n_interface // s.block_width()) for s in setup.solvers)
+            -(-s.ops.n_interface // _probe_width(s)) for s in setup.solvers)
         assert after.count("pr_step") == report.n_iterations
         for name in ("robin_solve", "dirichlet_solve", "flux_recovery"):
             assert after.count(name) == 0
@@ -1074,3 +1105,29 @@ class TestNorms:
         Mg = ops.M_gamma.toarray()
         direct = np.sqrt(sum(ops.grid.tau * v @ Mg @ v for v in eta.values))
         assert h_norm(eta, ops.M_gamma, ops.grid.tau) == pytest.approx(direct)
+
+    # numpy warns of the plain sum's overflow (inf, or nan where infinite
+    # terms of both signs meet), which the norm then mends
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_h_norm_keeps_the_scale_of_extreme_signals(self, scale):
+        # the squares of these values overflow or underflow, so the sum
+        # is taken again on the signal divided by its largest value; in
+        # a block only such columns are, and a zero column stays 0.  At
+        # desk scale the norm is the plain sum, bit for bit
+        from rrlab.subsolve import _dofwise
+        setup = small_setup()
+        ops = setup.ops_1
+        tau, Mg = ops.grid.tau, ops.M_gamma
+        eta = rand_signal(np.random.default_rng(8), 4, ops.n_interface)
+        plain = np.sqrt(np.maximum(
+            tau * np.sum(eta.values * _dofwise(Mg, eta.values)), 0.0))
+        unit = h_norm(eta, Mg, tau)
+        assert unit == plain
+        assert h_norm(eta * scale, Mg, tau) == pytest.approx(
+            scale * unit, rel=1e-14, abs=0.0)
+        block = InterfaceSignal(np.stack(
+            [eta.values, scale * eta.values, 0 * eta.values]))
+        np.testing.assert_allclose(h_norm(block, Mg, tau),
+                                   [unit, scale * unit, 0.0], rtol=1e-14)

@@ -293,6 +293,26 @@ class TestScenarios:
         assert result.violation is None
         assert result.report.rows[-1][1] <= 1e-10
 
+    # the X-norm forms square the trace values, so at 1e300 err_X reads
+    # nan and the gaps inf (documented), and numpy warns of it
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_converge_at_extreme_source_scales(self, scale):
+        # the problem is linear, so the increments scale with the source:
+        # finite, and not 0 at 1e-300; at 1e300 they contract (by about
+        # 0.37 a step) to the roundoff of that scale, and are never read
+        # as divergence.  The stopping rule is the absolute one
+        result = run_scenario(small_config(nx=4, ny=4, n_steps=4,
+                                           source_scale=scale, tol=1e-10,
+                                           max_iter=200))
+        assert "diverged" not in (result.violation or "")
+        inc = [row[1] for row in result.report.rows]
+        assert 1e-3 * scale < inc[0] < scale
+        assert all(0.0 <= x < np.inf for x in inc)
+        assert all(b < a for a, b in zip(inc[:20], inc[1:20]))
+        assert inc[-1] <= max(1e-10, 1e-14 * inc[0])
+
     def test_converge_scenario_violation_on_max_iter(self):
         result = run_scenario(small_config(max_iter=2, tol=1e-14))
         assert result.violation is not None
