@@ -704,10 +704,12 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     tau (C F_{N-1})^T F_k for the data g of the earlier blocks, whose
     tau C F_{N-1} are the only fields held beside the block's last two
     steps.  Symmetry gives the rest.  A non-finite step propagates into
-    the lags, so they are checked once.  With alpha = 1 + tau (1 -
-    theta) and beta = tau theta - 1, M + K = alpha A_R + beta C -
-    alpha (s / tau) E ML_Gamma E^T, so the X-norm form of the fields is
-    q(r) = alpha R_r + beta R_{r+1} in time, less an interface term.
+    the lags, so they are checked once, when symmetry has filled them
+    all: before it, lags[g, r >= N, h] of a later block's g are unset.
+    With alpha = 1 + tau (1 - theta) and beta = tau theta - 1,
+    M + K = alpha A_R + beta C - alpha (s / tau) E ML_Gamma E^T, so the
+    X-norm form of the fields is q(r) = alpha R_r + beta R_{r+1} in
+    time, less an interface term.
     The lags below N are the map, and all of them then become the Hankel
     blocks in place.  S_i is the map's inverse less sJ, subtracted in
     place: its only write.
@@ -738,11 +740,11 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
         C_last[J] = tau * (solver.C @ prev).T
         lags[J, -1, J] = C_last[J] @ prev
     del C_last
-    if not np.all(np.isfinite(lags)):
-        raise SolverFailure(
-            f"non-finite solution from {solver._robin_factor(s).label}")
     g, h = np.triu_indices(n_g, 1)
     lags[h, n_steps:, g] = lags[g, n_steps:, h]
+    if not np.all(np.isfinite(lags)):       # every entry written by now
+        raise SolverFailure(
+            f"non-finite solution from {solver._robin_factor(s).label}")
     robin_map = BlockToeplitz(np.swapaxes(lags[:, :n_steps], 0, 1))
     steklov = robin_map.inverse()
     lag0 = steklov.first[0]         # the one place S_i is written

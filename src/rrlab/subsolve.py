@@ -62,7 +62,6 @@ al., ACM TOMS 16, 1990).  Loads are shared by the block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,14 +193,18 @@ def step_norm(G, v: np.ndarray, tau: float):
     column keeps the plain sum, bit for bit.
     """
     sq = tau * _squares(G, v)
-    if sq.ndim == 0 and 0.0 < sq < math.inf:    # one column, cheaply
-        return math.sqrt(sq)
-    scale = np.max(np.abs(v), axis=(-2, -1), initial=0.0)
-    redo = ~((0.0 < sq) & (sq < np.inf)) & (0.0 < scale) & (scale < np.inf)
-    scale = np.where(redo, scale, 1.0)
-    if np.any(redo):
-        sq = np.where(redo, tau * _squares(G, v / scale[..., None, None]), sq)
-    return _per_column(scale * np.sqrt(np.maximum(sq, 0.0)))
+    bad = ~((0.0 < sq) & (sq < np.inf))
+    if not np.any(bad):
+        return _per_column(np.sqrt(sq))
+    norm = np.sqrt(np.maximum(sq, 0.0)).reshape(-1)
+    redo = np.flatnonzero(bad)
+    cols = v.reshape((-1,) + v.shape[-2:])[redo]
+    scale = np.max(np.abs(cols), axis=(1, 2), initial=0.0)
+    keep = (0.0 < scale) & (scale < np.inf)     # not 0, nor non-finite
+    redo, cols, scale = redo[keep], cols[keep], scale[keep]
+    norm[redo] = scale * np.sqrt(np.maximum(
+        tau * _squares(G, cols / scale[:, None, None]), 0.0))
+    return _per_column(norm.reshape(sq.shape))
 
 
 def _squares(G, v: np.ndarray) -> np.ndarray:
@@ -296,7 +299,9 @@ def _march(fac: Factorization, C, rhs, step) -> None:
     of _steps (an array of steps, or steps made one at a time), and hand
     each step to step(k, b, x), where b = A x_k is the right-hand side
     just solved.  Each step is one ``fac.solve``, of all m columns of a
-    block at once; the march keeps no step but the last.
+    block at once; the march keeps no step but the last.  It reads rhs_k
+    before it asks for rhs_{k+1} and writes none, so steps made one at a
+    time may share one buffer, and step() keeps no b.
     """
     x = None
     for k, b in enumerate(rhs):
@@ -453,11 +458,12 @@ class SubdomainSolver:
 
         Satisfies flux_recovery(u, loads) + s * M_Gamma trace(u) = lam
         exactly, step by step.  A block of data gives a block of fields.
-        The right-hand side is made one step at a time.  With ``step``
-        no field is made: each time step is handed to step(k, b, x), as
-        _march does, with x the solution at step k + 1 and b = A_R x,
-        dofs down and the columns of a block across (_steps), and the
-        solve returns None; the caller checks what it keeps.
+        The right-hand side is made one step at a time, in one buffer.
+        With ``step`` no field is made: each time step is handed to
+        step(k, b, x), as _march does, with x the solution at step k + 1
+        and b = A_R x (to read during the call only), dofs down and the
+        columns of a block across (_steps), and the solve returns None;
+        the caller checks what it keeps.
         """
         grid = self.ops.grid
         lam_v = self._check_signal(lam, "dual")
@@ -465,12 +471,15 @@ class SubdomainSolver:
         fac = self._robin_factor(s)
         nI, n = self.ops.n_interior, self.ops.n_dofs
 
-        def rhs():
-            for k, lam_k in enumerate(_steps(lam_v / grid.tau)):
-                b = np.zeros((n,) + lam_k.shape[1:])
+        def rhs():      # one step buffer: _march reads it, keeps C x + it
+            lam_steps = _steps(lam_v / grid.tau)
+            b = np.zeros((n,) + lam_steps.shape[2:])
+            for k, lam_k in enumerate(lam_steps):
                 if loads is not None:
                     b.T[...] = loads[k]
-                b[nI:] += lam_k
+                    b[nI:] += lam_k
+                else:
+                    b[nI:] = lam_k
                 yield b
         if step is not None:
             return _march(fac, self._C_step, rhs(), step)

@@ -964,11 +964,14 @@ class TestSteklovForms:
             beta = grid.tau * grid.theta - 1.0
             want = np.hstack([alpha * R[r] + beta * R[r + 1]
                               for r in range(2 * n_steps - 1)])
+            calls = count_solves(monkeypatch)
             for width in (1, 2, n_g):
                 monkeypatch.setattr(rrlab.interface, "_probe_width",
                                     lambda solver, width=width: width)
                 solver = SubdomainSolver(ops)
+                del calls[:]
                 robin_trace_map(solver, s)
+                assert calls == ["robin_solve"] * -(-n_g // width)
                 np.testing.assert_allclose(
                     solver.forms.hankel, want, rtol=0,
                     atol=1e-13 * np.abs(want).max())
@@ -999,6 +1002,34 @@ class TestSteklovForms:
             robin_trace_map(solver, 0.7)
         assert len(calls) == 12
         assert solver.forms is None and not solver.robin_maps
+
+    def test_streamed_probe_reads_no_unset_lag(self, monkeypatch):
+        # the lags of a probe in several blocks are set in parts, and
+        # symmetry fills those of a later block's data against an
+        # earlier block; with every np.empty array born non-finite, the
+        # probe must still pass its check and make the same map and forms
+        setup = small_setup(nx=6, n_steps=4)
+        monkeypatch.setattr(rrlab.interface, "_probe_width",
+                            lambda solver: 2)
+        want = SubdomainSolver(setup.ops_1)
+        robin_trace_map(want, 0.7)
+        empty = np.empty
+
+        def unset(*args, **kwargs):
+            a = empty(*args, **kwargs)
+            if a.dtype.kind in "fc":
+                a.fill(np.nan)
+            elif a.dtype.kind in "iu":
+                a.fill(-1)
+            return a
+        monkeypatch.setattr(np, "empty", unset)
+        solver = SubdomainSolver(setup.ops_1)
+        assert solver.ops.n_interface == 5
+        robin_trace_map(solver, 0.7)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(solver.forms.hankel, want.forms.hankel)
+        np.testing.assert_array_equal(solver.robin_maps[0.7].first,
+                                      want.robin_maps[0.7].first)
 
     @pytest.mark.parametrize("nx", [32, 64])
     def test_tracked_run_makes_no_solve_after_the_probe(self, nx,
