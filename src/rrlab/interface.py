@@ -703,7 +703,11 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     R_{2N-1} from C F_{N-1} at the end); and R_{N+k}[g, h] =
     tau (C F_{N-1})^T F_k for the data g of the earlier blocks, whose
     tau C F_{N-1} are the only fields held beside the block's last two
-    steps.  Symmetry gives the rest.  A non-finite step propagates into
+    steps.  Symmetry gives the rest.  The solve hands each step over in
+    the Robin factor's band order (SubdomainSolver.robin_solve): the
+    trace is read at the interface's rows of it, and the pairings and
+    the products with C, the solver's C in that order, do not depend on
+    the order, so they stay in it.  A non-finite step propagates into
     the lags, so they are checked once, when symmetry has filled them
     all: before it, lags[g, r >= N, h] of a later block's g are unset.
     With alpha = 1 + tau (1 - theta) and beta = tau theta - 1,
@@ -711,12 +715,13 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     X-norm form of the fields is q(r) = alpha R_r + beta R_{r+1} in
     time, less an interface term.
     The lags below N are the map, and all of them then become the Hankel
-    blocks in place.  S_i is the map's inverse less sJ, subtracted in
-    place: its only write.
+    blocks in place, in one pass over the lags with one temporary.  S_i
+    is the map's inverse less sJ, subtracted in place: its only write.
     """
-    ops, width = solver.ops, _probe_width(solver)
+    ops, width, full = solver.ops, _probe_width(solver), solver._full
     grid = ops.grid
-    n_steps, n_g, nI = grid.n_steps, ops.n_interface, ops.n_interior
+    n_steps, n_g = grid.n_steps, ops.n_interface
+    iface = full.rows(slice(ops.n_interior, None))
     tau = grid.tau
     C_last = np.empty((n_g, ops.n_dofs))        # tau C F_{N-1}
     lags = np.empty((n_g, 2 * n_steps, n_g))    # R_r[g, h] at [g, r, h]
@@ -727,7 +732,7 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
         def step(k, b, x):
             nonlocal prev
             x, b = x.reshape(ops.n_dofs, -1), b.reshape(ops.n_dofs, -1)
-            lags[:, k, J] = x[nI:]
+            lags[:, k, J] = x[iface]
             lags[:lo, n_steps + k, J] = C_last[:lo] @ x
             if 2 * k >= n_steps:
                 lags[J, 2 * k, J] = tau * (x.T @ b)
@@ -737,7 +742,7 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
         units = np.zeros((J.stop - lo, n_steps, n_g))
         units[:, 0, J] = np.eye(J.stop - lo)
         solver.robin_solve(s, lam=InterfaceSignal(units, "dual"), step=step)
-        C_last[J] = tau * (solver.C @ prev).T
+        C_last[J] = tau * (full.C @ prev).T
         lags[J, -1, J] = C_last[J] @ prev
     del C_last
     g, h = np.triu_indices(n_g, 1)
@@ -746,13 +751,17 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
         raise SolverFailure(
             f"non-finite solution from {solver._robin_factor(s).label}")
     robin_map = BlockToeplitz(np.swapaxes(lags[:, :n_steps], 0, 1))
+    alpha = 1.0 + grid.tau * (1.0 - grid.theta)
+    beta = grid.tau * grid.theta - 1.0
+    # every R_{r+1} is read before R_r is overwritten by q(r); the map
+    # holds its own copy of R_0 .. R_{N-1}
+    later = beta * lags[:, 1:]
+    lags[:, :-1] *= alpha
+    lags[:, :-1] += later
+    del later       # freed before the inverse's arrays are made
     steklov = robin_map.inverse()
     lag0 = steklov.first[0]         # the one place S_i is written
     lag0[np.diag_indices_from(lag0)] -= _sJ(ops, s)
-    alpha = 1.0 + grid.tau * (1.0 - grid.theta)
-    beta = grid.tau * grid.theta - 1.0
-    for r in range(2 * n_steps - 1):        # lag r + 1 still holds R
-        lags[:, r] = alpha * lags[:, r] + beta * lags[:, r + 1]
     # q(0 .. 2N - 2) side by side, a view: R_{2N-1} stays, unread
     solver.forms = SteklovForms(
         s, steklov, lags.reshape(n_g, -1)[:, :(2 * n_steps - 1) * n_g])

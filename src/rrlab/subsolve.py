@@ -24,30 +24,40 @@ arithmetic, the inverse is formed once from the same factor and a
 step is two dense matrix-vector products, with A^-1 and with C.
 
 The band is stored at a height dpbtrs runs fast at.  Its transposed
-half runs a dot kernel on columns of kd values, and at kd = 0 or 15
-(mod 16) it is 30-40 % slower than one or two heights up.  So from
-kd = 15 up such a band gets one or two zero superdiagonals more, to
+half runs a dot kernel on columns of kd values, and at kd = 0 or 12
+to 15 (mod 16) it is 20-40 % slower than a few heights up.  So from
+kd = 12 up such a band gets one to five zero superdiagonals more, to
 kd = 1 (mod 16); Cholesky fills nothing outside the band, so the
 factor and every solve are exact, and only the roundoff of the sums
 changes.  One-column dpbtrs, median microseconds (2 cores, one BLAS
 thread, OpenBLAS via scipy 1.17):
 
-    n       kd 15   16   17     31   32   33
-    496       22    21   16     27   26   19
-    2016      81    84   60    105  103   73
+    n       kd 12   13   14   15   16   17     31   32   33
+    496                       22   21   16     27   26   19
+    2016      74   74   77   81   84   60    105  103   73
 
-It is the same at n = 961 and 3969, and at 47 / 48 -> 49.  The
-Dirichlet blocks (kd 15 at nx = 32, 31 at nx = 64) and a Robin matrix
-at each size (16 and 32) sit on such heights; the monolithic factors
-(kd 46 and 94) do not, and so pay no larger dpbtrf.
+It is the same at n = 961 and 3969, and at 44 to 48 -> 49 and
+94 -> 97 (kd 46 / 49: 31 / 27 at n = 961; 94 / 97: 222 / 202 at
+n = 3969, where dpbtrf takes 13.3 / 9.3 ms).
+The Dirichlet blocks (kd 15 at nx = 32, 31 at nx = 64), a Robin matrix
+at each size (16 and 32) and the monolithic factors (kd 46 at nx = 32,
+94 at nx = 64) sit on such heights.
+
+Each solver orders each of its step-matrix patterns once, by reverse
+Cuthill-McKee (Cuthill & McKee, Proc. 24th ACM National Conference,
+1969), and marches in that band order (_MarchOrder): its C is
+kept in it, every factor of the pattern is built in it, and data enter
+it once per solve, so a time step is one banded solve and one sparse
+product, with no gather or scatter between them.  At or below
+DENSE_MAX_DOFS the march keeps the dofs' own order.
 
 One kernel, _march, runs every solve: each time step does only the
 work that depends on the previous step and hands the step to a
 consumer.  The consumer of dirichlet_solve, robin_solve and
-MonolithicSolver.solve fills a field; a caller of robin_solve may pass
-its own, and keep no field (the first Robin probe of
-rrlab.interface).  Dirichlet data terms are sparse products over the
-whole trajectory; Robin data terms are made one step at a time.
+MonolithicSolver.solve scatters it into a field; a caller of
+robin_solve may pass its own, and keep no field (the first Robin probe
+of rrlab.interface).  Dirichlet data terms are sparse products over
+the whole trajectory; Robin data terms are made one step at a time.
 Finiteness is checked once per field: a non-finite value propagates to
 the last step, so one check sees what a check per step solve would.
 
@@ -63,6 +73,7 @@ al., ACM TOMS 16, 1990).  Loads are shared by the block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -217,15 +228,18 @@ class Factorization:
     """Banded Cholesky factorization of one symmetric positive definite
     step matrix, with provenance for error reports.
 
-    The matrix is permuted to reverse Cuthill-McKee order, its upper
-    band is packed in LAPACK band storage and factored once (dpbtrf);
-    a band of height kd >= 15 with kd = 0 or 15 (mod 16) is stored at
-    the next kd = 1 (mod 16), where dpbtrs runs faster (module
-    docstring).
-    A solve gathers the right-hand side into that order, runs the two
-    banded triangular solves (dpbtrs) and scatters the result back; at
-    or below DENSE_MAX_DOFS it is one product with the inverse, formed
-    once by dpbtrs on the identity.
+    The matrix's upper band in reverse Cuthill-McKee order is packed in
+    LAPACK band storage straight from its triplets and factored once
+    (dpbtrf); a band of height kd >= 12 with kd = 0 or 12 to 15 (mod 16)
+    is stored at the next kd = 1 (mod 16), where dpbtrs runs faster
+    (module docstring).  A solve runs the two banded triangular solves
+    (dpbtrs); at or below DENSE_MAX_DOFS it is one product with the
+    inverse, formed once by dpbtrs on the identity.
+    Solves work in the matrix's own numbering: a right-hand side is
+    gathered into the band order and the result scattered back.  A
+    solver that marches in band order passes the ``order`` of its
+    matrix's pattern (_MarchOrder) and solves in that order, with no
+    gather or scatter.
     A matrix with non-finite entries (coefficients or s that overflow)
     is refused with SolverFailure.  Cholesky reads one triangle, so a
     matrix that is not exactly symmetric is rejected (assembly adds the
@@ -233,7 +247,8 @@ class Factorization:
     are); one that is not positive definite is reported as singular.
     """
 
-    def __init__(self, matrix: sp.spmatrix, label: str = "step matrix"):
+    def __init__(self, matrix: sp.spmatrix, label: str = "step matrix", *,
+                 order: np.ndarray | None = None):
         self.label = label
         self.shape = matrix.shape
         if matrix.shape[0] != matrix.shape[1]:
@@ -244,28 +259,32 @@ class Factorization:
         if (A != A.T).nnz:
             raise ValueError(f"{label}: matrix must be symmetric")
         n = A.shape[0]
-        # reverse_cuthill_mckee refuses the empty graph of a 0x0 block;
-        # an intp permutation gathers without a conversion per solve
-        perm = (reverse_cuthill_mckee(A, symmetric_mode=True) if n
-                else np.zeros(0)).astype(np.intp)
-        upper = sp.triu(A[perm][:, perm], format="coo")
-        kd = int((upper.col - upper.row).max()) if upper.nnz else 0
+        perm = _band_order(A) if order is None else order
+        inv = _inverse(perm)
+        A = A.tocoo()
+        row, col = inv[A.row], inv[A.col]
+        upper = row <= col
+        row, col, data = row[upper], col[upper], A.data[upper]
+        kd = int((col - row).max()) if row.size else 0
         # the fast band height (module docstring); the zero rows added
         # above the band leave the factor exact
-        if kd >= 15 and kd % 16 in (0, 15):
+        if kd >= 12 and kd % 16 in (0, 12, 13, 14, 15):
             kd += (1 - kd) % 16
         band = np.zeros((kd + 1, n))
-        band[kd + upper.row - upper.col, upper.col] = upper.data
+        band[kd + row - col, col] = data
         self._band, info = dpbtrf(band, overwrite_ab=1)
         if info > 0:
             raise SolverFailure(f"singular {label}: the leading minor of "
                                 f"order {info} is not positive definite")
-        self._perm = perm
-        self._iperm = np.argsort(perm)
+        # the gather and scatter of a solve in the matrix's own numbering
+        self._perm = self._iperm = None
+        if order is None:
+            self._perm, self._iperm = perm, inv
         self._inv = None
         if 0 < n <= DENSE_MAX_DOFS:     # dpbtrs refuses a 0x0 identity
-            inv = dpbtrs(self._band, np.eye(n))[0]
-            self._inv = inv[np.ix_(self._iperm, self._iperm)]
+            A_inv = dpbtrs(self._band, np.eye(n))[0]
+            self._inv = (A_inv if order is not None
+                         else A_inv[np.ix_(inv, inv)])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -277,12 +296,57 @@ class Factorization:
             return self._inv @ rhs
         if not rhs.size:    # dpbtrs refuses an empty block of columns
             return rhs.copy()
+        if self._perm is None:      # band order; rhs stays unwritten
+            return dpbtrs(self._band, rhs)[0]
         return dpbtrs(self._band, rhs[self._perm], overwrite_b=1)[0][self._iperm]
 
 
-def _step_operator(C: sp.spmatrix):
-    """C as the march applies it: dense at or below DENSE_MAX_DOFS."""
-    return C.toarray() if C.shape[0] <= DENSE_MAX_DOFS else C.tocsr()
+def _band_order(A: sp.csr_matrix) -> np.ndarray:
+    """The reverse Cuthill-McKee order of A's symmetric pattern: dof
+    ``order[i]`` goes to row i of the band."""
+    if not A.shape[0]:      # reverse_cuthill_mckee refuses the empty graph
+        return np.zeros(0, dtype=np.intp)
+    # an intp order indexes without a conversion
+    return reverse_cuthill_mckee(A, symmetric_mode=True).astype(np.intp)
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The band row of each dof of ``order``."""
+    inv = np.empty_like(order)
+    inv[order] = np.arange(order.size)
+    return inv
+
+
+class _MarchOrder:
+    """The order a solver marches one step-matrix pattern in, and its C
+    in that order.
+
+    Above DENSE_MAX_DOFS it is the pattern's band order, made once and
+    shared by every factor of the pattern (the Robin term touches only
+    the diagonal, so a Robin matrix at any s has the pattern of A), and
+    C is kept as a sparse matrix in it.  At or below it a step is a
+    dense product, and the march keeps the dofs' own order and a dense
+    C.  ``dofs`` lists the dof at each row of the march: a gather into
+    the march order and a scatter out of it index with it.
+    """
+
+    def __init__(self, A: sp.csr_matrix, C: sp.csr_matrix):
+        n = A.shape[0]
+        self.order = None
+        if n <= DENSE_MAX_DOFS:
+            self.dofs, self.C = slice(n), C.toarray()
+            return
+        self.order = self.dofs = _band_order(A)
+        self._inv = _inverse(self.order)
+        # each row keeps its entries in the dofs' order, so C @ x sums as
+        # the product in the dofs' order does, bit for bit
+        C = C[self.order]
+        self.C = sp.csr_matrix((C.data, self._inv[C.indices], C.indptr),
+                               shape=C.shape)
+
+    def rows(self, dofs: slice):
+        """The rows of the march that hold the dofs ``dofs``."""
+        return dofs if self.order is None else self._inv[dofs]
 
 
 def _steps(a: np.ndarray) -> np.ndarray:
@@ -298,10 +362,12 @@ def _march(fac: Factorization, C, rhs, step) -> None:
     x_{-1} = 0 over the data terms rhs_k, shaped (n[, m]) in the layout
     of _steps (an array of steps, or steps made one at a time), and hand
     each step to step(k, b, x), where b = A x_k is the right-hand side
-    just solved.  Each step is one ``fac.solve``, of all m columns of a
-    block at once; the march keeps no step but the last.  It reads rhs_k
-    before it asks for rhs_{k+1} and writes none, so steps made one at a
-    time may share one buffer, and step() keeps no b.
+    just solved.  rhs, C, b and x are in the order fac solves in (the
+    _MarchOrder of its pattern), so each step is one ``fac.solve``, of
+    all m columns of a block at once, with no gather or scatter, and one
+    product with C.  The march keeps no step but the last.  It reads
+    rhs_k before it asks for rhs_{k+1} and writes none, so steps made
+    one at a time may share one buffer, and step() keeps no b.
     """
     x = None
     for k, b in enumerate(rhs):
@@ -311,20 +377,21 @@ def _march(fac: Factorization, C, rhs, step) -> None:
         step(k, b, x)
 
 
-def _filled(fac: Factorization, C, rhs, u: np.ndarray,
-            cols=slice(None)) -> SpaceTimeField:
-    """_march with the field-filling consumer: step k goes to the dofs
-    ``cols`` of u[k + 1], u shaped ([m,] n_steps + 1, n_dofs) with a
-    zero step 0 and known values outside ``cols``.  The field's own
-    finiteness check is the one scan of u: a solver trajectory has the
-    field's shape and a zero initial slice, so a non-finite value, which
-    propagates to the last step, is the only reason it can be refused.
+def _filled(fac: Factorization, march: _MarchOrder, rhs,
+            u: np.ndarray) -> SpaceTimeField:
+    """_march in the order ``march`` with the field-filling consumer:
+    step k is scattered once, to the dofs ``march.dofs`` of u[k + 1], u
+    shaped ([m,] n_steps + 1, n_dofs) with a zero step 0 and known values
+    at the other dofs.  The field's own finiteness check is the one scan
+    of u: a solver trajectory has the field's shape and a zero initial
+    slice, so a non-finite value, which propagates to the last step, is
+    the only reason it can be refused.
     """
-    u_steps = _steps(u)
+    u_steps, dofs = _steps(u), march.dofs
 
     def fill(k, b, x):
-        u_steps[k + 1, cols] = x
-    _march(fac, C, rhs, fill)
+        u_steps[k + 1, dofs] = x
+    _march(fac, march.C, rhs, fill)
     try:
         return SpaceTimeField(u)
     except ValueError:
@@ -335,18 +402,16 @@ class SubdomainSolver:
     """Factorized theta-scheme solver for one subdomain.
 
     Immutable after construction; factorizations are cached per mode,
-    and so are the source field, the Robin trace maps and the forms of
-    the first Robin probe, so repeated solves with new data are cheap.
+    and so are the march order of each pattern (_full, _inner) and the
+    Dirichlet couplings in it, the source field, the Robin trace maps
+    and the forms of the first Robin probe, so repeated solves with new
+    data are cheap.
     """
 
     def __init__(self, ops: SubdomainOperators):
         self.ops = ops
         self.A, self.C = build_step_operators(ops)
         nI = ops.n_interior
-        self._A_IG = self.A[:nI, nI:].tocsr()
-        self._C_step = _step_operator(self.C)
-        self._C_II = _step_operator(self.C[:nI, :nI])
-        self._C_IG = self.C[:nI, nI:].tocsr()
         self._A_G = self.A[nI:].tocsr()      # interface rows of A
         self._C_G = self.C[nI:].tocsr()
         self._dirichlet = None
@@ -361,11 +426,31 @@ class SubdomainSolver:
 
     # -- factorizations ---------------------------------------------------
 
+    @cached_property
+    def _full(self) -> _MarchOrder:
+        """The march order of the Robin matrices, the full pattern."""
+        return _MarchOrder(self.A, self.C)
+
+    @cached_property
+    def _inner(self) -> _MarchOrder:
+        """The march order of the Dirichlet block."""
+        nI = self.ops.n_interior
+        return _MarchOrder(self.A[:nI, :nI], self.C[:nI, :nI])
+
+    @cached_property
+    def _couplings(self):
+        """A_IG and C_IG, the interior rows' couplings to the interface,
+        with those rows in the Dirichlet march order: the data terms of
+        dirichlet_solve are made in it."""
+        nI, rows = self.ops.n_interior, self._inner.dofs
+        return self.A[:nI, nI:][rows], self.C[:nI, nI:][rows]
+
     def _dirichlet_factor(self) -> Factorization:
         if self._dirichlet is None:
             nI = self.ops.n_interior
             self._dirichlet = Factorization(
-                self.A[:nI, :nI], f"subdomain {self.ops.index} Dirichlet block")
+                self.A[:nI, :nI], f"subdomain {self.ops.index} Dirichlet block",
+                order=self._inner.order)
         return self._dirichlet
 
     def _robin_factor(self, s: float) -> Factorization:
@@ -375,7 +460,8 @@ class SubdomainSolver:
         if key not in self._robin:
             A_rob, _ = build_step_operators(self.ops, s=key)
             self._robin[key] = Factorization(
-                A_rob, f"subdomain {self.ops.index} Robin matrix (s={key})")
+                A_rob, f"subdomain {self.ops.index} Robin matrix (s={key})",
+                order=self._full.order)
         return self._robin[key]
 
     # -- helpers -----------------------------------------------------------
@@ -445,12 +531,14 @@ class SubdomainSolver:
         fac = self._dirichlet_factor()
         u = np.zeros(eta_v.shape[:-2] + (grid.n_steps + 1, n))
         u[..., 1:, nI:] = eta_v
-        # f_I^k - A_IG eta^k + C_IG eta^{k-1}, for all k at once
-        rhs = -_dofwise(self._A_IG, eta_v)
+        # f_I^k - A_IG eta^k + C_IG eta^{k-1}, for all k at once, in the
+        # march order
+        inner, (A_IG, C_IG) = self._inner, self._couplings
+        rhs = -_dofwise(A_IG, eta_v)
         if loads is not None:
-            rhs += loads[:, :nI]
-        rhs += _dofwise(self._C_IG, u[..., :-1, nI:])
-        return _filled(fac, self._C_II, _steps(rhs), u, slice(nI))
+            rhs += loads[:, inner.dofs]
+        rhs += _dofwise(C_IG, u[..., :-1, nI:])
+        return _filled(fac, inner, _steps(rhs), u)
 
     def robin_solve(self, s: float, lam: InterfaceSignal | None = None,
                     loads: np.ndarray | None = None, step=None):
@@ -458,18 +546,25 @@ class SubdomainSolver:
 
         Satisfies flux_recovery(u, loads) + s * M_Gamma trace(u) = lam
         exactly, step by step.  A block of data gives a block of fields.
-        The right-hand side is made one step at a time, in one buffer.
+        The right-hand side is made one step at a time, in one buffer, in
+        the factor's band order: the loads are gathered into it once, and
+        the data written at the interface's rows of it.
         With ``step`` no field is made: each time step is handed to
         step(k, b, x), as _march does, with x the solution at step k + 1
-        and b = A_R x (to read during the call only), dofs down and the
-        columns of a block across (_steps), and the solve returns None;
-        the caller checks what it keeps.
+        and b = A_R x (to read during the call only), both in the
+        factor's band order (the rows ``_full.dofs`` of A_R, whose
+        interface rows are ``_full.rows(slice(n_interior, None))``) with
+        the columns of a block across (_steps), and the solve returns
+        None; the caller checks what it keeps.
         """
         grid = self.ops.grid
         lam_v = self._check_signal(lam, "dual")
         loads = self._check_loads(loads)
-        fac = self._robin_factor(s)
+        fac, full = self._robin_factor(s), self._full
         nI, n = self.ops.n_interior, self.ops.n_dofs
+        rows = full.rows(slice(nI, None))
+        if loads is not None:
+            loads = loads[:, full.dofs]
 
         def rhs():      # one step buffer: _march reads it, keeps C x + it
             lam_steps = _steps(lam_v / grid.tau)
@@ -477,14 +572,14 @@ class SubdomainSolver:
             for k, lam_k in enumerate(lam_steps):
                 if loads is not None:
                     b.T[...] = loads[k]
-                    b[nI:] += lam_k
+                    b[rows] += lam_k
                 else:
-                    b[nI:] = lam_k
+                    b[rows] = lam_k
                 yield b
         if step is not None:
-            return _march(fac, self._C_step, rhs(), step)
+            return _march(fac, full.C, rhs(), step)
         u = np.zeros(lam_v.shape[:-2] + (grid.n_steps + 1, n))
-        return _filled(fac, self._C_step, rhs(), u)
+        return _filled(fac, full, rhs(), u)
 
     def flux_recovery(self, u: SpaceTimeField,
                       loads: np.ndarray | None = None) -> InterfaceSignal:
@@ -507,16 +602,23 @@ class SubdomainSolver:
 
 
 class MonolithicSolver:
-    """theta-scheme solver on the undecomposed dof set."""
+    """theta-scheme solver on the undecomposed dof set.  It keeps its
+    step matrices only as it marches them: the factor and C, in the
+    band order of their pattern."""
 
     def __init__(self, ops: GlobalOperators):
         self.ops = ops
-        self.A, self.C = build_step_operators(ops)
-        self._factor = Factorization(self.A, "monolithic step matrix")
-        self._C_step = _step_operator(self.C)
+        A, C = build_step_operators(ops)
+        self._order = _MarchOrder(A, C)
+        self._factor = Factorization(A, "monolithic step matrix",
+                                     order=self._order.order)
 
     def solve(self, loads: np.ndarray | None = None) -> SpaceTimeField:
         grid = self.ops.grid
         loads = self.ops.loads if loads is None else np.asarray(loads, dtype=float)
         u = np.zeros((grid.n_steps + 1, self.ops.n_dofs))
-        return _filled(self._factor, self._C_step, loads, u)
+        if loads.shape != u[1:].shape:      # the gather would drop dofs
+            raise ValueError(f"loads shape {loads.shape} does not match "
+                             f"{u[1:].shape}")
+        order = self._order         # the loads enter its order once
+        return _filled(self._factor, order, loads[:, order.dofs], u)

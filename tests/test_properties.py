@@ -110,7 +110,8 @@ def test_resolvent_inverts_robin_operator(spec, s):
 @given(problems(), st.floats(0.1, 10.0))
 def test_dense_and_banded_steps_agree(spec, s):
     # the same solves with every step matrix on the dense path, then on
-    # the banded path; the choice is made when a solver is built
+    # the banded path; the choice is made at a solver's first solve of
+    # each kind
     setup = setup_problem(spec)
     rng = np.random.default_rng(0)
     shape = (spec.n_steps, setup.ops_1.n_interface)

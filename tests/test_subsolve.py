@@ -114,14 +114,15 @@ class TestFactorization:
 
     @pytest.mark.parametrize("n, kd, height", [
         (n, kd, height) for n in (300, 150) for kd, height in [
-            (0, 0), (7, 7), (15, 17), (16, 17), (31, 33), (32, 33),
-            (47, 49), (48, 49)]] + [(16, 15, 17)])
+            (0, 0), (7, 7), (11, 11), (12, 17), (14, 17), (15, 17),
+            (16, 17), (31, 33), (32, 33), (44, 49), (46, 49), (47, 49),
+            (48, 49)]] + [(16, 15, 17)])
     def test_band_stored_at_a_fast_height(self, n, kd, height):
         # a random SPD matrix with a full band of half-width kd, on the
-        # banded (n = 300) and the dense path; heights 0 or 15 (mod 16)
-        # from 15 up are stored at 1 (mod 16), above n - 1 for a full
-        # 16 x 16 matrix, and the zero superdiagonals keep every solve
-        # exact
+        # banded (n = 300) and the dense path; heights 0 or 12 to 15
+        # (mod 16) from 12 up are stored at 1 (mod 16), above n - 1 for a
+        # full 16 x 16 matrix, and the zero superdiagonals keep every
+        # solve exact
         rng = np.random.default_rng(kd)
         A = np.diag(2.0 * kd + 1 + rng.uniform(0, 1, n))
         for d in range(1, kd + 1):
@@ -138,21 +139,28 @@ class TestFactorization:
     @pytest.mark.parametrize("nx", [32, 64])
     def test_default_problem_bands_at_fast_heights(self, nx):
         # RCM gives these factors kd = 15 / 16 (nx = 32) and 31 / 32
-        # (nx = 64), where dpbtrs runs slowest
+        # (nx = 64), and the monolithic ones 46 and 94, where dpbtrs runs
+        # slowest
         setup = setup_problem(default_problem(nx=nx))
         factors = [setup.mono._factor]
         for solver in setup.solvers:
             factors += [solver._dirichlet_factor(), solver._robin_factor(1.0)]
         for fac in factors:
             kd = fac._band.shape[0] - 1
-            assert kd < 15 or kd % 16 not in (0, 15), (fac.label, kd)
+            assert kd < 12 or kd % 16 not in (0, 12, 13, 14, 15), \
+                (fac.label, kd)
 
     @pytest.mark.parametrize("side, nx", [("dense", 4), ("banded", 24)])
     def test_one_step_solve_per_time_step(self, monkeypatch, side, nx):
-        solver = make_solver(spec_2d(nx=nx, n_steps=5))
-        for n in (solver.ops.n_interior, solver.ops.n_dofs):
+        # every march, the field-filling ones and a streamed Robin solve
+        spec = spec_2d(nx=nx, n_steps=5)
+        mesh = build_mesh(spec)
+        dec = decompose(mesh, spec)
+        solver = SubdomainSolver(build_subdomain_operators(spec, mesh, dec, 1))
+        mono = MonolithicSolver(build_global_operators(spec, mesh, dec))
+        for n in (solver.ops.n_interior, solver.ops.n_dofs, mono.ops.n_dofs):
             assert (n <= DENSE_MAX_DOFS) == (side == "dense")
-        calls = []
+        calls, steps = [], []
         solve = Factorization.solve
 
         def counted(self, rhs):
@@ -165,6 +173,85 @@ class TestFactorization:
         calls.clear()
         solver.robin_solve(2.0, loads=solver.ops.loads)
         assert calls == ["subdomain 1 Robin matrix (s=2.0)"] * 5
+        calls.clear()
+        mono.solve()
+        assert calls == ["monolithic step matrix"] * 5
+        calls.clear()
+        assert solver.robin_solve(2.0, loads=solver.ops.loads,
+                                  step=lambda k, b, x: steps.append(k)) is None
+        assert calls == ["subdomain 1 Robin matrix (s=2.0)"] * 5
+        assert steps == list(range(5))
+
+    def test_one_band_order_per_pattern(self, monkeypatch):
+        # a solver orders each step-matrix pattern once: the Robin
+        # matrices at every s share the full pattern's order and one C
+        # in it, the Dirichlet block has its own, and so does the
+        # monolithic matrix.  Maps at three values of s and Robin solves
+        # at each make three Robin factors and four Robin marches
+        import rrlab.subsolve as subsolve
+        from rrlab.interface import robin_trace_map
+        orders, marched = [], []
+        rcm, march = subsolve.reverse_cuthill_mckee, subsolve._march
+
+        def ordered(A, **kwargs):
+            orders.append(A.shape[0])
+            return rcm(A, **kwargs)
+
+        def counted(fac, C, rhs, step):
+            marched.append((fac.label, C))
+            return march(fac, C, rhs, step)
+
+        monkeypatch.setattr(subsolve, "reverse_cuthill_mckee", ordered)
+        monkeypatch.setattr(subsolve, "_march", counted)
+        setup = setup_problem(default_problem(nx=32))
+        solver, mono = setup.solver_1, setup.mono
+        ops = solver.ops
+        assert orders == [mono.ops.n_dofs]
+        lam = dual(np.ones((ops.grid.n_steps, ops.n_interface)))
+        for s in (0.5, 1.0, 2.0):
+            robin_trace_map(solver, s)
+            solver.robin_solve(s, lam=lam)
+        solver.dirichlet_solve(loads=ops.loads)
+        mono.solve()
+        assert orders == [mono.ops.n_dofs, ops.n_dofs, ops.n_interior]
+        assert len(solver._robin) == 3 and len(marched) == 6
+        full, inner = solver._full, solver._inner
+        for label, C in marched:
+            want = (mono._order.C if label == "monolithic step matrix"
+                    else inner.C if "Dirichlet" in label else full.C)
+            assert C is want, label
+        nI = ops.n_interior
+        for march_order, C in ((full, solver.C),
+                               (inner, solver.C[:nI, :nI]),
+                               (mono._order,
+                                build_step_operators(mono.ops)[1])):
+            p = march_order.order
+            assert sp.issparse(march_order.C)
+            assert (march_order.C != C[p][:, p]).nnz == 0
+
+    def test_streamed_steps_are_in_band_order(self):
+        # a streamed Robin solve hands over x and b = A_R x in the band
+        # order of the Robin factor; scattered back through that order,
+        # its steps are the field the field-filling solve returns, which
+        # is the plain per-step solve in the dofs' own order
+        s = 0.7
+        solver = make_solver(spec_2d(nx=24, n_steps=5))
+        ops = solver.ops
+        order = solver._full.order
+        assert ops.n_dofs > DENSE_MAX_DOFS
+        assert np.any(order != np.arange(ops.n_dofs))
+        A_R = build_step_operators(ops, s=s)[0][order][:, order]
+        rng = np.random.default_rng(6)
+        lam = dual(rng.standard_normal((3, 5, ops.n_interface)))
+        u = solver.robin_solve(s, lam=lam, loads=ops.loads).values
+        got = np.zeros_like(u)
+
+        def step(k, b, x):
+            assert np.abs(A_R @ x - b).max() <= 1e-13 * np.abs(b).max()
+            got[:, k + 1, order] = x.T
+        solver.robin_solve(s, lam=lam, loads=ops.loads, step=step)
+        np.testing.assert_array_equal(got, u)
+        assert_rel_close(u[1], loop_robin(solver, s, lam.values[1], ops.loads))
 
 
 class TestSignalsAndFields:
@@ -450,6 +537,16 @@ class TestNonFiniteTrajectory:
         loads = self.nan_loads(ops.loads.shape)
         with pytest.raises(SolverFailure, match="monolithic step matrix"):
             MonolithicSolver(ops).solve(loads)
+
+    @pytest.mark.parametrize("nx", [4, 24])
+    def test_monolithic_loads_of_another_shape_refused(self, nx):
+        # the loads enter the band order by a gather, which would drop
+        # the dofs of a wider array
+        spec = spec_2d(nx=nx, n_steps=4)
+        mesh = build_mesh(spec)
+        ops = build_global_operators(spec, mesh, decompose(mesh, spec))
+        with pytest.raises(ValueError, match="loads shape"):
+            MonolithicSolver(ops).solve(np.zeros((4, ops.n_dofs + 1)))
 
     def test_one_scan_per_trajectory(self, monkeypatch):
         solver = make_solver(spec_2d(n_steps=4))
