@@ -48,8 +48,7 @@ Cuthill-McKee (Cuthill & McKee, Proc. 24th ACM National Conference,
 1969), and marches in that band order (_MarchOrder): its C is
 kept in it, every factor of the pattern is built in it, and data enter
 it once per solve, so a time step is one banded solve and one sparse
-product, with no gather or scatter between them.  At or below
-DENSE_MAX_DOFS the march keeps the dofs' own order.
+product, with no gather or scatter between them.
 
 One kernel, _march, runs every solve: each time step does only the
 work that depends on the previous step and hands the step to a
@@ -228,18 +227,15 @@ class Factorization:
     """Banded Cholesky factorization of one symmetric positive definite
     step matrix, with provenance for error reports.
 
-    The matrix's upper band in reverse Cuthill-McKee order is packed in
-    LAPACK band storage straight from its triplets and factored once
-    (dpbtrf); a band of height kd >= 12 with kd = 0 or 12 to 15 (mod 16)
-    is stored at the next kd = 1 (mod 16), where dpbtrs runs faster
-    (module docstring).  A solve runs the two banded triangular solves
-    (dpbtrs); at or below DENSE_MAX_DOFS it is one product with the
-    inverse, formed once by dpbtrs on the identity.
-    Solves work in the matrix's own numbering: a right-hand side is
-    gathered into the band order and the result scattered back.  A
-    solver that marches in band order passes the ``order`` of its
-    matrix's pattern (_MarchOrder) and solves in that order, with no
-    gather or scatter.
+    ``order`` is the band order of the matrix's pattern (_MarchOrder):
+    dof order[i] is row i of the band.  The matrix's upper band in that
+    order is packed in LAPACK band storage straight from its triplets
+    and factored once (dpbtrf); a band of height kd >= 12 with kd = 0 or
+    12 to 15 (mod 16) is stored at the next kd = 1 (mod 16), where
+    dpbtrs runs faster (module docstring).  A solve takes and returns
+    vectors in that order: the two banded triangular solves (dpbtrs),
+    or at or below DENSE_MAX_DOFS one product with the inverse, formed
+    once by dpbtrs on the identity.
     A matrix with non-finite entries (coefficients or s that overflow)
     is refused with SolverFailure.  Cholesky reads one triangle, so a
     matrix that is not exactly symmetric is rejected (assembly adds the
@@ -248,7 +244,7 @@ class Factorization:
     """
 
     def __init__(self, matrix: sp.spmatrix, label: str = "step matrix", *,
-                 order: np.ndarray | None = None):
+                 order: np.ndarray):
         self.label = label
         self.shape = matrix.shape
         if matrix.shape[0] != matrix.shape[1]:
@@ -259,8 +255,7 @@ class Factorization:
         if (A != A.T).nnz:
             raise ValueError(f"{label}: matrix must be symmetric")
         n = A.shape[0]
-        perm = _band_order(A) if order is None else order
-        inv = _inverse(perm)
+        inv = _inverse(order)
         A = A.tocoo()
         row, col = inv[A.row], inv[A.col]
         upper = row <= col
@@ -276,29 +271,23 @@ class Factorization:
         if info > 0:
             raise SolverFailure(f"singular {label}: the leading minor of "
                                 f"order {info} is not positive definite")
-        # the gather and scatter of a solve in the matrix's own numbering
-        self._perm = self._iperm = None
-        if order is None:
-            self._perm, self._iperm = perm, inv
         self._inv = None
         if 0 < n <= DENSE_MAX_DOFS:     # dpbtrs refuses a 0x0 identity
-            A_inv = dpbtrs(self._band, np.eye(n))[0]
-            self._inv = (A_inv if order is not None
-                         else A_inv[np.ix_(inv, inv)])
+            self._inv = dpbtrs(self._band, np.eye(n))[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.shape[0]:
-            # the gather would silently drop the extra rows
+            # dpbtrs solves only the first n rows of a longer right-hand
+            # side and reports nothing, and refuses a shorter one with a
+            # LAPACK error (info -8)
             raise ValueError(f"{self.label}: right-hand side has "
                              f"{rhs.shape[0]} rows, not {self.shape[0]}")
         if self._inv is not None:
             return self._inv @ rhs
         if not rhs.size:    # dpbtrs refuses an empty block of columns
             return rhs.copy()
-        if self._perm is None:      # band order; rhs stays unwritten
-            return dpbtrs(self._band, rhs)[0]
-        return dpbtrs(self._band, rhs[self._perm], overwrite_b=1)[0][self._iperm]
+        return dpbtrs(self._band, rhs)[0]       # rhs stays unwritten
 
 
 def _band_order(A: sp.csr_matrix) -> np.ndarray:
@@ -318,35 +307,31 @@ def _inverse(order: np.ndarray) -> np.ndarray:
 
 
 class _MarchOrder:
-    """The order a solver marches one step-matrix pattern in, and its C
-    in that order.
+    """The band order a solver marches one step-matrix pattern in, and
+    its C in that order.
 
-    Above DENSE_MAX_DOFS it is the pattern's band order, made once and
-    shared by every factor of the pattern (the Robin term touches only
-    the diagonal, so a Robin matrix at any s has the pattern of A), and
-    C is kept as a sparse matrix in it.  At or below it a step is a
-    dense product, and the march keeps the dofs' own order and a dense
-    C.  ``dofs`` lists the dof at each row of the march: a gather into
-    the march order and a scatter out of it index with it.
+    The order is made once and shared by every factor of the pattern
+    (the Robin term touches only the diagonal, so a Robin matrix at any
+    s has the pattern of A).  ``order`` lists the dof at each row of the
+    march: a gather into the march order and a scatter out of it index
+    with it.  C is kept as a sparse matrix, or at or below
+    DENSE_MAX_DOFS, where a step is a dense product, as a dense one.
     """
 
     def __init__(self, A: sp.csr_matrix, C: sp.csr_matrix):
-        n = A.shape[0]
-        self.order = None
-        if n <= DENSE_MAX_DOFS:
-            self.dofs, self.C = slice(n), C.toarray()
-            return
-        self.order = self.dofs = _band_order(A)
+        self.order = _band_order(A)
         self._inv = _inverse(self.order)
-        # each row keeps its entries in the dofs' order, so C @ x sums as
-        # the product in the dofs' order does, bit for bit
+        # each row keeps its entries in the dofs' order, so a sparse C @ x
+        # sums as the product in the dofs' order does, bit for bit
         C = C[self.order]
         self.C = sp.csr_matrix((C.data, self._inv[C.indices], C.indptr),
                                shape=C.shape)
+        if A.shape[0] <= DENSE_MAX_DOFS:
+            self.C = self.C.toarray()
 
-    def rows(self, dofs: slice):
+    def rows(self, dofs: slice) -> np.ndarray:
         """The rows of the march that hold the dofs ``dofs``."""
-        return dofs if self.order is None else self._inv[dofs]
+        return self._inv[dofs]
 
 
 def _steps(a: np.ndarray) -> np.ndarray:
@@ -380,14 +365,14 @@ def _march(fac: Factorization, C, rhs, step) -> None:
 def _filled(fac: Factorization, march: _MarchOrder, rhs,
             u: np.ndarray) -> SpaceTimeField:
     """_march in the order ``march`` with the field-filling consumer:
-    step k is scattered once, to the dofs ``march.dofs`` of u[k + 1], u
+    step k is scattered once, to the dofs ``march.order`` of u[k + 1], u
     shaped ([m,] n_steps + 1, n_dofs) with a zero step 0 and known values
     at the other dofs.  The field's own finiteness check is the one scan
     of u: a solver trajectory has the field's shape and a zero initial
     slice, so a non-finite value, which propagates to the last step, is
     the only reason it can be refused.
     """
-    u_steps, dofs = _steps(u), march.dofs
+    u_steps, dofs = _steps(u), march.order
 
     def fill(k, b, x):
         u_steps[k + 1, dofs] = x
@@ -442,7 +427,7 @@ class SubdomainSolver:
         """A_IG and C_IG, the interior rows' couplings to the interface,
         with those rows in the Dirichlet march order: the data terms of
         dirichlet_solve are made in it."""
-        nI, rows = self.ops.n_interior, self._inner.dofs
+        nI, rows = self.ops.n_interior, self._inner.order
         return self.A[:nI, nI:][rows], self.C[:nI, nI:][rows]
 
     def _dirichlet_factor(self) -> Factorization:
@@ -536,7 +521,7 @@ class SubdomainSolver:
         inner, (A_IG, C_IG) = self._inner, self._couplings
         rhs = -_dofwise(A_IG, eta_v)
         if loads is not None:
-            rhs += loads[:, inner.dofs]
+            rhs += loads[:, inner.order]
         rhs += _dofwise(C_IG, u[..., :-1, nI:])
         return _filled(fac, inner, _steps(rhs), u)
 
@@ -551,11 +536,10 @@ class SubdomainSolver:
         the data written at the interface's rows of it.
         With ``step`` no field is made: each time step is handed to
         step(k, b, x), as _march does, with x the solution at step k + 1
-        and b = A_R x (to read during the call only), both in the
-        factor's band order (the rows ``_full.dofs`` of A_R, whose
-        interface rows are ``_full.rows(slice(n_interior, None))``) with
-        the columns of a block across (_steps), and the solve returns
-        None; the caller checks what it keeps.
+        and b = A_R x (to read during the call only), both at the rows
+        ``_full.order`` with the columns of a block across (_steps), and
+        the solve returns None; the caller checks what it keeps.  The
+        interface rows are ``_full.rows(slice(n_interior, None))``.
         """
         grid = self.ops.grid
         lam_v = self._check_signal(lam, "dual")
@@ -564,7 +548,7 @@ class SubdomainSolver:
         nI, n = self.ops.n_interior, self.ops.n_dofs
         rows = full.rows(slice(nI, None))
         if loads is not None:
-            loads = loads[:, full.dofs]
+            loads = loads[:, full.order]
 
         def rhs():      # one step buffer: _march reads it, keeps C x + it
             lam_steps = _steps(lam_v / grid.tau)
@@ -620,5 +604,6 @@ class MonolithicSolver:
         if loads.shape != u[1:].shape:      # the gather would drop dofs
             raise ValueError(f"loads shape {loads.shape} does not match "
                              f"{u[1:].shape}")
-        order = self._order         # the loads enter its order once
-        return _filled(self._factor, order, loads[:, order.dofs], u)
+        # each step's loads enter the band order as the march reads them
+        order = self._order.order
+        return _filled(self._factor, self._order, (f[order] for f in loads), u)

@@ -614,7 +614,9 @@ class TestPeacemanRachford:
         # a block of Dirichlet solves holds fields and keeps
         # block_width() iterates (32 / 7 / 1).  Every block but the
         # last has the full width; the last holds the iterates left over,
-        # so each of the 70 iterates is tracked once
+        # so each iterate is tracked once.  At tol = 0 a run makes all 70
+        # unless it reaches an exact fixed point, an increment of 0.0
+        # (at nx = 16 it does, at iteration 39)
         setup = setup_problem(default_problem(nx=nx))
         refs = references_from_monolithic(setup)
         widths = []
@@ -631,10 +633,14 @@ class TestPeacemanRachford:
         assert all(s.forms is not None for s in setup.solvers)
         want = (forms_width if tracking == "forms" else
                 setup.solver_1.block_width())
-        full, rest = divmod(70, want)
+        n = report.n_iterations
+        assert n == 70 or (report.status == "converged"
+                           and report.increments[-1] == 0.0)
+        full, rest = divmod(n, want)
+        assert full >= 1
         assert widths == [want] * full + ([rest] if rest else [])
-        assert sum(widths) == 70
-        assert len(report.errors_1) == len(report.residuals) == 70
+        assert sum(widths) == n
+        assert len(report.errors_1) == len(report.residuals) == n
 
     def test_tracked_run_beyond_resolvent_steps_keeps_no_map(self,
                                                              monkeypatch):

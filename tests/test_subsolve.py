@@ -13,7 +13,7 @@ from rrlab.lab import default_problem, setup_problem
 from rrlab.mesh import ProblemSpec, build_mesh, decompose
 from rrlab.subsolve import (DENSE_MAX_DOFS, Factorization, InterfaceSignal,
                             MonolithicSolver, SolverFailure, SpaceTimeField,
-                            SubdomainSolver)
+                            SubdomainSolver, _band_order)
 
 
 def make_solver(spec, i=1):
@@ -41,29 +41,45 @@ def dual(values):
     return InterfaceSignal(values, "dual")
 
 
+def factor(A, label="step matrix"):
+    """A's Factorization in its band order, as a solver makes it, and a
+    solve in A's own numbering through it: the right-hand side gathered
+    into the band order and the result scattered back."""
+    A = sp.csr_matrix(A)
+    order = _band_order(A)
+    fac = Factorization(A, label, order=order)
+
+    def solve(rhs):
+        rhs = np.asarray(rhs, dtype=float)
+        x = np.empty_like(rhs)
+        x[order] = fac.solve(rhs[order])
+        return x
+    return fac, solve
+
+
 class TestFactorization:
     def test_identity(self):
-        fac = Factorization(sp.identity(5, format="csc"))
+        _, solve = factor(sp.identity(5, format="csc"))
         rhs = np.arange(5.0)
-        np.testing.assert_allclose(fac.solve(rhs), rhs, atol=1e-15)
+        np.testing.assert_allclose(solve(rhs), rhs, atol=1e-15)
 
     def test_hand_inverse_2x2(self):
-        fac = Factorization(sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
-        np.testing.assert_allclose(fac.solve([1.0, 0.0]), [2 / 3, -1 / 3],
+        _, solve = factor(sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        np.testing.assert_allclose(solve([1.0, 0.0]), [2 / 3, -1 / 3],
                                    rtol=1e-14)
 
     def test_random_spd_residual(self):
         rng = np.random.default_rng(0)
         B = rng.standard_normal((50, 50))
         A = B @ B.T + 50 * np.eye(50)
-        fac = Factorization(sp.csc_matrix(A))
+        _, solve = factor(sp.csc_matrix(A))
         b = rng.standard_normal(50)
-        x = fac.solve(b)
+        x = solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_singular_reports_identity(self):
         with pytest.raises(SolverFailure, match="broken block"):
-            Factorization(sp.csc_matrix((3, 3)), label="broken block")
+            factor(sp.csc_matrix((3, 3)), label="broken block")
 
     @pytest.mark.parametrize("side, m", [("dense", 12), ("banded", 16)])
     def test_permuted_shifted_laplacian_matches_spsolve(self, side, m):
@@ -75,14 +91,14 @@ class TestFactorization:
         p = rng.permutation(m * m)
         A = sp.csr_matrix(L)[p][:, p]
         b = rng.standard_normal(m * m)
-        x = Factorization(A).solve(b)
+        x = factor(A)[1](b)
         ref = spla.spsolve(A.tocsc(), b)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_unsymmetric_rejected_with_label(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
         with pytest.raises(ValueError, match="lopsided block"):
-            Factorization(A, label="lopsided block")
+            factor(A, label="lopsided block")
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_entries_refused_with_label(self, bad):
@@ -92,23 +108,26 @@ class TestFactorization:
         A = sp.csr_matrix(np.array([[bad, 1.0], [1.0, 2.0]]))
         with pytest.raises(SolverFailure,
                            match="overflow block has non-finite entries"):
-            Factorization(A, label="overflow block")
+            factor(A, label="overflow block")
 
     def test_indefinite_reports_identity(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(SolverFailure, match="singular saddle block"):
-            Factorization(A, label="saddle block")
+            factor(A, label="saddle block")
 
-    @pytest.mark.parametrize("n_rhs", [3, 5])
-    def test_rhs_length_checked(self, n_rhs):
-        fac = Factorization(sp.identity(4, format="csr"), label="small block")
+    @pytest.mark.parametrize("n, n_rhs", [(4, 3), (4, 5), (250, 249),
+                                          (250, 251)])
+    def test_rhs_length_checked(self, n, n_rhs):
+        # on the dense path and the banded one (n > DENSE_MAX_DOFS), where
+        # dpbtrs would solve the first n rows of a longer right-hand side
+        fac, _ = factor(sp.identity(n, format="csr"), label="small block")
         with pytest.raises(ValueError, match="small block"):
             fac.solve(np.ones(n_rhs))
 
     def test_empty_block(self):
         # the Dirichlet block of a 1D subdomain with no interior dofs
-        fac = Factorization(sp.csr_matrix((0, 0)))
-        x = fac.solve(np.zeros(0))
+        fac, solve = factor(sp.csr_matrix((0, 0)))
+        x = solve(np.zeros(0))
         assert x.shape == (0,)
         assert fac._band.shape == (1, 0)
 
@@ -128,12 +147,12 @@ class TestFactorization:
         for d in range(1, kd + 1):
             v = rng.uniform(-1, 1, n - d)
             A += np.diag(v, d) + np.diag(v, -d)
-        fac = Factorization(sp.csr_matrix(A))
+        fac, solve = factor(A)
         assert fac._band.shape == (height + 1, n)
         b = rng.standard_normal((n, 5))
         for rhs in (b[:, 0], b):
             ref = np.linalg.solve(A, rhs)
-            assert np.abs(fac.solve(rhs) - ref).max() \
+            assert np.abs(solve(rhs) - ref).max() \
                 <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("nx", [32, 64])
@@ -182,12 +201,15 @@ class TestFactorization:
         assert calls == ["subdomain 1 Robin matrix (s=2.0)"] * 5
         assert steps == list(range(5))
 
-    def test_one_band_order_per_pattern(self, monkeypatch):
+    @pytest.mark.parametrize("nx", [16, 32])
+    def test_one_band_order_per_pattern(self, monkeypatch, nx):
         # a solver orders each step-matrix pattern once: the Robin
         # matrices at every s share the full pattern's order and one C
         # in it, the Dirichlet block has its own, and so does the
         # monolithic matrix.  Maps at three values of s and Robin solves
-        # at each make three Robin factors and four Robin marches
+        # at each make three Robin factors and four Robin marches.  At
+        # nx = 16 the subdomain patterns are on the dense path, with a
+        # dense C in the band order, and the monolithic one is banded
         import rrlab.subsolve as subsolve
         from rrlab.interface import robin_trace_map
         orders, marched = [], []
@@ -203,7 +225,7 @@ class TestFactorization:
 
         monkeypatch.setattr(subsolve, "reverse_cuthill_mckee", ordered)
         monkeypatch.setattr(subsolve, "_march", counted)
-        setup = setup_problem(default_problem(nx=32))
+        setup = setup_problem(default_problem(nx=nx))
         solver, mono = setup.solver_1, setup.mono
         ops = solver.ops
         assert orders == [mono.ops.n_dofs]
@@ -226,19 +248,24 @@ class TestFactorization:
                                (mono._order,
                                 build_step_operators(mono.ops)[1])):
             p = march_order.order
-            assert sp.issparse(march_order.C)
-            assert (march_order.C != C[p][:, p]).nnz == 0
+            dense = C.shape[0] <= DENSE_MAX_DOFS
+            assert dense == (nx == 16 and march_order is not mono._order)
+            assert sp.issparse(march_order.C) != dense
+            np.testing.assert_array_equal(
+                march_order.C if dense else march_order.C.toarray(),
+                C[p][:, p].toarray())
 
-    def test_streamed_steps_are_in_band_order(self):
+    @pytest.mark.parametrize("side, nx", [("dense", 4), ("banded", 24)])
+    def test_streamed_steps_are_in_band_order(self, side, nx):
         # a streamed Robin solve hands over x and b = A_R x in the band
         # order of the Robin factor; scattered back through that order,
         # its steps are the field the field-filling solve returns, which
         # is the plain per-step solve in the dofs' own order
         s = 0.7
-        solver = make_solver(spec_2d(nx=24, n_steps=5))
+        solver = make_solver(spec_2d(nx=nx, n_steps=5))
         ops = solver.ops
         order = solver._full.order
-        assert ops.n_dofs > DENSE_MAX_DOFS
+        assert (ops.n_dofs <= DENSE_MAX_DOFS) == (side == "dense")
         assert np.any(order != np.arange(ops.n_dofs))
         A_R = build_step_operators(ops, s=s)[0][order][:, order]
         rng = np.random.default_rng(6)
@@ -252,6 +279,22 @@ class TestFactorization:
         solver.robin_solve(s, lam=lam, loads=ops.loads, step=step)
         np.testing.assert_array_equal(got, u)
         assert_rel_close(u[1], loop_robin(solver, s, lam.values[1], ops.loads))
+
+    @pytest.mark.parametrize("nx", [32, 64])
+    def test_monolithic_loads_enter_the_band_order_step_by_step(self, nx):
+        # a monolithic solve holds its field, the field's finiteness mask
+        # and a few step vectors; the loads of all steps gathered into
+        # the band order at once would add n_steps of them (508 kB at
+        # nx = 64, where the bound leaves about 65 kB of slack)
+        import tracemalloc
+        mono = setup_problem(default_problem(nx=nx)).mono
+        tracemalloc.start()
+        try:
+            u = mono.solve().values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= u.nbytes + u.size + 4 * 8 * mono.ops.n_dofs
 
 
 class TestSignalsAndFields:
