@@ -218,7 +218,12 @@ def _loads(spec: ProblemSpec, mesh: Mesh, grid: TimeGrid,
 
 
 class _SpaceOperators:
-    """Matrices derived lazily, on first use, from M and K."""
+    """What the operators of a dof set share: its size, and matrices
+    derived lazily, on first use, from M and K."""
+
+    @property
+    def n_dofs(self) -> int:
+        return self.dof_nodes.size
 
     @cached_property
     def MK(self) -> sp.csr_matrix:
@@ -242,10 +247,6 @@ class SubdomainOperators(_SpaceOperators):
     M_gamma: sp.csr_matrix
     grid: TimeGrid
     loads: np.ndarray
-
-    @property
-    def n_dofs(self) -> int:
-        return self.dof_nodes.size
 
     @property
     def n_interface(self) -> int:
@@ -274,10 +275,6 @@ class GlobalOperators(_SpaceOperators):
     K: sp.csr_matrix
     grid: TimeGrid
     loads: np.ndarray
-
-    @property
-    def n_dofs(self) -> int:
-        return self.dof_nodes.size
 
 
 def lumped_interface_mass(M_gamma: sp.spmatrix) -> sp.csr_matrix:

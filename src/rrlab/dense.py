@@ -62,10 +62,7 @@ def dense_space_time_solve(ops, loads: np.ndarray | None = None,
     f = (grid.tau * (ops.loads if loads is None else loads)).ravel()
     if trace_values is None:
         return np.linalg.solve(W, f).reshape(grid.n_steps, n)
-    nI = ops.n_interior
-    idx = np.arange(grid.n_steps * n).reshape(grid.n_steps, n)
-    ii = idx[:, :nI].ravel()
-    gg = idx[:, nI:].ravel()
+    ii, gg = _interior_interface(ops)
     g = np.asarray(trace_values, dtype=float).ravel()
     u = np.zeros(grid.n_steps * n)
     u[gg] = g
@@ -81,17 +78,20 @@ def dense_schur_complement(ops: SubdomainOperators) -> np.ndarray:
     ordering is time-major over the interface dofs, matching the
     flattening of interface signals.
     """
-    grid = ops.grid
-    n = ops.M.shape[0]
-    nI = ops.n_interior
     W = dense_space_time_matrix(ops)
-    idx = np.arange(grid.n_steps * n).reshape(grid.n_steps, n)
-    ii = idx[:, :nI].ravel()
-    gg = idx[:, nI:].ravel()
+    ii, gg = _interior_interface(ops)
     W_gg = W[np.ix_(gg, gg)]
-    if nI == 0:
+    if ops.n_interior == 0:
         return W_gg
     W_gi = W[np.ix_(gg, ii)]
     W_ig = W[np.ix_(ii, gg)]
     W_ii = W[np.ix_(ii, ii)]
     return W_gg - W_gi @ np.linalg.solve(W_ii, W_ig)
+
+
+def _interior_interface(ops: SubdomainOperators):
+    """The space-time indices, time-major, of the interior and of the
+    interface unknowns of ``ops``."""
+    n_steps = ops.grid.n_steps
+    idx = np.arange(n_steps * ops.M.shape[0]).reshape(n_steps, -1)
+    return idx[:, :ops.n_interior].ravel(), idx[:, ops.n_interior:].ravel()

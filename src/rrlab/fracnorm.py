@@ -36,6 +36,7 @@ phase rotation
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -346,24 +347,16 @@ def random_smooth_field(mesh, dec, ops: SubdomainOperators, rng,
     nonzero interface trace.
     """
     coords = mesh.nodes[ops.dof_nodes]
-    lx = mesh.nodes[:, 0].max()
+    extents = mesh.nodes.max(axis=0)
     T = ops.grid.horizon
     times = np.arange(ops.grid.n_steps + 1) * ops.grid.tau
     values = np.zeros((times.size, ops.n_dofs))
-    if mesh.dimension == 1:
-        for p in range(1, n_modes + 1):
-            shape = np.sin(p * np.pi * coords[:, 0] / lx)
-            for r in range(1, n_modes + 1):
-                c = rng.standard_normal() / (p * p + r * r)
-                values += c * np.outer(np.sin(r * np.pi * times / T), shape)
-    else:
-        ly = mesh.nodes[:, 1].max()
-        for p in range(1, n_modes + 1):
-            for q in range(1, n_modes + 1):
-                shape = (np.sin(p * np.pi * coords[:, 0] / lx)
-                         * np.sin(q * np.pi * coords[:, 1] / ly))
-                for r in range(1, n_modes + 1):
-                    c = rng.standard_normal() / (p * p + q * q + r * r)
-                    values += c * np.outer(np.sin(r * np.pi * times / T), shape)
+    for modes in itertools.product(range(1, n_modes + 1),
+                                   repeat=mesh.dimension):
+        shape = np.prod(np.sin(np.array(modes) * np.pi * coords / extents),
+                        axis=1)
+        for r in range(1, n_modes + 1):
+            c = rng.standard_normal() / (sum(p * p for p in modes) + r * r)
+            values += c * np.outer(np.sin(r * np.pi * times / T), shape)
     values[0] = 0.0
     return SpaceTimeField(values)

@@ -125,19 +125,20 @@ def interface_gram(eta: InterfaceSignal, ops: SubdomainOperators,
     (its diagonal is computed once per subdomain), i.e. the "s J" term
     of the resolvent and reflection operators under the package's Robin
     pairing convention.  A finite s that overflows s J is a SolverFailure
-    (a Robin sweep pairs before any Robin matrix is factored).
+    (_sJ; a Robin sweep pairs before any Robin matrix is factored).
     """
     if eta.kind != "primal":
         raise ValueError("interface pairing acts on primal signals")
-    sJ = _sJ(ops, s)
-    if not np.all(np.isfinite(sJ)):
-        raise SolverFailure(f"subdomain {ops.index} s J (s={s:g}) overflows")
-    return InterfaceSignal(sJ * eta.values, "dual")
+    return InterfaceSignal(_sJ(ops, s) * eta.values, "dual")
 
 
 def _sJ(ops: SubdomainOperators, s: float) -> np.ndarray:
-    """The diagonal of s J: robin_coefficient(s, tau) * tau * ML_Gamma."""
-    return robin_coefficient(s, ops.grid.tau) * ops.grid.tau * ops.lumped_gamma
+    """The diagonal of s J: robin_coefficient(s, tau) * tau * ML_Gamma.
+    A finite s that overflows it is a SolverFailure to every reader."""
+    sJ = robin_coefficient(s, ops.grid.tau) * ops.grid.tau * ops.lumped_gamma
+    if not np.isfinite(sJ).all():
+        raise SolverFailure(f"subdomain {ops.index} s J (s={s:g}) overflows")
+    return sJ
 
 
 def interface_source(solver: SubdomainSolver) -> InterfaceSignal:
@@ -731,7 +732,6 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
 
         def step(k, b, x):
             nonlocal prev
-            x, b = x.reshape(ops.n_dofs, -1), b.reshape(ops.n_dofs, -1)
             lags[:, k, J] = x[iface]
             lags[:lo, n_steps + k, J] = C_last[:lo] @ x
             if 2 * k >= n_steps:

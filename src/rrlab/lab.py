@@ -150,18 +150,12 @@ def mms_spec(dimension: int, nx: int, n_steps: int, theta: float,
     """Problem whose exact solution is a product of sines in space and
     (1 - exp(-t)) in time; zero initial and boundary values hold by
     construction.  Constant diffusion keeps the source regular."""
-    pi = np.pi
-    if dimension == 1:
-        lap = alpha * pi ** 2
+    lap = alpha * dimension * np.pi ** 2
 
-        def source(x, t):
-            return np.sin(pi * x) * (np.exp(-t) + lap * (1.0 - np.exp(-t)))
-    else:
-        lap = alpha * 2.0 * pi ** 2
-
-        def source(x, y, t):
-            return (np.sin(pi * x) * np.sin(pi * y)
-                    * (np.exp(-t) + lap * (1.0 - np.exp(-t))))
+    def source(*coords_and_t):
+        *coords, t = coords_and_t
+        return (np.prod(np.sin(np.pi * np.array(coords)), axis=0)
+                * (np.exp(-t) + lap * (1.0 - np.exp(-t))))
     return ProblemSpec(
         dimension=dimension, nx=nx, ny=nx if dimension == 2 else 0,
         interface_x=0.5, diffusion=alpha, source=source,
@@ -540,12 +534,11 @@ def _run_coercivity(cfg):
 
 
 def _run_mms(cfg):
-    rows_out = []
-    for r in run_mms_spatial(cfg.theta, levels=cfg.mesh_levels,
-                             dimension=cfg.dimension):
-        rows_out.append([r.h, r.tau, r.l2_error, r.x_error, r.order])
-    for r in run_mms_temporal(cfg.theta, dimension=cfg.dimension):
-        rows_out.append([r.h, r.tau, r.l2_error, r.x_error, r.order])
+    studies = (run_mms_spatial(cfg.theta, levels=cfg.mesh_levels,
+                               dimension=cfg.dimension),
+               run_mms_temporal(cfg.theta, dimension=cfg.dimension))
+    rows_out = [[r.h, r.tau, r.l2_error, r.x_error, r.order]
+                for study in studies for r in study]
     cols = ["h", "tau", "l2_error", "x_error", "observed_order"]
     return cols, rows_out, None
 

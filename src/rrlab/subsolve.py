@@ -336,16 +336,17 @@ class _MarchOrder:
 
 def _steps(a: np.ndarray) -> np.ndarray:
     """a, shaped ([m,] n_steps, n), as (n_steps, n[, m]) views: the
-    columns of a block side by side, one column as a vector."""
+    columns of a block side by side."""
     if a.ndim == 2:
         return a
-    return a[0] if len(a) == 1 else np.moveaxis(a, 0, -1)
+    return np.moveaxis(a, 0, -1)
 
 
 def _march(fac: Factorization, C, rhs, step) -> None:
     """Run the theta scheme x_k = A^-1 (rhs_k + C x_{k-1}) from
-    x_{-1} = 0 over the data terms rhs_k, shaped (n[, m]) in the layout
-    of _steps (an array of steps, or steps made one at a time), and hand
+    x_{-1} = 0 over the data terms rhs_k, shaped (n, m) for a block of m
+    columns, m = 1 included, and (n,) for one 2-D datum, as _steps lays
+    them out (an array of steps, or steps made one at a time), and hand
     each step to step(k, b, x), where b = A x_k is the right-hand side
     just solved.  rhs, C, b and x are in the order fac solves in (the
     _MarchOrder of its pattern), so each step is one ``fac.solve``, of
@@ -537,8 +538,9 @@ class SubdomainSolver:
         With ``step`` no field is made: each time step is handed to
         step(k, b, x), as _march does, with x the solution at step k + 1
         and b = A_R x (to read during the call only), both at the rows
-        ``_full.order`` with the columns of a block across (_steps), and
-        the solve returns None; the caller checks what it keeps.  The
+        ``_full.order`` and shaped as _march's steps: (n_dofs, m) for a
+        block of m data, one included, and (n_dofs,) for a 2-D signal,
+        and the solve returns None; the caller checks what it keeps.  The
         interface rows are ``_full.rows(slice(n_interior, None))``.
         """
         grid = self.ops.grid

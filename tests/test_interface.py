@@ -19,7 +19,7 @@ from rrlab.interface import (BlockToeplitz, IterationConfig, SteklovOperator,
 from rrlab.lab import (default_problem, references_from_monolithic,
                        setup_problem)
 from rrlab.mesh import ProblemSpec
-from rrlab.subsolve import InterfaceSignal, SubdomainSolver
+from rrlab.subsolve import InterfaceSignal, SolverFailure, SubdomainSolver
 
 
 def small_setup(nx=6, n_steps=4, dimension=2, source="cos", alpha=None,
@@ -822,6 +822,23 @@ class TestPeacemanRachford:
         _, report = run_pr(setup.solvers, IterationConfig(s=1.0),
                            references=references_from_monolithic(setup))
         assert report.status == "converged"
+
+    def test_overflowing_robin_parameter_on_a_probed_solver(self):
+        # a finite s whose s J overflows is refused by every reader of
+        # s J as it is by a fresh solver's Robin factor: a later-s map of
+        # a probed solver, which would be built from an infinite shift,
+        # and a run whose resolvents are such maps, which would fail in
+        # pr_step on a non-finite signal.  Neither keeps a map
+        setup = setup_problem(default_problem(nx=8, n_steps=4))
+        for solver in setup.solvers:
+            robin_trace_map(solver, 1.0)
+        with pytest.raises(SolverFailure,
+                           match=r"subdomain 1 s J \(s=1e\+308\) overflows"):
+            robin_trace_map(setup.solver_1, 1e308)
+        with pytest.raises(SolverFailure, match="overflows"):
+            run_pr(setup.solvers, IterationConfig(s=1e308))
+        assert [list(solver.robin_maps) for solver in setup.solvers] == [
+            [1.0], [1.0]]
 
 
 class TestRobinRobinSweep:

@@ -1,6 +1,8 @@
 """Subdomain solver oracles: factorization, Dirichlet/Robin solves
 against dense space-time solves, flux recovery, causality, stability."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -279,6 +281,28 @@ class TestFactorization:
         solver.robin_solve(s, lam=lam, loads=ops.loads, step=step)
         np.testing.assert_array_equal(got, u)
         assert_rel_close(u[1], loop_robin(solver, s, lam.values[1], ops.loads))
+
+    @pytest.mark.parametrize("side, nx", [("dense", 16), ("banded", 32)])
+    def test_one_column_block_keeps_the_block_layout(self, side, nx):
+        # a block of one column marches as any block does, (n, m) per
+        # step with m = 1, and its field is the 2-D solve's bit for bit,
+        # for Robin and Dirichlet data alike
+        s = 0.7
+        solver = setup_problem(default_problem(nx=nx)).solver_1
+        ops = solver.ops
+        assert (ops.n_dofs <= DENSE_MAX_DOFS) == (side == "dense")
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((ops.grid.n_steps, ops.n_interface))
+        robin = partial(solver.robin_solve, s, loads=ops.loads)
+        dirichlet = partial(solver.dirichlet_solve, loads=ops.loads)
+        shapes = set()
+        robin(dual(data[None]),
+              step=lambda k, b, x: shapes.add((b.shape, x.shape)))
+        assert shapes == {((ops.n_dofs, 1), (ops.n_dofs, 1))}
+        for solve, signal in ((robin, dual), (dirichlet, primal)):
+            block = solve(signal(data[None])).values
+            assert block.shape == (1, ops.grid.n_steps + 1, ops.n_dofs)
+            np.testing.assert_array_equal(block[0], solve(signal(data)).values)
 
     @pytest.mark.parametrize("nx", [32, 64])
     def test_monolithic_loads_enter_the_band_order_step_by_step(self, nx):
