@@ -22,11 +22,11 @@ from .interface import (IterationConfig, SteklovOperator, _subdomain_forms,
                         assemble_dense, h_norm, interface_gram, pr_step,
                         robin_resolvent, run_equivalence, run_pr,
                         solve_robin_resolvent)
-from .lab import (default_problem, field_error_norm, glue_fields,
-                  least_squares_order, references_from_monolithic,
-                  restrict_field, run_mms_spatial, run_mms_temporal,
-                  setup_problem, spectral_portrait)
-from .mesh import ProblemSpec
+from .lab import (ScenarioConfig, default_problem, field_error_norm,
+                  glue_fields, least_squares_order,
+                  references_from_monolithic, restrict_field,
+                  run_mms_spatial, run_mms_temporal, setup_problem,
+                  spec_from_scenario, spectral_portrait)
 from .subsolve import InterfaceSignal, SpaceTimeField
 
 __all__ = ["CriterionResult", "DeskArtifacts", "run_acceptance",
@@ -84,11 +84,8 @@ class DeskArtifacts:
 
     @cached_property
     def lab_1d(self):
-        spec = ProblemSpec(
-            dimension=1, nx=16, interface_x=0.5,
-            diffusion=lambda x: np.where(x < 0.5, 1.0, 3.0),
-            source=lambda x, t: np.ones_like(x), n_steps=16)
-        return setup_problem(spec)
+        """The desk problem in 1-D, on 16 cells."""
+        return setup_problem(spec_from_scenario(ScenarioConfig(dimension=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +121,8 @@ def criterion_2_equivalence(art: DeskArtifacts) -> CriterionResult:
 
 def criterion_3_schur_oracle(art: DeskArtifacts) -> CriterionResult:
     """Probed operators match dense space-time Schur complements (1D)."""
-    spec = ProblemSpec(
-        dimension=1, nx=8, interface_x=0.5,
-        diffusion=lambda x: np.where(x < 0.5, 1.0, 3.0),
-        source=None, n_steps=4)
-    setup = setup_problem(spec)
+    setup = setup_problem(spec_from_scenario(ScenarioConfig(
+        dimension=1, nx=8, n_steps=4, source="zero")))
     worst = 0.0
     for solver, ops in ((setup.solver_1, setup.ops_1),
                         (setup.solver_2, setup.ops_2)):

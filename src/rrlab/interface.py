@@ -133,11 +133,19 @@ def interface_gram(eta: InterfaceSignal, ops: SubdomainOperators,
 
 
 def _sJ(ops: SubdomainOperators, s: float) -> np.ndarray:
-    """The diagonal of s J: robin_coefficient(s, tau) * tau * ML_Gamma.
-    A finite s that overflows it is a SolverFailure to every reader."""
-    sJ = robin_coefficient(s, ops.grid.tau) * ops.grid.tau * ops.lumped_gamma
+    """The diagonal of s J on subdomain ``ops`` (_sJ_diagonal)."""
+    return _sJ_diagonal(s, ops.grid.tau, ops.lumped_gamma,
+                        f"subdomain {ops.index} ")
+
+
+def _sJ_diagonal(s: float, tau: float, lumped: np.ndarray,
+                 where: str = "") -> np.ndarray:
+    """The diagonal of s J: robin_coefficient(s, tau) * tau * ML_Gamma,
+    with ``lumped`` the diagonal of ML_Gamma.  A finite s that overflows
+    it is a SolverFailure to every reader, its message led by ``where``."""
+    sJ = robin_coefficient(s, tau) * tau * lumped
     if not np.isfinite(sJ).all():
-        raise SolverFailure(f"subdomain {ops.index} s J (s={s:g}) overflows")
+        raise SolverFailure(f"{where}s J (s={s:g}) overflows")
     return sJ
 
 
@@ -354,6 +362,8 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     recovery per block of SubdomainSolver.block_width() iterates.
     Everything a block reads is made before the first iterate is drawn.
     A block is tracked when full, and the last, a shorter one, at the end.
+    ``references`` is checked before any resolvent is made: anything but
+    a primal signal of shape (n_steps, n_interface) is a ValueError.
     """
     ops = solvers[0].ops
     tau, Mg = ops.grid.tau, ops.M_gamma
@@ -361,6 +371,9 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
 
     report = ConvergenceReport()
     track = references is not None
+    if track and (references.kind != "primal"
+                  or references.values.shape != eta.values.shape):
+        raise ValueError(f"references must be primal, shaped {eta.values.shape}")
     if track:
         # made before the first iterate is drawn, so that every
         # iteration does the same work (perfbench pools later iterations);
@@ -465,15 +478,14 @@ def run_pr(solvers, config: IterationConfig,
     iteration is the two resolvent applies of pr_step.  Where probing
     pays for config.max_iter applies (robin_resolvent), the run first
     probes both resolvents, ceil(n_interface / _probe_width()) streamed
-    Robin solves each, one at nx <= 32 and 8 at nx = 64 (none if the
-    solvers were probed already), and an iteration then makes no
-    subdomain solve; otherwise it makes two Robin solves.
-    Tracking costs no subdomain solve where both solvers hold
-    SteklovForms (the X norm is read from their Hankel blocks; blocks of
-    iterates sized by interface values, 17 / 8 / 4 iterates at
-    nx = 16 / 32 / 64 and 16 steps), and one homogeneous Dirichlet solve
-    and one flux recovery per subdomain and block of block_width()
-    iterates otherwise.
+    Robin solves each (none if the solvers were probed already), and an
+    iteration then makes no subdomain solve; otherwise it makes two
+    Robin solves.  Tracking costs no subdomain solve where both solvers
+    hold SteklovForms (the X norm is read from their Hankel blocks, in
+    blocks of iterates sized by interface values; the BLOCK_VALUES
+    comment gives the sizes), and one homogeneous Dirichlet solve and
+    one flux recovery per subdomain and block of block_width() iterates
+    otherwise.
     """
     return _run_iteration(solvers, config, _pr_iterates, references)
 
@@ -883,21 +895,18 @@ def spectral_analysis(S1: np.ndarray, S2: np.ndarray, M_gamma, tau: float,
     defective, and its computed eigenvalues move by O(eps^(1/n_steps))
     (Trefethen & Embree, Spectra and Pseudospectra, 2005).  The singular
     values and symmetric-part eigenvalues come from the full matrices.
-    A finite s that overflows J_0 is a SolverFailure, as in
-    interface_gram.
+    A finite s that overflows J_0 is a SolverFailure (_sJ_diagonal).
     """
     n_g = M_gamma.shape[0]
     n_steps = S1.shape[0] // n_g
-    ML = lumped_interface_mass(M_gamma).toarray()
+    lumped = lumped_interface_mass(M_gamma).diagonal()
     S1_0, S2_0 = S1[:n_g, :n_g], S2[:n_g, :n_g]
     sym1 = scipy.linalg.eigvalsh(0.5 * (S1 + S1.T)).min()
     sym2 = scipy.linalg.eigvalsh(0.5 * (S2 + S2.T)).min()
     sv_sum = scipy.linalg.svdvals(S1 + S2).min()
     rows = []
     for s in s_values:
-        J_0 = robin_coefficient(s, tau) * tau * ML
-        if not np.all(np.isfinite(J_0)):
-            raise SolverFailure(f"s J (s={s:g}) overflows")
+        J_0 = np.diag(_sJ_diagonal(s, tau, lumped))
         T_0 = np.linalg.solve(
             J_0 + S2_0, (J_0 - S1_0) @ np.linalg.solve(J_0 + S1_0, J_0 - S2_0))
         J = np.kron(np.eye(n_steps), J_0)

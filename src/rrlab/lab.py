@@ -75,14 +75,11 @@ def setup_problem(spec: ProblemSpec) -> LabSetup:
 
 def default_problem(nx: int = 16, n_steps: int = 16,
                     theta: float = 1.0) -> ProblemSpec:
-    """The desk-scale default: unit square split at x = 1/2 with a
-    diffusion jump (1 left, 3 right) and a unit source."""
-    return ProblemSpec(
-        dimension=2, nx=nx, ny=nx, length_x=1.0, length_y=1.0,
-        interface_x=0.5,
-        diffusion=lambda x, y: np.where(x < 0.5, 1.0, 3.0),
-        source=lambda x, y, t: np.ones_like(x),
-        horizon=1.0, n_steps=n_steps, theta=theta)
+    """The desk-scale default, the problem of the ScenarioConfig
+    defaults: unit square split at x = 1/2 with a diffusion jump (1
+    left, 3 right) and a unit source, on an nx x nx mesh."""
+    return spec_from_scenario(ScenarioConfig(nx=nx, ny=nx, n_steps=n_steps,
+                                             theta=theta))
 
 
 def solve_monolithic(setup: LabSetup) -> SpaceTimeField:

@@ -384,14 +384,30 @@ def _filled(fac: Factorization, march: _MarchOrder, rhs,
         raise SolverFailure(f"non-finite solution from {fac.label}") from None
 
 
+def _checked_loads(loads, ops: SubdomainOperators | GlobalOperators):
+    """Loads as a float array of shape (n_steps, n_dofs) of ``ops``,
+    shared by every column of a block; None (zero loads) stays None.
+    Other shapes are refused: a solve gathers loads by dof index, and
+    the gather would drop extra dofs."""
+    if loads is None:
+        return None
+    loads = np.asarray(loads, dtype=float)
+    shape = (ops.grid.n_steps, ops.n_dofs)
+    if loads.shape != shape:
+        raise ValueError(f"loads shape {loads.shape} does not match {shape}")
+    return loads
+
+
 class SubdomainSolver:
     """Factorized theta-scheme solver for one subdomain.
 
-    Immutable after construction; factorizations are cached per mode,
-    and so are the march order of each pattern (_full, _inner) and the
-    Dirichlet couplings in it, the source field, the Robin trace maps
-    and the forms of the first Robin probe, so repeated solves with new
-    data are cheap.
+    Its operators are fixed at construction; what it derives from them
+    is cached on first use, so repeated solves with new data are cheap.
+    The solver itself caches the march order of the full pattern
+    (_full) and a Robin factor per s (_robin), the Dirichlet block
+    (_dirichlet_block) and the source field.  rrlab.interface writes
+    the other two caches: the Robin trace maps per s (``robin_maps``)
+    and the forms of the first Robin probe (``forms``).
     """
 
     def __init__(self, ops: SubdomainOperators):
@@ -400,7 +416,6 @@ class SubdomainSolver:
         nI = ops.n_interior
         self._A_G = self.A[nI:].tocsr()      # interface rows of A
         self._C_G = self.C[nI:].tocsr()
-        self._dirichlet = None
         self._robin: dict[float, Factorization] = {}
         # interface.robin_trace_map keeps its maps here, keyed by s; the
         # first is probed, and leaves the interface.SteklovForms in
@@ -418,26 +433,17 @@ class SubdomainSolver:
         return _MarchOrder(self.A, self.C)
 
     @cached_property
-    def _inner(self) -> _MarchOrder:
-        """The march order of the Dirichlet block."""
+    def _dirichlet_block(self):
+        """The Dirichlet block's march order, its factor, and A_IG and
+        C_IG, the interior rows' couplings to the interface, with those
+        rows in the march order: the data terms of dirichlet_solve are
+        made in it."""
         nI = self.ops.n_interior
-        return _MarchOrder(self.A[:nI, :nI], self.C[:nI, :nI])
-
-    @cached_property
-    def _couplings(self):
-        """A_IG and C_IG, the interior rows' couplings to the interface,
-        with those rows in the Dirichlet march order: the data terms of
-        dirichlet_solve are made in it."""
-        nI, rows = self.ops.n_interior, self._inner.order
-        return self.A[:nI, nI:][rows], self.C[:nI, nI:][rows]
-
-    def _dirichlet_factor(self) -> Factorization:
-        if self._dirichlet is None:
-            nI = self.ops.n_interior
-            self._dirichlet = Factorization(
-                self.A[:nI, :nI], f"subdomain {self.ops.index} Dirichlet block",
-                order=self._inner.order)
-        return self._dirichlet
+        inner = _MarchOrder(self.A[:nI, :nI], self.C[:nI, :nI])
+        fac = Factorization(self.A[:nI, :nI], f"subdomain {self.ops.index} "
+                            "Dirichlet block", order=inner.order)
+        rows = inner.order
+        return inner, fac, self.A[:nI, nI:][rows], self.C[:nI, nI:][rows]
 
     def _robin_factor(self, s: float) -> Factorization:
         key = float(s)
@@ -451,18 +457,6 @@ class SubdomainSolver:
         return self._robin[key]
 
     # -- helpers -----------------------------------------------------------
-
-    def _check_loads(self, loads):
-        """Loads, shared by every column of a block; None (zero loads)."""
-        grid = self.ops.grid
-        if loads is None:
-            return None
-        loads = np.asarray(loads, dtype=float)
-        if loads.shape != (grid.n_steps, self.ops.n_dofs):
-            raise ValueError(
-                f"loads shape {loads.shape} does not match "
-                f"({grid.n_steps}, {self.ops.n_dofs})")
-        return loads
 
     def _check_signal(self, signal, kind):
         shape = (self.ops.grid.n_steps, self.ops.n_interface)
@@ -513,13 +507,12 @@ class SubdomainSolver:
         grid = self.ops.grid
         nI, n = self.ops.n_interior, self.ops.n_dofs
         eta_v = self._check_signal(eta, "primal")
-        loads = self._check_loads(loads)
-        fac = self._dirichlet_factor()
+        loads = _checked_loads(loads, self.ops)
+        inner, fac, A_IG, C_IG = self._dirichlet_block
         u = np.zeros(eta_v.shape[:-2] + (grid.n_steps + 1, n))
         u[..., 1:, nI:] = eta_v
         # f_I^k - A_IG eta^k + C_IG eta^{k-1}, for all k at once, in the
         # march order
-        inner, (A_IG, C_IG) = self._inner, self._couplings
         rhs = -_dofwise(A_IG, eta_v)
         if loads is not None:
             rhs += loads[:, inner.order]
@@ -545,7 +538,7 @@ class SubdomainSolver:
         """
         grid = self.ops.grid
         lam_v = self._check_signal(lam, "dual")
-        loads = self._check_loads(loads)
+        loads = _checked_loads(loads, self.ops)
         fac, full = self._robin_factor(s), self._full
         nI, n = self.ops.n_interior, self.ops.n_dofs
         rows = full.rows(slice(nI, None))
@@ -578,7 +571,7 @@ class SubdomainSolver:
         grid = self.ops.grid
         if u.values.shape[-2:] != (grid.n_steps + 1, self.ops.n_dofs):
             raise ValueError("field shape does not match the subdomain")
-        loads = self._check_loads(loads)
+        loads = _checked_loads(loads, self.ops)
         U, nI = u.values, self.ops.n_interior
         res = (_dofwise(self._A_G, U[..., 1:, :])
                - _dofwise(self._C_G, U[..., :-1, :]))
@@ -601,11 +594,9 @@ class MonolithicSolver:
 
     def solve(self, loads: np.ndarray | None = None) -> SpaceTimeField:
         grid = self.ops.grid
-        loads = self.ops.loads if loads is None else np.asarray(loads, dtype=float)
+        loads = _checked_loads(self.ops.loads if loads is None else loads,
+                               self.ops)
         u = np.zeros((grid.n_steps + 1, self.ops.n_dofs))
-        if loads.shape != u[1:].shape:      # the gather would drop dofs
-            raise ValueError(f"loads shape {loads.shape} does not match "
-                             f"{u[1:].shape}")
         # each step's loads enter the band order as the march reads them
         order = self._order.order
         return _filled(self._factor, self._order, (f[order] for f in loads), u)

@@ -2,6 +2,7 @@
 Peaceman-Rachford iteration, and its PDE-level Robin-Robin twin."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -657,7 +658,7 @@ class TestPeacemanRachford:
         cfg = IterationConfig(s=0.7, tol=1e-8, max_iter=10 ** 6)
         for solver in setup.solvers:     # kept by any run
             solver._robin_factor(cfg.s)
-            solver._dirichlet_factor()
+            solver._dirichlet_block
             solver.source_field()
         calls = count_solves(monkeypatch)
         tracemalloc.start()
@@ -763,6 +764,29 @@ class TestPeacemanRachford:
             gap = (S2_ref - S2_eta).pair(refs - eta)
             assert report.errors_2[-1] == pytest.approx(err, rel=1e-10)
             assert report.gaps_2[-1] == pytest.approx(gap, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", ["dual", "extra-step", "block"])
+    @pytest.mark.parametrize("run", [run_pr, run_rr])
+    def test_malformed_references_refused_before_any_solve(
+            self, run, bad, monkeypatch):
+        # a dual signal would be read as a trace, an extra step would
+        # fail only at the first tracked block, after the probes and
+        # its iterations, and a block of one would broadcast against the
+        # iterates; each is refused before a resolvent is made
+        setup = small_setup(nx=6, n_steps=4)
+        refs = references_from_monolithic(setup)
+        values = refs.values
+        bad_refs = {
+            "dual": InterfaceSignal(values, "dual"),
+            "extra-step": InterfaceSignal(np.vstack([values, values[-1:]])),
+            "block": InterfaceSignal(values[None]),
+        }[bad]
+        calls = count_solves(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(
+                f"references must be primal, shaped {values.shape}")):
+            run(setup.solvers, IterationConfig(s=0.7, max_iter=40),
+                references=bad_refs)
+        assert calls == []
 
     def test_one_step_drawn_per_iteration(self, monkeypatch):
         # the shared driver stops drawing iterates at max_iter

@@ -165,7 +165,7 @@ class TestFactorization:
         setup = setup_problem(default_problem(nx=nx))
         factors = [setup.mono._factor]
         for solver in setup.solvers:
-            factors += [solver._dirichlet_factor(), solver._robin_factor(1.0)]
+            factors += [solver._dirichlet_block[1], solver._robin_factor(1.0)]
         for fac in factors:
             kd = fac._band.shape[0] - 1
             assert kd < 12 or kd % 16 not in (0, 12, 13, 14, 15), \
@@ -239,7 +239,7 @@ class TestFactorization:
         mono.solve()
         assert orders == [mono.ops.n_dofs, ops.n_dofs, ops.n_interior]
         assert len(solver._robin) == 3 and len(marched) == 6
-        full, inner = solver._full, solver._inner
+        full, inner = solver._full, solver._dirichlet_block[0]
         for label, C in marched:
             want = (mono._order.C if label == "monolithic step matrix"
                     else inner.C if "Dirichlet" in label else full.C)
