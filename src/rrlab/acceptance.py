@@ -232,12 +232,12 @@ def criterion_7_contraction(art: DeskArtifacts) -> CriterionResult:
         lam = (interface_gram(eta, ops, s)
                - SteklovOperator(setup.solver_2).apply(eta) + chi0)
         norms = []
-        n0 = h_norm(eta, ops.M_gamma, ops.grid.tau)
+        n0 = h_norm(eta, ops.M_gamma_dense, ops.grid.tau)
         resolvents = [robin_resolvent(solver, s, 400)
                       for solver in setup.solvers]
         for _ in range(400):
             eta, lam = pr_step(setup.solvers, chi0, lam, s, resolvents)
-            norms.append(h_norm(eta, ops.M_gamma, ops.grid.tau))
+            norms.append(h_norm(eta, ops.M_gamma_dense, ops.grid.tau))
             if norms[-1] <= 1e-11 * n0:
                 break
         observed = (norms[-1] / norms[-11]) ** 0.1

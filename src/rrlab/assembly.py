@@ -257,6 +257,20 @@ class SubdomainOperators(_SpaceOperators):
         """Diagonal of the lumped interface mass ML_Gamma."""
         return lumped_interface_mass(self.M_gamma).diagonal()
 
+    @cached_property
+    def M_gamma_dense(self) -> np.ndarray:
+        """M_Gamma as a read-only dense array, n_interface^2 values: the
+        Gram of the interface norm (rrlab.interface.h_norm), where a
+        dense product costs a fraction of a sparse one."""
+        gram = self.M_gamma.toarray()
+        gram.flags.writeable = False
+        return gram
+
+    @cached_property
+    def sJ_by_s(self) -> dict:
+        """The diagonals of s J, by s, that rrlab.interface._sJ keeps."""
+        return {}
+
     def embed_interface(self, B: sp.spmatrix) -> sp.csr_matrix:
         """Place an interface-block matrix into the (Gamma, Gamma) slot."""
         n, g = self.n_dofs, self.n_interface

@@ -18,14 +18,15 @@ off the right-hand side of the resolvent that produced x.  A run
 realizes each resolvent by robin_resolvent: as its BlockToeplitz
 (robin_trace_map) when its applies over the run save more than the map
 costs, and by a Robin solve per apply otherwise.  A subdomain is probed
-by Robin solves once, at the first s a map is made for; that probe
-gives the solver's SteklovForms: the s-independent column of S_i, from
-which every other resolvent is one inverse, and the X-norm form of the
-trace-to-field map.  That form is block-Hankel in time up to an
-interface term, because the probe's step map A_R^-1 C has symmetric
-A_R and C, so its 2 n_steps - 1 interface blocks hold all of it; they
-come from the probe's own steps, streamed through the Robin solves with
-no field kept (_first_probe).  The PDE-level sweep stays two Robin
+by Robin solves once, at the first s a map is made for, capped where
+s J would dwarf S_i (_probe_s); that probe gives the solver's
+SteklovForms: the s-independent column of S_i, from which every other
+resolvent is one inverse, and the X-norm form of the trace-to-field
+map.  That form is block-Hankel in time up to an interface term,
+because the probe's step map A_R^-1 C has symmetric A_R and C, so its
+2 n_steps - 1 interface blocks hold all of it; they come from the
+probe's own steps, streamed through the Robin solves with no field kept
+(_first_probe).  The PDE-level sweep stays two Robin
 solves with loads.  The sources chi enter only the affine part of the
 step, so only the Peaceman-Rachford iterates read them: every tracked
 quantity is a form of d = eta_ref - eta (_track_block), in which they
@@ -37,8 +38,13 @@ blocks of iterates sized by their interface values; otherwise by a
 homogeneous Dirichlet solve and a flux recovery per block sized by its
 fields, as S_i is applied in the acceptance criteria and the oracles of
 the tests (SteklovOperator).  At desk scale these dense interface
-products are the iteration's cost, so BlockToeplitz.apply skips the
-zero-padded upper triangle of its windows where the product is large.
+products are the iteration's cost, and a step costs little beyond its
+two applies: s J is made and checked once per subdomain and s (_sJ),
+the increment's norm takes a dense M_Gamma (h_norm), and an apply whose
+one product covers every step gathers its windows through the map's own
+index and returns the product itself.  Where the product is large,
+BlockToeplitz.apply instead skips the zero-padded upper triangle of its
+windows.
 """
 
 from __future__ import annotations
@@ -99,6 +105,17 @@ SPLIT_APPLY_VALUES = 2 ** 18
 # map never pays, so no solver is probed and none keeps a column.
 RESOLVENT_STEPS = 320
 
+# A first probe runs at s0 = min(s, PROBE_BALANCE * s_b) (_probe_s), and
+# a larger s is reached by an inverse: S_i = R(s0)^-1 - s0 J loses about
+# s0 J / S_i of its digits, and s_b J is about the size of S_i.  Measured
+# on the default problem at nx = 16, 20 tracked iterates at s = 1e3 to
+# 1e20: X-norm errors and gaps read on the forms match Dirichlet tracking
+# to 2e-15 (relative) at 1, 8e-14 at 100, 1e-12 at 1000, 1.4e-11 at 1e4
+# and 8e-11 at 1e5; uncapped, to 5e-4 at s = 1e12 and none at 1e16.
+# s_b is 0.6-24 on the default problems at nx = 4-64 and 16 steps (0.5
+# at 64 steps), so every s the package runs at probes at s itself.
+PROBE_BALANCE = 1000.0
+
 
 # ---------------------------------------------------------------------------
 # Elementary interface operators
@@ -133,9 +150,17 @@ def interface_gram(eta: InterfaceSignal, ops: SubdomainOperators,
 
 
 def _sJ(ops: SubdomainOperators, s: float) -> np.ndarray:
-    """The diagonal of s J on subdomain ``ops`` (_sJ_diagonal)."""
-    return _sJ_diagonal(s, ops.grid.tau, ops.lumped_gamma,
-                        f"subdomain {ops.index} ")
+    """The diagonal of s J on subdomain ``ops`` (_sJ_diagonal), made and
+    checked once per s and kept read-only in ``ops.sJ_by_s``; an s that
+    fails is refused at every call, and nothing is kept for it."""
+    key = float(s)
+    sJ = ops.sJ_by_s.get(key)
+    if sJ is None:
+        sJ = _sJ_diagonal(key, ops.grid.tau, ops.lumped_gamma,
+                          f"subdomain {ops.index} ")
+        sJ.flags.writeable = False
+        ops.sJ_by_s[key] = sJ
+    return sJ
 
 
 def _sJ_diagonal(s: float, tau: float, lumped: np.ndarray,
@@ -171,7 +196,11 @@ def solve_robin_resolvent(solver: SubdomainSolver, rhs: InterfaceSignal,
 
 def h_norm(eta: InterfaceSignal, M_gamma, tau: float):
     """L2(interface x time) norm: sqrt(sum_k tau eta_k^T M_Gamma eta_k);
-    one value per column of a block."""
+    one value per column of a block (step_norm, which rescales a column
+    whose squares leave the double range).  ``M_gamma`` is sparse or
+    dense; the iteration path passes the dense ops.M_gamma_dense, with
+    which the norm takes about 15 us against 20 us with the sparse
+    M_Gamma at nx = 16 and 16 steps (one BLAS thread)."""
     return step_norm(M_gamma, eta.values, tau)
 
 
@@ -238,7 +267,9 @@ def pr_step(solvers, chi_sum: InterfaceSignal, lam: InterfaceSignal, s: float,
     which the caller makes for the number of steps it will take.
     Returns (eta next, lam next).  chi enters only here, in the affine
     part of the map: with chi = 0 the map is linear and its fixed point
-    is zero; in general fixed points solve (S1 + S2) eta = chi.
+    is zero; in general fixed points solve (S1 + S2) eta = chi.  s J is
+    the kept diagonal of _sJ, so beyond the two applies a step costs a
+    few elementwise products and the checks of its two signals.
     """
     if lam.kind != "dual" or chi_sum.kind != "dual":
         raise ValueError("the Robin datum and the sources are dual signals")
@@ -366,7 +397,7 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     a primal signal of shape (n_steps, n_interface) is a ValueError.
     """
     ops = solvers[0].ops
-    tau, Mg = ops.grid.tau, ops.M_gamma
+    tau, Mg = ops.grid.tau, ops.M_gamma_dense
     eta = InterfaceSignal(np.zeros((ops.grid.n_steps, ops.n_interface)), "primal")
 
     report = ConvergenceReport()
@@ -447,7 +478,7 @@ def _track_block(solvers, resolvent, eta_ref: InterfaceSignal,
         out += [err, gap]
         flux = flux + Sd
     precond = InterfaceSignal(resolvent(flux), "primal")
-    return out + [h_norm(precond, ops.M_gamma, ops.grid.tau)]
+    return out + [h_norm(precond, ops.M_gamma_dense, ops.grid.tau)]
 
 
 def _subdomain_forms(solver: SubdomainSolver, d: np.ndarray, on_forms: bool):
@@ -509,7 +540,7 @@ def run_equivalence(solvers, s: float, n_iterations: int):
     between the PR interface iterate and the trace of the Robin-Robin
     u2, measured in the interface L2 norm.
     """
-    tau, Mg = solvers[0].ops.grid.tau, solvers[0].ops.M_gamma
+    tau, Mg = solvers[0].ops.grid.tau, solvers[0].ops.M_gamma_dense
     discrepancies = []
     for _, eta, tr in zip(range(n_iterations),
                           _pr_iterates(solvers, s, n_iterations),
@@ -565,18 +596,25 @@ class BlockToeplitz:
         one step), so the temporary does not grow with n_steps squared.
         Where one chunk would multiply SPLIT_APPLY_VALUES values or more,
         chunks are at most half the steps, so that the first skips the
-        zero windows above step hi.
+        zero windows above step hi.  Where one chunk covers every step
+        (every one-signal apply at nx <= 32 and 16 steps), its windows
+        are gathered through the map's index as it is, and the product
+        is returned as it is: no shifted index and no output array, and
+        the same values bit for bit.
         """
         x = np.asarray(values, dtype=float)
         n_steps, n_out, n_in = self.shape
         batch = x.shape[:-2]
         padded = np.zeros(batch + (2 * n_steps - 1, n_in))
         padded[..., n_steps - 1:, :] = x
-        y = np.empty(batch + (n_steps, n_out))
         per_step = max(1, math.prod(batch)) * n_steps * n_in
         chunk = max(1, APPLY_WINDOW_VALUES // per_step)
         if per_step * n_steps * n_out >= SPLIT_APPLY_VALUES:
             chunk = min(chunk, -(-n_steps // 2))
+        if chunk >= n_steps:        # one chunk, whose index is _windows
+            return np.take(padded, self._windows, axis=-2).reshape(
+                batch + (n_steps, n_steps * n_in)) @ self._stacked
+        y = np.empty(batch + (n_steps, n_out))
         for lo in range(0, n_steps, chunk):
             hi = min(lo + chunk, n_steps)
             steps = self._windows[:hi - lo, n_steps - hi:] + lo
@@ -634,8 +672,8 @@ class BlockToeplitz:
 
 @dataclass
 class SteklovForms:
-    """What the first Robin probe of a subdomain, at s0, gives beyond its
-    map R(s0) = (s0 J + S_i)^-1 (_first_probe).
+    """What the first Robin probe of a subdomain, at s0 (_probe_s), gives
+    beyond its map R(s0) = (s0 J + S_i)^-1 (_first_probe).
 
     Both come from the probe's streamed steps; no field of it is kept.
     ``steklov`` is the s-independent column of S_i: the inverse of
@@ -783,21 +821,39 @@ def _first_probe(solver: SubdomainSolver, s: float) -> BlockToeplitz:
 def robin_trace_map(solver: SubdomainSolver, s: float) -> BlockToeplitz:
     """The resolvent (sJ + S_i)^-1 of one subdomain as a BlockToeplitz.
 
-    At the first s asked of a solver it is probed (_first_probe), which
-    costs ceil(n_interface / _probe_width()) streamed Robin solves, keeps
-    no field and keeps the solver's SteklovForms; at every later s it is
+    At the first s asked of a solver the solver is probed (_first_probe)
+    at s0 = _probe_s(s), which costs ceil(n_interface / _probe_width())
+    streamed Robin solves, keeps no field and keeps the solver's
+    SteklovForms; the probe's map is the map at s0.  At any other s,
+    an s above the cap of s0 included, the map is
     forms.steklov.inverse(sJ), which copies and changes nothing of S_i
-    and makes no subdomain solve.  Either way it is kept in
-    ``solver.robin_maps`` by s, and an apply costs no solve.
+    and makes no subdomain solve: so S_i, R(s0)^-1 - s0 J, never cancels
+    to roundoff however large s is.  Every map is kept in
+    ``solver.robin_maps`` by s, and an apply costs no solve.  An s whose
+    s J overflows is refused (_sJ) before any probe or map is made.
     """
     key = float(s)
     if not 0.0 < key < math.inf:
         raise ValueError("Robin parameter s must be finite and positive")
+    if solver.forms is None:
+        s0 = _probe_s(solver, key)
+        if s0 < key:
+            _sJ(solver.ops, key)        # an overflowing s costs no probe
+        solver.robin_maps[s0] = _first_probe(solver, s0)
     if key not in solver.robin_maps:
-        solver.robin_maps[key] = (
-            _first_probe(solver, key) if solver.forms is None else
-            solver.forms.steklov.inverse(_sJ(solver.ops, key)))
+        solver.robin_maps[key] = solver.forms.steklov.inverse(
+            _sJ(solver.ops, key))
     return solver.robin_maps[key]
+
+
+def _probe_s(solver: SubdomainSolver, s: float) -> float:
+    """The s0 a first probe runs at: s, at most PROBE_BALANCE times the
+    balanced s_b = tau mean(diag A_GammaGamma) / mean(ML_Gamma), at which
+    s_b J matches the interface diagonal of the step matrix A."""
+    ops = solver.ops
+    s_b = (ops.grid.tau * solver.A.diagonal()[ops.n_interior:].mean()
+           / ops.lumped_gamma.mean())
+    return min(s, PROBE_BALANCE * s_b)
 
 
 def _map_pays(solver: SubdomainSolver, n_applies: int) -> bool:

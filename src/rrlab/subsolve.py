@@ -129,9 +129,9 @@ class SpaceTimeField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim not in (2, 3):
             raise ValueError("field values must be ([batch,] steps+1, dofs)")
-        if np.any(self.values[..., 0, :] != 0.0):
+        if (self.values[..., 0, :] != 0.0).any():
             raise ValueError("initial slice of a space-time field must be zero")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("field contains non-finite values")
 
 
@@ -141,17 +141,20 @@ class InterfaceSignal:
 
     ``kind`` is "primal" for nodal trace values and "dual" for
     functional coefficients (temporal weight already included), so a
-    duality pairing is a plain dot product.
+    duality pairing is a plain dot product.  Every signal is checked
+    finite when made; values of two or more dimensions are kept as
+    given (as floats), so a signal costs its check and little more.
     """
 
     values: np.ndarray          # ([m,] n_steps, n_interface)
     kind: str = "primal"
 
     def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float)
+        self.values = values if values.ndim >= 2 else np.atleast_2d(values)
         if self.kind not in ("primal", "dual"):
             raise ValueError(f"unknown signal kind {self.kind!r}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("signal contains non-finite values")
 
     def _like(self, values) -> "InterfaceSignal":

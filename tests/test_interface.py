@@ -863,6 +863,31 @@ class TestPeacemanRachford:
             run_pr(setup.solvers, IterationConfig(s=1e308))
         assert [list(solver.robin_maps) for solver in setup.solvers] == [
             [1.0], [1.0]]
+        # no failure is kept: a second call is refused again, and s J is
+        # kept only for the s that passed, read-only
+        with pytest.raises(SolverFailure,
+                           match=r"subdomain 1 s J \(s=1e\+308\) overflows"):
+            robin_trace_map(setup.solver_1, 1e308)
+        with pytest.raises(SolverFailure, match="overflows"):
+            run_pr(setup.solvers, IterationConfig(s=1e308))
+        for solver in setup.solvers:
+            assert list(solver.ops.sJ_by_s) == [1.0]
+            sJ = solver.ops.sJ_by_s[1.0]
+            assert rrlab.interface._sJ(solver.ops, 1.0) is sJ
+            with pytest.raises(ValueError, match="read-only"):
+                sJ[0] = 0.0
+
+    def test_overflowing_robin_parameter_on_a_fresh_solver_costs_no_probe(
+            self, monkeypatch):
+        # an s above the probe's cap is reached by an inverse; one whose
+        # s J overflows is refused before the probe at the capped s0
+        setup = setup_problem(default_problem(nx=8, n_steps=4))
+        calls = count_solves(monkeypatch)
+        with pytest.raises(SolverFailure,
+                           match=r"subdomain 1 s J \(s=1e\+308\) overflows"):
+            robin_trace_map(setup.solver_1, 1e308)
+        assert calls == []
+        assert setup.solver_1.forms is None and not setup.solver_1.robin_maps
 
 
 class TestRobinRobinSweep:
@@ -1103,6 +1128,38 @@ class TestSteklovForms:
             assert after.count(name) == 0
         assert all(s.forms is not None for s in setup.solvers)
 
+    @pytest.mark.parametrize("s", [1e12, 1e16, 1e20])
+    def test_tracking_on_the_forms_holds_at_large_s(self, s, monkeypatch):
+        # S_i = R(s0)^-1 - s0 J cancels once s0 J dwarfs S_i, so the
+        # first probe runs at a capped s0 and the map at s is an inverse
+        # of S_i: the X-norm errors and the gaps read on the forms match
+        # those of Dirichlet tracking, on the same iterates, and the
+        # gaps, (S_i d) . d, stay nonnegative, over 20 iterates
+        setup = setup_problem(default_problem(nx=16))
+        refs = references_from_monolithic(setup)
+        cfg = IterationConfig(s=s, tol=0.0, max_iter=20)
+        _, forms = run_pr(setup.solvers, cfg, references=refs)
+        track_by_dirichlet_solves(monkeypatch)
+        _, dirichlet = run_pr(setup.solvers, cfg, references=refs)
+        for row in ("errors_1", "gaps_1", "errors_2", "gaps_2"):
+            np.testing.assert_allclose(getattr(forms, row),
+                                       getattr(dirichlet, row), rtol=1e-9)
+        assert min(forms.gaps_1 + forms.gaps_2) >= 0.0
+        assert all(solver.forms.s0 < s for solver in setup.solvers)
+
+    def test_desk_s_probes_at_s(self):
+        # at every s up to PROBE_BALANCE times the balanced s_b the first
+        # probe runs at s itself, as it did before the cap: s = 10 is
+        # well inside it on the desk problems, and the map at s is the
+        # probe's own, not an inverse
+        for nx in (8, 16):
+            setup = setup_problem(default_problem(nx=nx))
+            for solver in setup.solvers:
+                assert rrlab.interface._probe_s(solver, 1e20) > 100.0
+                robin_trace_map(solver, 10.0)
+                assert solver.forms.s0 == 10.0
+                assert list(solver.robin_maps) == [10.0]
+
 
 class TestDenseGuard:
     def test_column_guard(self):
@@ -1175,22 +1232,40 @@ class TestSpectralAnalysis:
             assert r.rho == pytest.approx(rho_full, rel=0.05)
 
 
+def gram_of(ops, form):
+    """The interface Gram M_Gamma of ``ops`` in the form h_norm is given
+    it: the sparse assembled matrix, or the dense copy that the
+    iteration passes."""
+    return ops.M_gamma if form == "sparse" else ops.M_gamma_dense
+
+
 class TestNorms:
-    def test_h_norm_matches_direct_sum(self):
+    @pytest.mark.parametrize("form", ["sparse", "dense"])
+    def test_h_norm_matches_direct_sum(self, form):
         setup = small_setup()
         ops = setup.ops_1
         rng = np.random.default_rng(8)
         eta = rand_signal(rng, 4, ops.n_interface)
         Mg = ops.M_gamma.toarray()
         direct = np.sqrt(sum(ops.grid.tau * v @ Mg @ v for v in eta.values))
-        assert h_norm(eta, ops.M_gamma, ops.grid.tau) == pytest.approx(direct)
+        assert h_norm(eta, gram_of(ops, form), ops.grid.tau) == \
+            pytest.approx(direct)
+
+    def test_dense_gram_is_a_kept_read_only_copy(self):
+        ops = small_setup().ops_1
+        gram = ops.M_gamma_dense
+        assert gram is ops.M_gamma_dense
+        np.testing.assert_array_equal(gram, ops.M_gamma.toarray())
+        with pytest.raises(ValueError, match="read-only"):
+            gram[0, 0] = 1.0
 
     # numpy warns of the plain sum's overflow (inf, or nan where infinite
     # terms of both signs meet), which the norm then mends
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("form", ["sparse", "dense"])
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
-    def test_h_norm_keeps_the_scale_of_extreme_signals(self, scale):
+    def test_h_norm_keeps_the_scale_of_extreme_signals(self, scale, form):
         # the squares of these values overflow or underflow, so the sum
         # is taken again on the signal divided by its largest value; in
         # a block only such columns are, and a zero column stays 0.  At
@@ -1198,7 +1273,7 @@ class TestNorms:
         from rrlab.subsolve import _dofwise
         setup = small_setup()
         ops = setup.ops_1
-        tau, Mg = ops.grid.tau, ops.M_gamma
+        tau, Mg = ops.grid.tau, gram_of(ops, form)
         eta = rand_signal(np.random.default_rng(8), 4, ops.n_interface)
         plain = np.sqrt(np.maximum(
             tau * np.sum(eta.values * _dofwise(Mg, eta.values)), 0.0))

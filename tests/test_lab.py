@@ -573,7 +573,7 @@ class TestCli:
         ("scenario = coercivity\nalpha_right = 1e308\nsamples = 2\n",
          "monolithic step matrix has non-finite entries"),
         ("scenario = converge\ns = 1e308\n",
-         "subdomain 1 Robin matrix (s=1e+308) has non-finite entries"),
+         "subdomain 1 s J (s=1e+308) overflows"),
         ("scenario = equivalence\ns = 1e308\niterations = 2\n",
          "subdomain 2 s J (s=1e+308) overflows"),
         ("scenario = spectrum\ns_values = 1,1e308\n",
