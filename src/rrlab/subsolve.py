@@ -17,11 +17,8 @@ is a narrow band: on the unit-square subdomains the half-bandwidth is
 about nx / 2 (7 to 9 at nx = 16, 31 to 33 at nx = 64).
 So each one is factored once by banded Cholesky (LAPACK dpbtrf;
 George & Liu, Computer Solution of Large Sparse Positive Definite
-Systems, 1981).  Above DENSE_MAX_DOFS unknowns a time step is one
-banded triangular solve pair (dpbtrs) and one sparse product with C.
-At or below it, where a step costs more in dispatch than in
-arithmetic, the inverse is formed once from the same factor and a
-step is two dense matrix-vector products, with A^-1 and with C.
+Systems, 1981), and a time step is one banded triangular solve pair
+(dpbtrs) and one sparse product with C.
 
 The band is stored at a height dpbtrs runs fast at.  Its transposed
 half runs a dot kernel on columns of kd values, and at kd = 0 or 12
@@ -64,9 +61,8 @@ A solve also takes a block of independent data along a leading batch
 axis: interface values (m, n_steps, n_interface) give fields
 (m, n_steps + 1, n_dofs), and a 2-D signal or field is the one-column
 case.  The block is marched together, still with one Factorization.solve
-per time step, so each step is a multi-right-hand-side solve; on the
-dense path it is one matrix-matrix product (level-3 BLAS; Dongarra et
-al., ACM TOMS 16, 1990).  Loads are shared by the block.
+per time step, so each step is a multi-right-hand-side solve.  Loads
+are shared by the block.
 """
 
 from __future__ import annotations
@@ -87,15 +83,10 @@ __all__ = [
 ]
 
 
-# Systems with at most this many dofs are stepped with dense A^-1 and C:
-# per Robin solve, dense / banded time is about 0.7 at 120 dofs (nx = 16),
-# 1.0 at 190 (nx = 20) and 1.5 at 276 (nx = 24), so the crossover is near 200.
-DENSE_MAX_DOFS = 200
-
 # Callers with many independent columns solve them in blocks of at most
 # this many field values, (n_steps + 1) * n_dofs per column, and at least
-# one column: 32 columns at nx = 16, 7 at nx = 32, 1 at nx = 64.  Above
-# DENSE_MAX_DOFS narrow blocks do not gain (3 columns at nx = 32 cost as
+# one column: 32 columns at nx = 16, 7 at nx = 32, 1 at nx = 64.  From
+# nx = 32 up narrow blocks do not gain (3 columns at nx = 32 cost as
 # much per column as one) and wide ones lose (at nx = 64 a 16-column
 # Dirichlet block took 1.23 ms per column against 1.04 ms for one; 2
 # cores, one BLAS thread).  2 ** 17 raised the peak memory of a converge
@@ -206,11 +197,11 @@ def step_norm(G, v: np.ndarray, tau: float):
     column keeps the plain sum, bit for bit.
     """
     sq = tau * _squares(G, v)
-    bad = ~((0.0 < sq) & (sq < np.inf))
-    if not np.any(bad):
+    # false on 0, inf and nan; an empty block passes
+    if 0.0 < sq.min(initial=np.inf) and sq.max(initial=0.0) < np.inf:
         return _per_column(np.sqrt(sq))
     norm = np.sqrt(np.maximum(sq, 0.0)).reshape(-1)
-    redo = np.flatnonzero(bad)
+    redo = np.flatnonzero(~((0.0 < sq) & (sq < np.inf)))
     cols = v.reshape((-1,) + v.shape[-2:])[redo]
     scale = np.max(np.abs(cols), axis=(1, 2), initial=0.0)
     keep = (0.0 < scale) & (scale < np.inf)     # not 0, nor non-finite
@@ -236,9 +227,7 @@ class Factorization:
     and factored once (dpbtrf); a band of height kd >= 12 with kd = 0 or
     12 to 15 (mod 16) is stored at the next kd = 1 (mod 16), where
     dpbtrs runs faster (module docstring).  A solve takes and returns
-    vectors in that order: the two banded triangular solves (dpbtrs),
-    or at or below DENSE_MAX_DOFS one product with the inverse, formed
-    once by dpbtrs on the identity.
+    vectors in that order: the two banded triangular solves (dpbtrs).
     A matrix with non-finite entries (coefficients or s that overflow)
     is refused with SolverFailure.  Cholesky reads one triangle, so a
     matrix that is not exactly symmetric is rejected (assembly adds the
@@ -274,9 +263,6 @@ class Factorization:
         if info > 0:
             raise SolverFailure(f"singular {label}: the leading minor of "
                                 f"order {info} is not positive definite")
-        self._inv = None
-        if 0 < n <= DENSE_MAX_DOFS:     # dpbtrs refuses a 0x0 identity
-            self._inv = dpbtrs(self._band, np.eye(n))[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -286,8 +272,6 @@ class Factorization:
             # LAPACK error (info -8)
             raise ValueError(f"{self.label}: right-hand side has "
                              f"{rhs.shape[0]} rows, not {self.shape[0]}")
-        if self._inv is not None:
-            return self._inv @ rhs
         if not rhs.size:    # dpbtrs refuses an empty block of columns
             return rhs.copy()
         return dpbtrs(self._band, rhs)[0]       # rhs stays unwritten
@@ -317,8 +301,7 @@ class _MarchOrder:
     (the Robin term touches only the diagonal, so a Robin matrix at any
     s has the pattern of A).  ``order`` lists the dof at each row of the
     march: a gather into the march order and a scatter out of it index
-    with it.  C is kept as a sparse matrix, or at or below
-    DENSE_MAX_DOFS, where a step is a dense product, as a dense one.
+    with it.  C is kept in it as a sparse matrix.
     """
 
     def __init__(self, A: sp.csr_matrix, C: sp.csr_matrix):
@@ -329,8 +312,6 @@ class _MarchOrder:
         C = C[self.order]
         self.C = sp.csr_matrix((C.data, self._inv[C.indices], C.indptr),
                                shape=C.shape)
-        if A.shape[0] <= DENSE_MAX_DOFS:
-            self.C = self.C.toarray()
 
     def rows(self, dofs: slice) -> np.ndarray:
         """The rows of the march that hold the dofs ``dofs``."""

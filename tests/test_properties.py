@@ -2,8 +2,8 @@
 diffusion jumps and theta: PDE/interface equivalence of the two
 Robin-Robin realizations, the causal block-Toeplitz structure of the
 Steklov-Poincare operators that assemble_dense relies on, the
-resolvent round trip, the agreement of the dense and banded time
-steps, the agreement of block solves with column-by-column solves, the
+resolvent round trip, the agreement of block solves with
+column-by-column solves, the
 probed Robin trace map against the Robin solves it replaces, the maps
 made from it by BlockToeplitz.inverse (S_i and every other resolvent),
 the Peaceman-Rachford step through those maps against the step made of
@@ -12,7 +12,6 @@ the probe (S_i d, the gap and the X norm of the Dirichlet field, from
 the derived column and the Hankel blocks) against a Dirichlet solve."""
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -107,35 +106,11 @@ def test_resolvent_inverts_robin_operator(spec, s):
 
 
 @PROPERTY_SETTINGS
-@given(problems(), st.floats(0.1, 10.0))
-def test_dense_and_banded_steps_agree(spec, s):
-    # the same solves with every step matrix on the dense path, then on
-    # the banded path; the choice is made at a solver's first solve of
-    # each kind
-    setup = setup_problem(spec)
-    rng = np.random.default_rng(0)
-    shape = (spec.n_steps, setup.ops_1.n_interface)
-    eta = InterfaceSignal(rng.standard_normal(shape), "primal")
-    lam = InterfaceSignal(rng.standard_normal(shape), "dual")
-    for ops in (setup.ops_1, setup.ops_2):
-        runs = []
-        for limit in (sys.maxsize, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(subsolve, "DENSE_MAX_DOFS", limit)
-                solver = SubdomainSolver(ops)
-                runs.append([solver.dirichlet_solve(eta, ops.loads).values,
-                             solver.robin_solve(s, lam, ops.loads).values])
-        for dense, banded in zip(*runs):
-            assert np.linalg.norm(dense - banded) \
-                <= 1e-13 * np.linalg.norm(banded)
-
-
-@PROPERTY_SETTINGS
 @given(problems(), st.floats(0.1, 10.0), st.integers(1, 5))
 def test_block_solves_equal_column_by_column_solves(spec, s, m):
-    # a block of m data columns, marched together on both step paths,
-    # gives each column's own solve, with one Factorization.solve per
-    # time step for the whole block
+    # a block of m data columns, marched together, gives each column's
+    # own solve, with one Factorization.solve per time step for the
+    # whole block
     setup = setup_problem(spec)
     rng = np.random.default_rng(0)
     shape = (m, spec.n_steps, setup.ops_1.n_interface)
@@ -149,30 +124,28 @@ def test_block_solves_equal_column_by_column_solves(spec, s, m):
         return original(fac, rhs)
 
     for ops in (setup.ops_1, setup.ops_2):
-        for limit in (sys.maxsize, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(subsolve, "DENSE_MAX_DOFS", limit)
-                solver = SubdomainSolver(ops)
-                mp.setattr(subsolve.Factorization, "solve", counted)
-                solves.clear()
-                u = solver.dirichlet_solve(eta, ops.loads)
-                assert len(solves) == spec.n_steps
-                sigma = solver.flux_recovery(u, ops.loads)
-                solves.clear()
-                w = solver.robin_solve(s, lam, ops.loads)
-                assert len(solves) == spec.n_steps
-            for j in range(m):
-                u_j = solver.dirichlet_solve(InterfaceSignal(eta.values[j]),
-                                             ops.loads)
-                w_j = solver.robin_solve(
-                    s, InterfaceSignal(lam.values[j], "dual"), ops.loads)
-                sigma_j = solver.flux_recovery(u_j, ops.loads)
-                for got, want in ((u.values[j], u_j.values),
-                                  (w.values[j], w_j.values),
-                                  (sigma.values[j], sigma_j.values)):
-                    assert got.shape == want.shape
-                    assert np.linalg.norm(got - want) \
-                        <= 1e-13 * np.linalg.norm(want)
+        solver = SubdomainSolver(ops)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsolve.Factorization, "solve", counted)
+            solves.clear()
+            u = solver.dirichlet_solve(eta, ops.loads)
+            assert len(solves) == spec.n_steps
+            sigma = solver.flux_recovery(u, ops.loads)
+            solves.clear()
+            w = solver.robin_solve(s, lam, ops.loads)
+            assert len(solves) == spec.n_steps
+        for j in range(m):
+            u_j = solver.dirichlet_solve(InterfaceSignal(eta.values[j]),
+                                         ops.loads)
+            w_j = solver.robin_solve(
+                s, InterfaceSignal(lam.values[j], "dual"), ops.loads)
+            sigma_j = solver.flux_recovery(u_j, ops.loads)
+            for got, want in ((u.values[j], u_j.values),
+                              (w.values[j], w_j.values),
+                              (sigma.values[j], sigma_j.values)):
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) \
+                    <= 1e-13 * np.linalg.norm(want)
 
 
 @PROPERTY_SETTINGS
@@ -180,25 +153,23 @@ def test_block_solves_equal_column_by_column_solves(spec, s, m):
 def test_robin_trace_map_equals_robin_solves(spec, s, m):
     # (sJ + S_i)^-1 probed in blocks of m unit signals, then applied to a
     # block of m dual signals and to one of them, gives the trace of each
-    # one's Robin solve, on both step paths
+    # one's Robin solve
     setup = setup_problem(spec)
     rng = np.random.default_rng(0)
     shape = (m, spec.n_steps, setup.ops_1.n_interface)
     rhs = InterfaceSignal(rng.standard_normal(shape), "dual")
     for ops in (setup.ops_1, setup.ops_2):
-        for limit in (sys.maxsize, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(subsolve, "DENSE_MAX_DOFS", limit)
-                mp.setattr(subsolve, "BLOCK_VALUES",
-                           m * (spec.n_steps + 1) * ops.n_dofs)
-                solver = SubdomainSolver(ops)
-                assert solver.block_width() == m
-                robin_map = robin_trace_map(solver, s)
-            want = solve_robin_resolvent(solver, rhs, s).values
-            for got, ref in ((robin_map.apply(rhs.values), want),
-                             (robin_map.apply(rhs.values[0]), want[0])):
-                assert got.shape == ref.shape
-                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsolve, "BLOCK_VALUES",
+                       m * (spec.n_steps + 1) * ops.n_dofs)
+            solver = SubdomainSolver(ops)
+            assert solver.block_width() == m
+            robin_map = robin_trace_map(solver, s)
+        want = solve_robin_resolvent(solver, rhs, s).values
+        for got, ref in ((robin_map.apply(rhs.values), want),
+                         (robin_map.apply(rhs.values[0]), want[0])):
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @PROPERTY_SETTINGS
@@ -208,35 +179,32 @@ def test_inverse_maps_between_resolvent_and_robin_operator(spec, s0, s):
     # kept column of S_i equals the Dirichlet-probed one, and s0 J + S_i
     # applied to a Robin solve's trace gives its datum back; the inverse
     # of S_i + sJ, the resolvent at another s, gives the trace of the
-    # Robin solve at s; on both step paths
+    # Robin solve at s
     setup = setup_problem(spec)
     rng = np.random.default_rng(0)
     n, g = spec.n_steps, setup.ops_1.n_interface
     rhs = InterfaceSignal(rng.standard_normal((3, n, g)), "dual")
     for ops in (setup.ops_1, setup.ops_2):
-        for limit in (sys.maxsize, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(subsolve, "DENSE_MAX_DOFS", limit)
-                solver = SubdomainSolver(ops)
-                robin_map = robin_trace_map(solver, s0)
-            steklov = solver.forms.steklov
-            probed = assemble_dense(SteklovOperator(solver).apply, n, g)
-            assert np.abs(steklov.dense() - probed).max() \
-                <= 1e-10 * np.abs(probed).max()
-            for a, x, want in (
-                    (robin_map.inverse(),
-                     solve_robin_resolvent(solver, rhs, s0).values,
-                     rhs.values),
-                    (robin_trace_map(solver, s), rhs.values,
-                     solve_robin_resolvent(solver, rhs, s).values)):
-                assert np.linalg.norm(a.apply(x) - want) \
-                    <= 1e-10 * np.linalg.norm(want)
-            # maps at two more new values of s read S_i's column and
-            # leave it as the probe made it
-            before = steklov.first.copy()
-            for t in (s0 + s, 2 * s0 + s):
-                robin_trace_map(solver, t)
-            assert np.array_equal(steklov.first, before)
+        solver = SubdomainSolver(ops)
+        robin_map = robin_trace_map(solver, s0)
+        steklov = solver.forms.steklov
+        probed = assemble_dense(SteklovOperator(solver).apply, n, g)
+        assert np.abs(steklov.dense() - probed).max() \
+            <= 1e-10 * np.abs(probed).max()
+        for a, x, want in (
+                (robin_map.inverse(),
+                 solve_robin_resolvent(solver, rhs, s0).values,
+                 rhs.values),
+                (robin_trace_map(solver, s), rhs.values,
+                 solve_robin_resolvent(solver, rhs, s).values)):
+            assert np.linalg.norm(a.apply(x) - want) \
+                <= 1e-10 * np.linalg.norm(want)
+        # maps at two more new values of s read S_i's column and
+        # leave it as the probe made it
+        before = steklov.first.copy()
+        for t in (s0 + s, 2 * s0 + s):
+            robin_trace_map(solver, t)
+        assert np.array_equal(steklov.first, before)
 
 
 @PROPERTY_SETTINGS
@@ -269,28 +237,25 @@ def test_inverse_of_a_block_toeplitz_map(n_steps, n):
 def test_pr_step_equals_two_robin_solve_step(spec, s):
     # pr_step through the probed resolvents against the same step with
     # each resolvent realized by its own Robin solve, over three steps
-    # from a random Robin datum, on both step paths
+    # from a random Robin datum
     setup = setup_problem(spec)
     rng = np.random.default_rng(0)
     lam0 = InterfaceSignal(rng.standard_normal(
         (spec.n_steps, setup.ops_1.n_interface)), "dual")
-    for limit in (sys.maxsize, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(subsolve, "DENSE_MAX_DOFS", limit)
-            solvers = tuple(map(SubdomainSolver, (setup.ops_1, setup.ops_2)))
-            s1, s2 = solvers
-            chi = interface_source(s1) + interface_source(s2)
-            maps = [robin_trace_map(solver, s).apply for solver in solvers]
-            lam = want = lam0
-            for _ in range(3):
-                eta, lam = pr_step(solvers, chi, lam, s, maps)
-                half = solve_robin_resolvent(s1, want, s)
-                mu = 2.0 * interface_gram(half, s1.ops, s) - want + chi
-                eta_want = solve_robin_resolvent(s2, mu, s)
-                want = 2.0 * interface_gram(eta_want, s1.ops, s) - mu + chi
-                for got, ref in ((eta, eta_want), (lam, want)):
-                    assert np.linalg.norm(got.values - ref.values) \
-                        <= 1e-12 * np.linalg.norm(ref.values)
+    solvers = tuple(map(SubdomainSolver, (setup.ops_1, setup.ops_2)))
+    s1, s2 = solvers
+    chi = interface_source(s1) + interface_source(s2)
+    maps = [robin_trace_map(solver, s).apply for solver in solvers]
+    lam = want = lam0
+    for _ in range(3):
+        eta, lam = pr_step(solvers, chi, lam, s, maps)
+        half = solve_robin_resolvent(s1, want, s)
+        mu = 2.0 * interface_gram(half, s1.ops, s) - want + chi
+        eta_want = solve_robin_resolvent(s2, mu, s)
+        want = 2.0 * interface_gram(eta_want, s1.ops, s) - mu + chi
+        for got, ref in ((eta, eta_want), (lam, want)):
+            assert np.linalg.norm(got.values - ref.values) \
+                <= 1e-12 * np.linalg.norm(ref.values)
 
 
 @PROPERTY_SETTINGS

@@ -13,9 +13,9 @@ from rrlab.assembly import (build_global_operators, build_step_operators,
 from rrlab.dense import (dense_space_time_matrix, dense_space_time_solve)
 from rrlab.lab import default_problem, setup_problem
 from rrlab.mesh import ProblemSpec, build_mesh, decompose
-from rrlab.subsolve import (DENSE_MAX_DOFS, Factorization, InterfaceSignal,
-                            MonolithicSolver, SolverFailure, SpaceTimeField,
-                            SubdomainSolver, _band_order)
+from rrlab.subsolve import (Factorization, InterfaceSignal, MonolithicSolver,
+                            SolverFailure, SpaceTimeField, SubdomainSolver,
+                            _band_order)
 
 
 def make_solver(spec, i=1):
@@ -83,10 +83,9 @@ class TestFactorization:
         with pytest.raises(SolverFailure, match="broken block"):
             factor(sp.csc_matrix((3, 3)), label="broken block")
 
-    @pytest.mark.parametrize("side, m", [("dense", 12), ("banded", 16)])
-    def test_permuted_shifted_laplacian_matches_spsolve(self, side, m):
+    @pytest.mark.parametrize("m", [12, 16])
+    def test_permuted_shifted_laplacian_matches_spsolve(self, m):
         # a scattered sparsity pattern: RCM must recover a narrow band
-        assert (m * m <= DENSE_MAX_DOFS) == (side == "dense")
         rng = np.random.default_rng(4)
         T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
         L = sp.kron(T, sp.eye(m)) + sp.kron(sp.eye(m), T) + 0.1 * sp.eye(m * m)
@@ -120,8 +119,8 @@ class TestFactorization:
     @pytest.mark.parametrize("n, n_rhs", [(4, 3), (4, 5), (250, 249),
                                           (250, 251)])
     def test_rhs_length_checked(self, n, n_rhs):
-        # on the dense path and the banded one (n > DENSE_MAX_DOFS), where
-        # dpbtrs would solve the first n rows of a longer right-hand side
+        # on a small system and a large one; dpbtrs would solve the first
+        # n rows of a longer right-hand side
         fac, _ = factor(sp.identity(n, format="csr"), label="small block")
         with pytest.raises(ValueError, match="small block"):
             fac.solve(np.ones(n_rhs))
@@ -139,8 +138,8 @@ class TestFactorization:
             (16, 17), (31, 33), (32, 33), (44, 49), (46, 49), (47, 49),
             (48, 49)]] + [(16, 15, 17)])
     def test_band_stored_at_a_fast_height(self, n, kd, height):
-        # a random SPD matrix with a full band of half-width kd, on the
-        # banded (n = 300) and the dense path; heights 0 or 12 to 15
+        # a random SPD matrix with a full band of half-width kd, at
+        # n = 300 and 150; heights 0 or 12 to 15
         # (mod 16) from 12 up are stored at 1 (mod 16), above n - 1 for a
         # full 16 x 16 matrix, and the zero superdiagonals keep every
         # solve exact
@@ -171,16 +170,14 @@ class TestFactorization:
             assert kd < 12 or kd % 16 not in (0, 12, 13, 14, 15), \
                 (fac.label, kd)
 
-    @pytest.mark.parametrize("side, nx", [("dense", 4), ("banded", 24)])
-    def test_one_step_solve_per_time_step(self, monkeypatch, side, nx):
+    @pytest.mark.parametrize("nx", [4, 24])
+    def test_one_step_solve_per_time_step(self, monkeypatch, nx):
         # every march, the field-filling ones and a streamed Robin solve
         spec = spec_2d(nx=nx, n_steps=5)
         mesh = build_mesh(spec)
         dec = decompose(mesh, spec)
         solver = SubdomainSolver(build_subdomain_operators(spec, mesh, dec, 1))
         mono = MonolithicSolver(build_global_operators(spec, mesh, dec))
-        for n in (solver.ops.n_interior, solver.ops.n_dofs, mono.ops.n_dofs):
-            assert (n <= DENSE_MAX_DOFS) == (side == "dense")
         calls, steps = [], []
         solve = Factorization.solve
 
@@ -209,9 +206,8 @@ class TestFactorization:
         # matrices at every s share the full pattern's order and one C
         # in it, the Dirichlet block has its own, and so does the
         # monolithic matrix.  Maps at three values of s and Robin solves
-        # at each make three Robin factors and four Robin marches.  At
-        # nx = 16 the subdomain patterns are on the dense path, with a
-        # dense C in the band order, and the monolithic one is banded
+        # at each make three Robin factors and four Robin marches.  Every
+        # C is sparse, in the band order of its pattern
         import rrlab.subsolve as subsolve
         from rrlab.interface import robin_trace_map
         orders, marched = [], []
@@ -250,15 +246,12 @@ class TestFactorization:
                                (mono._order,
                                 build_step_operators(mono.ops)[1])):
             p = march_order.order
-            dense = C.shape[0] <= DENSE_MAX_DOFS
-            assert dense == (nx == 16 and march_order is not mono._order)
-            assert sp.issparse(march_order.C) != dense
-            np.testing.assert_array_equal(
-                march_order.C if dense else march_order.C.toarray(),
-                C[p][:, p].toarray())
+            assert sp.issparse(march_order.C)
+            np.testing.assert_array_equal(march_order.C.toarray(),
+                                          C[p][:, p].toarray())
 
-    @pytest.mark.parametrize("side, nx", [("dense", 4), ("banded", 24)])
-    def test_streamed_steps_are_in_band_order(self, side, nx):
+    @pytest.mark.parametrize("nx", [4, 24])
+    def test_streamed_steps_are_in_band_order(self, nx):
         # a streamed Robin solve hands over x and b = A_R x in the band
         # order of the Robin factor; scattered back through that order,
         # its steps are the field the field-filling solve returns, which
@@ -267,7 +260,6 @@ class TestFactorization:
         solver = make_solver(spec_2d(nx=nx, n_steps=5))
         ops = solver.ops
         order = solver._full.order
-        assert (ops.n_dofs <= DENSE_MAX_DOFS) == (side == "dense")
         assert np.any(order != np.arange(ops.n_dofs))
         A_R = build_step_operators(ops, s=s)[0][order][:, order]
         rng = np.random.default_rng(6)
@@ -282,15 +274,14 @@ class TestFactorization:
         np.testing.assert_array_equal(got, u)
         assert_rel_close(u[1], loop_robin(solver, s, lam.values[1], ops.loads))
 
-    @pytest.mark.parametrize("side, nx", [("dense", 16), ("banded", 32)])
-    def test_one_column_block_keeps_the_block_layout(self, side, nx):
+    @pytest.mark.parametrize("nx", [16, 32])
+    def test_one_column_block_keeps_the_block_layout(self, nx):
         # a block of one column marches as any block does, (n, m) per
         # step with m = 1, and its field is the 2-D solve's bit for bit,
         # for Robin and Dirichlet data alike
         s = 0.7
         solver = setup_problem(default_problem(nx=nx)).solver_1
         ops = solver.ops
-        assert (ops.n_dofs <= DENSE_MAX_DOFS) == (side == "dense")
         rng = np.random.default_rng(8)
         data = rng.standard_normal((ops.grid.n_steps, ops.n_interface))
         robin = partial(solver.robin_solve, s, loads=ops.loads)
