@@ -2,14 +2,15 @@
 diffusion jumps and theta: PDE/interface equivalence of the two
 Robin-Robin realizations, the causal block-Toeplitz structure of the
 Steklov-Poincare operators that assemble_dense relies on, the
-resolvent round trip, the agreement of block solves with
-column-by-column solves, the
-probed Robin trace map against the Robin solves it replaces, the maps
-made from it by BlockToeplitz.inverse (S_i and every other resolvent),
-the Peaceman-Rachford step through those maps against the step made of
-Robin solves, and a subdomain's forms of a block of traces read from
-the probe (S_i d, the gap and the X norm of the Dirichlet field, from
-the derived column and the Hankel blocks) against a Dirichlet solve."""
+resolvent round trip, the agreement of the banded time steps with
+dense ones, the agreement of block solves with column-by-column
+solves, the probed Robin trace map against the Robin solves it
+replaces, the maps made from it by BlockToeplitz.inverse (S_i and
+every other resolvent), the Peaceman-Rachford step through those maps
+against the step made of Robin solves, and a subdomain's forms of a
+block of traces read from the probe (S_i d, the gap and the X norm of
+the Dirichlet field, from the derived column and the Hankel blocks)
+against a Dirichlet solve."""
 
 import dataclasses
 
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrlab import subsolve
+from rrlab.assembly import build_step_operators
 from rrlab.interface import (BlockToeplitz, SteklovOperator, _subdomain_forms,
                              assemble_dense, interface_gram, interface_source,
                              pr_step, robin_trace_map, run_equivalence,
@@ -103,6 +105,51 @@ def test_resolvent_inverts_robin_operator(spec, s):
                 + SteklovOperator(solver).apply(eta))
         assert np.abs(back.values - rhs.values).max() \
             <= 1e-10 * np.abs(rhs.values).max()
+
+
+def _dense_march(A, C, rhs):
+    """x_k = A^-1 (rhs_k + C x_{k-1}) from x_{-1} = 0, with A and C dense
+    and in the dofs' order: the theta scheme without a band or an
+    ordering, step by step."""
+    A, C = A.toarray(), C.toarray()
+    x, steps = np.zeros(A.shape[0]), []
+    for b in rhs:
+        x = np.linalg.solve(A, b + C @ x)
+        steps.append(x)
+    return np.array(steps)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.floats(0.1, 10.0))
+def test_dense_and_banded_steps_agree(spec, s):
+    # the Dirichlet and Robin solves, each step a banded Cholesky solve
+    # in band order, against the same steps made with the dense step
+    # matrices in the dofs' order
+    setup = setup_problem(spec)
+    rng = np.random.default_rng(0)
+    shape = (spec.n_steps, setup.ops_1.n_interface)
+    eta = InterfaceSignal(rng.standard_normal(shape), "primal")
+    lam = InterfaceSignal(rng.standard_normal(shape), "dual")
+    for ops in (setup.ops_1, setup.ops_2):
+        solver = SubdomainSolver(ops)
+        nI, f = ops.n_interior, ops.loads
+        A, C = build_step_operators(ops)
+        # f_I^k - A_IG eta^k + C_IG eta^{k-1}
+        g = eta.values
+        g_prev = np.vstack([np.zeros((1, g.shape[1])), g[:-1]])
+        rhs = f[:, :nI] - g @ A[:nI, nI:].T + g_prev @ C[:nI, nI:].T
+        interior = _dense_march(A[:nI, :nI], C[:nI, :nI], rhs)
+        A_rob, _ = build_step_operators(ops, s=s)
+        rhs = f.copy()
+        rhs[:, nI:] += lam.values / ops.grid.tau
+        robin = _dense_march(A_rob, C, rhs)
+        u = solver.dirichlet_solve(eta, f).values[1:]
+        assert np.array_equal(u[:, nI:], g)
+        for banded, dense in ((u[:, :nI], interior),
+                              (solver.robin_solve(s, lam, f).values[1:],
+                               robin)):
+            assert np.linalg.norm(dense - banded) \
+                <= 1e-13 * np.linalg.norm(banded)
 
 
 @PROPERTY_SETTINGS
