@@ -26,12 +26,14 @@ map.  That form is block-Hankel in time up to an interface term,
 because the probe's step map A_R^-1 C has symmetric A_R and C, so its
 2 n_steps - 1 interface blocks hold all of it; they come from the
 probe's own steps, streamed through the Robin solves with no field kept
-(_first_probe).  The PDE-level sweep stays two Robin
-solves with loads.  The sources chi enter only the affine part of the
-step, so only the Peaceman-Rachford iterates read them: every tracked
-quantity is a form of d = eta_ref - eta (_track_block), in which they
-cancel.  One kernel gives a subdomain's forms (_subdomain_forms), to
-tracking and to acceptance criterion 5: on
+(_first_probe).  The PDE-level sweep stays two Robin solves with
+loads.  Each realization is a start and a step, the fixed-point map
+state -> (eta, state) (_pr_start, _rr_start); the drivers own every
+loop.  The sources chi enter only the affine part of the step, so only
+the Peaceman-Rachford iterates read them: every tracked quantity is a
+form of d = eta_ref - eta (_track_block), in which they cancel.  One
+kernel gives a subdomain's forms (_subdomain_forms), to tracking and
+to acceptance criterion 5: on
 the SteklovForms, where both solvers hold them once the run's
 resolvents are made (_tracks_on_forms), with no subdomain solve and
 blocks of iterates sized by their interface values; otherwise by a
@@ -220,8 +222,8 @@ class IterationConfig:
         # written so that nan fails too
         if not 0.0 < self.s < math.inf:
             raise ValueError("Robin parameter s must be finite and positive")
-        if not self.tol >= 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError("tol must be finite and nonnegative")
         # bool is an Integral, and True would run one iteration
         if isinstance(self.max_iter, bool) or \
                 not isinstance(self.max_iter, numbers.Integral):
@@ -337,46 +339,43 @@ def robin_sweep(solvers, state: RobinSweepState, s: float) -> RobinSweepState:
 
 
 # ---------------------------------------------------------------------------
-# Iteration drivers shared by both realizations
+# Starts and steps of both realizations, and the drivers that loop
 # ---------------------------------------------------------------------------
+# A start(solvers, s, max_iter) returns (state of eta^0 = 0, step), with
+# step(state) -> (eta, state); a step looks pr_step and robin_sweep up in
+# this module at each call, so that a patched one is the one called.
 
-def _pr_iterates(solvers, s: float, max_iter: int):
-    """Peaceman-Rachford iterates from eta^0 = 0, whose Robin datum is
-    chi = chi_1 + chi_2 itself.  Both resolvents, made for max_iter
-    applies (robin_resolvent), and chi are made at once, before the
-    first iterate is drawn; nothing else in a run reads chi."""
+def _pr_start(solvers, s: float, max_iter: int):
+    """Peaceman-Rachford: the state is the Robin datum lam, and that of
+    eta^0 = 0 is chi = chi_1 + chi_2 itself.  Both resolvents, made for
+    max_iter applies (robin_resolvent), and chi are made here; nothing
+    else in a run reads chi."""
     resolvents = [robin_resolvent(solver, s, max_iter) for solver in solvers]
     chi_1, chi_2 = map(interface_source, solvers)
     chi_sum = chi_1 + chi_2
-
-    def iterates():
-        lam = chi_sum
-        while True:
-            eta, lam = pr_step(solvers, chi_sum, lam, s, resolvents)
-            yield eta
-    return iterates()
+    return chi_sum, lambda lam: pr_step(solvers, chi_sum, lam, s, resolvents)
 
 
-def _rr_iterates(solvers, s: float, max_iter: int):
-    """Traces of u2 after each Robin sweep; the initial sweep state is
-    built at once, before the first iterate is drawn.  The sweep reads
-    no interface source."""
-    def iterates(state):
-        while True:
-            state = robin_sweep(solvers, state, s)
-            yield solvers[1].trace(state.u2)
-    return iterates(init_robin_sweep(solvers, s))
+def _rr_start(solvers, s: float, max_iter: int):
+    """PDE-level sweep: the state is the RobinSweepState, made here
+    (init_robin_sweep), and a step's eta is the trace of its u2.  The
+    sweep reads no interface source."""
+    def step(state):
+        state = robin_sweep(solvers, state, s)
+        return solvers[1].trace(state.u2), state
+    return init_robin_sweep(solvers, s), step
 
 
-def _run_iteration(solvers, config: IterationConfig, make_iterates,
+def _run_iteration(solvers, config: IterationConfig, start,
                    references: InterfaceSignal | None):
-    """Shared driver: draw interface iterates, track diagnostics.
+    """Shared driver: step a realization, track diagnostics.
 
-    ``make_iterates`` (_pr_iterates or _rr_iterates) gives the iterates
-    eta^1, eta^2, ... (eta^0 = 0); at most config.max_iter of them are
-    drawn, and the stopping rule reads only the increments.  When
-    ``references``, a reference trace eta_ref such as the monolithic
-    one (lab.references_from_monolithic), is given, the report also
+    ``start`` (_pr_start or _rr_start) gives the first state and the
+    step; the driver takes at most config.max_iter steps, each giving
+    the next iterate eta^1, eta^2, ... (eta^0 = 0) and state, and the
+    stopping rule reads only the increments.  When ``references``, a
+    reference trace eta_ref such as the monolithic one
+    (lab.references_from_monolithic), is given, the report also
     holds, per iteration, the subdomain X-norm errors of the
     interface-parametrized fields, the monotone gaps against eta_ref,
     and the Steklov-Poincare residual pushed through the resolvent
@@ -384,15 +383,16 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
     eta_ref - eta^n (_track_block), computed for a block of iterates at
     once, with one apply of the subdomain-2 resolvent.  The run's two
     resolvents (robin_resolvent, for config.max_iter applies) are made
-    first; the Peaceman-Rachford iterates take the same ones, kept by s.
+    first; the Peaceman-Rachford start takes the same ones, kept by s.
     If both solvers then hold SteklovForms (both were probed,
     _tracks_on_forms), every tracked quantity is read from them with no
     subdomain solve, and a block holds BLOCK_VALUES interface values,
     n_steps^2 * n_interface per iterate (block_width of that); otherwise
     each subdomain makes a homogeneous Dirichlet solve and a flux
     recovery per block of SubdomainSolver.block_width() iterates.
-    Everything a block reads is made before the first iterate is drawn.
-    A block is tracked when full, and the last, a shorter one, at the end.
+    Everything a block reads, and all the start makes, comes before the
+    first step.  A block is tracked when full, and the last, a shorter
+    one, at the end.
     ``references`` is checked before any resolvent is made: anything but
     a primal signal of shape (n_steps, n_interface) is a ValueError.
     """
@@ -406,9 +406,9 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
                   or references.values.shape != eta.values.shape):
         raise ValueError(f"references must be primal, shaped {eta.values.shape}")
     if track:
-        # made before the first iterate is drawn, so that every
-        # iteration does the same work (perfbench pools later iterations);
-        # both, so that any probe they make has kept its forms
+        # made before the first step, so that every iteration does the
+        # same work (perfbench pools later iterations); both, so that
+        # any probe they make has kept its forms
         _, resolvent = [robin_resolvent(solver, config.s, config.max_iter)
                         for solver in solvers]
         on_forms = _tracks_on_forms(solvers)
@@ -425,9 +425,10 @@ def _run_iteration(solvers, config: IterationConfig, make_iterates,
             for value, row in zip(values, rows):
                 row.extend(value.tolist())
             pending.clear()
-    iterates = make_iterates(solvers, config.s, config.max_iter)
+    state, step = start(solvers, config.s, config.max_iter)
 
-    for _, eta_next in zip(range(config.max_iter), iterates):
+    for _ in range(config.max_iter):
+        eta_next, state = step(state)
         inc = h_norm(eta_next - eta, Mg, tau)
         eta = eta_next
         report.increments.append(inc)
@@ -518,7 +519,7 @@ def run_pr(solvers, config: IterationConfig,
     one flux recovery per subdomain and block of block_width() iterates
     otherwise.
     """
-    return _run_iteration(solvers, config, _pr_iterates, references)
+    return _run_iteration(solvers, config, _pr_start, references)
 
 
 def run_rr(solvers, config: IterationConfig,
@@ -527,10 +528,10 @@ def run_rr(solvers, config: IterationConfig,
 
     The interface iterate is the trace of the second subdomain's Robin
     solution; it coincides with the Peaceman-Rachford iterate of run_pr
-    to roundoff, so the two drivers are interchangeable.  A sweep is two
-    Robin solves with loads; tracking is that of run_pr.
+    to roundoff, so the two are interchangeable.  A step (_rr_start)
+    is a sweep, two Robin solves with loads; tracking is that of run_pr.
     """
-    return _run_iteration(solvers, config, _rr_iterates, references)
+    return _run_iteration(solvers, config, _rr_start, references)
 
 
 def run_equivalence(solvers, s: float, n_iterations: int):
@@ -538,13 +539,18 @@ def run_equivalence(solvers, s: float, n_iterations: int):
 
     Returns a list of per-iteration maximum relative discrepancies
     between the PR interface iterate and the trace of the Robin-Robin
-    u2, measured in the interface L2 norm.
+    u2, measured in the interface L2 norm; the PR step comes first in
+    each.  ``s`` and ``n_iterations`` are checked as IterationConfig
+    checks s and max_iter, before any solve.
     """
+    config = IterationConfig(s=s, max_iter=n_iterations)
     tau, Mg = solvers[0].ops.grid.tau, solvers[0].ops.M_gamma_dense
+    lam, pr = _pr_start(solvers, config.s, config.max_iter)
+    state, rr = _rr_start(solvers, config.s, config.max_iter)
     discrepancies = []
-    for _, eta, tr in zip(range(n_iterations),
-                          _pr_iterates(solvers, s, n_iterations),
-                          _rr_iterates(solvers, s, n_iterations)):
+    for _ in range(config.max_iter):
+        eta, lam = pr(lam)
+        tr, state = rr(state)
         num = h_norm(tr - eta, Mg, tau)
         den = h_norm(eta, Mg, tau)
         discrepancies.append(num / den if den > 0 else num)

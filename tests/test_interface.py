@@ -790,7 +790,9 @@ class TestPeacemanRachford:
         assert calls == []
 
     def test_one_step_drawn_per_iteration(self, monkeypatch):
-        # the shared driver stops drawing iterates at max_iter
+        # the drivers take one step per iteration and stop at max_iter;
+        # run_equivalence steps the two realizations in lockstep, the
+        # Peaceman-Rachford step first
         import rrlab.interface
         calls = []
 
@@ -812,9 +814,56 @@ class TestPeacemanRachford:
         assert calls == ["pr_step"] * 3 + ["robin_sweep"] * 3 \
             + ["pr_step", "robin_sweep"] * 2
 
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    @pytest.mark.parametrize("start, run, name", [
+        (rrlab.interface._pr_start, run_pr, "pr_step"),
+        (rrlab.interface._rr_start, run_rr, "robin_sweep")],
+        ids=["pr", "rr"])
+    def test_steps_by_hand_equal_a_run(self, start, run, name, k,
+                                       monkeypatch):
+        # the step contract that a wrapper of a step relies on: a start
+        # takes no step, and its step, called k times by hand from the
+        # start's state, gives the iterate of an untracked run of k
+        # iterations bit for bit.  Each on fresh solvers, since a run's
+        # resolvents depend on what its solvers were probed for before
+        # (robin_resolvent): on small_setup the Peaceman-Rachford start
+        # makes maps for 12 applies and Robin solves for 1 and 5
+        calls = []
+        step_fn = getattr(rrlab.interface, name)
+
+        def counted(*args):
+            calls.append(name)
+            return step_fn(*args)
+        monkeypatch.setattr(rrlab.interface, name, counted)
+        state, step = start(small_setup().solvers, 0.7, k)
+        assert calls == []
+        for _ in range(k):
+            eta, state = step(state)
+        assert calls == [name] * k
+        eta_run, report = run(small_setup().solvers,
+                              IterationConfig(s=0.7, tol=0.0, max_iter=k))
+        assert report.n_iterations == k
+        assert np.array_equal(eta.values, eta_run.values)
+
+    @pytest.mark.parametrize("s, n_iterations", [
+        (1.0, 0), (1.0, -1), (1.0, True), (1.0, 2.5), (0.0, 4),
+        (np.nan, 4), (np.inf, 4)])
+    def test_run_equivalence_refuses_what_iteration_config_refuses(
+            self, s, n_iterations, monkeypatch):
+        # refused as IterationConfig(s=s, max_iter=n_iterations) refuses
+        # them, before any solve: 0 and -1 would otherwise return [] after
+        # the sources' Dirichlet solves, True would run one iteration,
+        # and 2.5 would fail in range()
+        setup = small_setup(nx=4, n_steps=4)
+        calls = count_solves(monkeypatch)
+        with pytest.raises(ValueError):
+            run_equivalence(setup.solvers, s, n_iterations)
+        assert calls == []
+
     def test_iteration_config_validation(self):
         for bad in ({"s": 0.0}, {"s": np.nan}, {"s": np.inf},
-                    {"tol": -1.0}, {"tol": np.nan}, {"max_iter": 0}):
+                    {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf},
+                    {"max_iter": 0}):
             with pytest.raises(ValueError):
                 IterationConfig(**bad)
 
