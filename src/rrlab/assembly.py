@@ -9,6 +9,14 @@ steps.
 Interface-signal conventions: dual interface signals carry the temporal
 quadrature weight tau inside their coefficients, so duality pairings are
 plain dot products summed over steps.
+
+The operator builders work from one element pass (_ElementPass): the
+element centroids, the diffusion, the mass and stiffness of every
+element, the source sampled once per step at every node, and the
+interface mass.  setup_problem makes one pass per problem, shares it
+with decompose, and scatters both subdomain sets and the global set
+from it; a builder called on its own makes a pass of its own.  The pass
+lives only during set-up.
 """
 
 from __future__ import annotations
@@ -59,15 +67,7 @@ class TimeGrid:
 
 def element_diffusion(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
     """Per-element diffusion values, sampled at element centroids."""
-    if callable(spec.diffusion):
-        c = mesh.element_centroids()
-        alpha = np.asarray(spec.diffusion(*c.T), dtype=float)
-        alpha = np.broadcast_to(alpha, (mesh.n_elements,)).copy()
-    else:
-        alpha = np.full(mesh.n_elements, float(spec.diffusion))
-    if np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
-        raise ValueError("diffusion must be positive and finite on every element")
-    return alpha
+    return _ElementPass(spec, mesh).alpha
 
 
 def _element_matrices_1d(h, a):
@@ -104,14 +104,19 @@ def _assemble_raw(conn: np.ndarray, me: np.ndarray, ke: np.ndarray, n: int):
     return M, K
 
 
+def _element_matrices(mesh: Mesh, alpha: np.ndarray, elements):
+    """Mass and stiffness of each element of ``elements`` (an index
+    array or a slice), diffusion from ``alpha`` (full-mesh indexing)."""
+    if mesh.dimension == 1:
+        return _element_matrices_1d(mesh.element_measures()[elements],
+                                    alpha[elements])
+    return _element_matrices_2d(mesh, alpha, elements)
+
+
 def _assemble_mesh(mesh: Mesh, alpha: np.ndarray, elements: np.ndarray):
     """Mass and stiffness over ``elements`` on the full node set."""
-    if mesh.dimension == 1:
-        me, ke = _element_matrices_1d(mesh.element_measures()[elements],
-                                      alpha[elements])
-    else:
-        me, ke = _element_matrices_2d(mesh, alpha, elements)
-    return _assemble_raw(mesh.elements[elements], me, ke, mesh.n_nodes)
+    return _assemble_raw(mesh.elements[elements],
+                         *_element_matrices(mesh, alpha, elements), mesh.n_nodes)
 
 
 def _restrict(A: sp.spmatrix, idx: np.ndarray) -> sp.csr_matrix:
@@ -197,23 +202,31 @@ def assemble_loads(spec: ProblemSpec, mesh: Mesh, grid: TimeGrid,
     exactly by subassembly.
     """
     mass = _assemble_mesh(mesh, np.ones(mesh.n_elements), elements)[0]
-    return _loads(spec, mesh, grid, mass[dof_nodes])
+    return _loads(grid, _source_samples(spec, mesh, grid), mass[dof_nodes])
 
 
-def _loads(spec: ProblemSpec, mesh: Mesh, grid: TimeGrid,
-           mass_rows: sp.csr_matrix) -> np.ndarray:
-    """The loads of assemble_loads from the dof rows of the full-node
-    mass, which the operator builders have assembled already."""
-    loads = np.zeros((grid.n_steps, mass_rows.shape[0]))
+def _source_samples(spec: ProblemSpec, mesh: Mesh,
+                    grid: TimeGrid) -> np.ndarray | None:
+    """The source at every node, one row per step of ``grid``; None for
+    f = 0.  A non-finite sample is refused with the time it was taken."""
     if spec.source is None:
-        return loads
-    coords = mesh.nodes
+        return None
+    samples = np.empty((grid.n_steps, mesh.n_nodes))
     for k, t in enumerate(grid.load_times()):
-        fk = np.asarray(spec.source(*coords.T, t), dtype=float)
-        fk = np.broadcast_to(fk, (mesh.n_nodes,))
-        if not np.all(np.isfinite(fk)):
+        samples[k] = np.asarray(spec.source(*mesh.nodes.T, t), dtype=float)
+        if not np.all(np.isfinite(samples[k])):
             raise ValueError(f"source produced non-finite values at t={t}")
-        loads[k] = mass_rows @ fk
+    return samples
+
+
+def _loads(grid: TimeGrid, samples: np.ndarray | None,
+           mass_rows: sp.csr_matrix) -> np.ndarray:
+    """The loads of assemble_loads from the source ``samples`` and the
+    dof rows of the full-node mass."""
+    loads = np.zeros((grid.n_steps, mass_rows.shape[0]))
+    if samples is not None:
+        for k, fk in enumerate(samples):
+            loads[k] = mass_rows @ fk
     return loads
 
 
@@ -343,30 +356,77 @@ def build_step_operators(ops: SubdomainOperators | GlobalOperators,
     return A, C
 
 
-def _operators(spec: ProblemSpec, mesh: Mesh, elements: np.ndarray,
-               dofs: np.ndarray):
-    """M, K and loads on ``dofs`` from one assembly over ``elements``:
-    the mass does not depend on the diffusion, so the loads take their
-    rows from the same full-node mass."""
-    alpha = element_diffusion(spec, mesh)
-    M, K = _assemble_mesh(mesh, alpha, elements)
-    grid = TimeGrid(spec.tau, spec.n_steps, float(spec.theta))
-    return (_restrict(M, dofs), _restrict(K, dofs), grid,
-            _loads(spec, mesh, grid, M[dofs]))
+class _ElementPass:
+    """The element data that the operator sets of one problem share
+    (module docstring), each part made on first use, so that errors
+    come in the order the builders meet them.  No operator set keeps
+    the pass: its element matrices alone are about 1.2 MB at nx = 64.
+    The two subdomain sets share one interface mass matrix.
+    """
+
+    def __init__(self, spec: ProblemSpec, mesh: Mesh):
+        self.spec, self.mesh = spec, mesh
+        self.grid = TimeGrid(spec.tau, spec.n_steps, float(spec.theta))
+        self._gamma = (None, None)
+
+    @cached_property
+    def centroids(self) -> np.ndarray:
+        return self.mesh.element_centroids()
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        spec, n = self.spec, self.mesh.n_elements
+        if callable(spec.diffusion):
+            alpha = np.asarray(spec.diffusion(*self.centroids.T), dtype=float)
+            alpha = np.broadcast_to(alpha, (n,)).copy()
+        else:
+            alpha = np.full(n, float(spec.diffusion))
+        if np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
+            raise ValueError(
+                "diffusion must be positive and finite on every element")
+        return alpha
+
+    @cached_property
+    def element_matrices(self):
+        return _element_matrices(self.mesh, self.alpha, slice(None))
+
+    @cached_property
+    def source(self) -> np.ndarray | None:
+        return _source_samples(self.spec, self.mesh, self.grid)
+
+    def interface_mass(self, dec: Decomposition) -> sp.csr_matrix:
+        if self._gamma[0] is not dec:
+            self._gamma = (dec, assemble_interface_mass(self.mesh, dec))
+        return self._gamma[1]
+
+    def operators(self, elements, dofs: np.ndarray):
+        """M, K and loads on ``dofs`` from one scatter of the element
+        matrices of ``elements``: the mass does not depend on the
+        diffusion, so the loads take their rows from the same full-node
+        mass."""
+        me, ke = self.element_matrices
+        M, K = _assemble_raw(self.mesh.elements[elements], me[elements],
+                             ke[elements], self.mesh.n_nodes)
+        return (_restrict(M, dofs), _restrict(K, dofs),
+                _loads(self.grid, self.source, M[dofs]))
 
 
 def build_subdomain_operators(spec: ProblemSpec, mesh: Mesh,
-                              dec: Decomposition, i: int) -> SubdomainOperators:
+                              dec: Decomposition, i: int, *,
+                              _shared: _ElementPass | None = None
+                              ) -> SubdomainOperators:
     """Assemble mass, stiffness, interface mass, and loads of subdomain i."""
+    shared = _shared or _ElementPass(spec, mesh)
     dofs = dec.subdomain_nodes(i)
-    M, K, grid, loads = _operators(spec, mesh, dec.elements_of(i), dofs)
+    M, K, loads = shared.operators(dec.elements_of(i), dofs)
     return SubdomainOperators(i, dofs, dec.interiors(i).size, M, K,
-                              assemble_interface_mass(mesh, dec), grid, loads)
+                              shared.interface_mass(dec), shared.grid, loads)
 
 
-def build_global_operators(spec: ProblemSpec, mesh: Mesh,
-                           dec: Decomposition) -> GlobalOperators:
+def build_global_operators(spec: ProblemSpec, mesh: Mesh, dec: Decomposition,
+                           *, _shared: _ElementPass | None = None
+                           ) -> GlobalOperators:
     """Assemble the undecomposed operators on the free dofs."""
-    M, K, grid, loads = _operators(spec, mesh, np.arange(mesh.n_elements),
-                                   dec.free)
-    return GlobalOperators(dec.free, M, K, grid, loads)
+    shared = _shared or _ElementPass(spec, mesh)
+    M, K, loads = shared.operators(slice(None), dec.free)
+    return GlobalOperators(dec.free, M, K, shared.grid, loads)

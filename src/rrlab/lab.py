@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .assembly import (GlobalOperators, SubdomainOperators,
+from .assembly import (GlobalOperators, SubdomainOperators, _ElementPass,
                        build_global_operators, build_subdomain_operators)
 from .interface import (IterationConfig, SpectralRow,
                         assemble_dense, check_dense_columns,
@@ -62,12 +62,19 @@ class LabSetup:
 
 
 def setup_problem(spec: ProblemSpec) -> LabSetup:
-    """Assemble mesh, decomposition, and all solvers for a spec."""
+    """Assemble mesh, decomposition, and all solvers for a spec.
+
+    One element pass (rrlab.assembly) serves the decomposition and the
+    three operator sets: the centroids, the diffusion, the element
+    matrices, the source samples and the interface mass are made once.
+    It is dropped when set-up returns.
+    """
     mesh = build_mesh(spec)
-    dec = decompose(mesh, spec)
-    ops_1 = build_subdomain_operators(spec, mesh, dec, 1)
-    ops_2 = build_subdomain_operators(spec, mesh, dec, 2)
-    global_ops = build_global_operators(spec, mesh, dec)
+    shared = _ElementPass(spec, mesh)
+    dec = decompose(mesh, spec, _shared=shared)
+    ops_1 = build_subdomain_operators(spec, mesh, dec, 1, _shared=shared)
+    ops_2 = build_subdomain_operators(spec, mesh, dec, 2, _shared=shared)
+    global_ops = build_global_operators(spec, mesh, dec, _shared=shared)
     return LabSetup(spec, mesh, dec, ops_1, ops_2, global_ops,
                     SubdomainSolver(ops_1), SubdomainSolver(ops_2),
                     MonolithicSolver(global_ops))

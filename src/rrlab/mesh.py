@@ -242,18 +242,21 @@ def build_mesh(spec: ProblemSpec) -> Mesh:
     return Mesh(2, nodes, elements, boundary.ravel())
 
 
-def decompose(mesh: Mesh, spec: ProblemSpec) -> Decomposition:
+def decompose(mesh: Mesh, spec: ProblemSpec, *, _shared=None) -> Decomposition:
     """Partition elements and dofs across the interface x = interface_x.
 
     A node is on it within _ALIGN_TOL mesh spacings, at any domain size.
     Raises ValueError if the interface would touch the exterior boundary
-    or if any partition invariant fails.
+    or if any partition invariant fails.  setup_problem passes its
+    element pass (rrlab.assembly) as ``_shared``, so that one set of
+    centroids serves the partition and the diffusion.
     """
     gx = spec.interface_x
     x = mesh.nodes[:, 0]
     tol = _ALIGN_TOL * spec.length_x / spec.nx
 
-    centroids = mesh.element_centroids()[:, 0]
+    centroids = (mesh.element_centroids() if _shared is None
+                 else _shared.centroids)[:, 0]
     elements_1 = np.flatnonzero(centroids < gx)
     elements_2 = np.flatnonzero(centroids > gx)
     if elements_1.size == 0 or elements_2.size == 0:
@@ -282,8 +285,9 @@ def _check_partition(mesh: Mesh, dec: Decomposition) -> None:
     if dec.elements_1.size + dec.elements_2.size != mesh.n_elements:
         raise ValueError("element partition does not cover the mesh")
     # Every interface dof must touch elements on both sides.
-    nodes_1 = set(mesh.elements[dec.elements_1].ravel().tolist())
-    nodes_2 = set(mesh.elements[dec.elements_2].ravel().tolist())
-    for g in dec.interface:
-        if g not in nodes_1 or g not in nodes_2:
-            raise ValueError(f"interface dof {g} does not touch both sides")
+    touched = np.zeros((2, mesh.n_nodes), dtype=bool)
+    touched[0, mesh.elements[dec.elements_1]] = True
+    touched[1, mesh.elements[dec.elements_2]] = True
+    lonely = dec.interface[~touched[:, dec.interface].all(axis=0)]
+    if lonely.size:
+        raise ValueError(f"interface dof {lonely[0]} does not touch both sides")

@@ -257,7 +257,8 @@ class Factorization:
         # above the band leave the factor exact
         if kd >= 12 and kd % 16 in (0, 12, 13, 14, 15):
             kd += (1 - kd) % 16
-        band = np.zeros((kd + 1, n))
+        # Fortran order, so that dpbtrf factors the band in place
+        band = np.zeros((kd + 1, n), order="F")
         band[kd + row - col, col] = data
         self._band, info = dpbtrf(band, overwrite_ab=1)
         if info > 0:

@@ -1,6 +1,8 @@
 """Assembly oracles: exact element matrices, interface mass, loads,
 step operators, subassembly, and the discrete temporal identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from rrlab.assembly import (TimeGrid, assemble_interface_mass,
                             element_diffusion, lumped_interface_mass,
                             robin_coefficient)
 from rrlab.lab import default_problem, setup_problem
-from rrlab.mesh import ProblemSpec, build_mesh, decompose
+from rrlab.mesh import Mesh, ProblemSpec, build_mesh, decompose
 
 
 def setup(spec):
@@ -210,17 +212,51 @@ class TestLoads:
                                           elements))
 
     def test_one_assembly_per_operator_set(self, monkeypatch):
-        # the loads take their mass rows from the assembly of M and K
+        # one scatter of the element matrices per operator set (the one
+        # other scatter is the interface line's), and each set's loads
+        # take their rows from the mass of its own scatter
+        scattered, load_rows = [], []
+        scatter, loads = assembly._assemble_raw, assembly._loads
+
+        def counted_scatter(conn, *args):
+            M, K = scatter(conn, *args)
+            if conn.shape[1] == 3:      # triangles, not interface segments
+                scattered.append(M)
+            return M, K
+
+        def counted_loads(grid, samples, mass_rows):
+            load_rows.append(mass_rows)
+            return loads(grid, samples, mass_rows)
+
+        monkeypatch.setattr(assembly, "_assemble_raw", counted_scatter)
+        monkeypatch.setattr(assembly, "_loads", counted_loads)
+        setup = setup_problem(default_problem(nx=4, n_steps=2))
+        sets = (setup.ops_1, setup.ops_2, setup.global_ops)
+        assert len(scattered) == len(load_rows) == 3
+        for M, rows, ops in zip(scattered, load_rows, sets):
+            assert (rows != M[ops.dof_nodes]).nnz == 0
+
+    def test_one_element_pass_per_set_up(self, monkeypatch):
+        # setup_problem samples its source once per step and makes the
+        # centroids and the element matrices once: decompose and all
+        # three operator sets share them
         calls = []
-        assemble = assembly._assemble_mesh
 
-        def counted(*args):
-            calls.append(args)
-            return assemble(*args)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(assembly, "_assemble_mesh", counted)
-        setup_problem(default_problem(nx=4, n_steps=2))
-        assert len(calls) == 3      # subdomains 1 and 2, and the global set
+        spec = default_problem(nx=4, n_steps=3)
+        spec = dataclasses.replace(spec, source=counted("source", spec.source))
+        monkeypatch.setattr(assembly, "_element_matrices", counted(
+            "matrices", assembly._element_matrices))
+        monkeypatch.setattr(Mesh, "element_centroids", counted(
+            "centroids", Mesh.element_centroids))
+        setup_problem(spec)
+        assert calls.count("source") == spec.n_steps
+        assert calls.count("matrices") == calls.count("centroids") == 1
 
     def test_nonfinite_source_rejected(self):
         spec = spec_2d(source=lambda x, y, t: np.full_like(x, np.nan))

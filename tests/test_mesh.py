@@ -1,9 +1,11 @@
 """Mesh construction and decomposition invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rrlab.mesh import ProblemSpec, build_mesh, decompose
+from rrlab.mesh import ProblemSpec, _check_partition, build_mesh, decompose
 
 
 def spec_1d(nx=2, gamma=0.5, **kw):
@@ -144,3 +146,20 @@ class TestDecompose:
         nodes_2 = set(mesh.elements[dec.elements_2].ravel().tolist())
         for g in dec.interface:
             assert g in nodes_1 and g in nodes_2
+
+    @pytest.mark.parametrize("spec", [spec_1d(nx=4), spec_2d(nx=4, ny=6)],
+                             ids=["1d", "2d"])
+    def test_interface_dof_on_one_side_refused(self, spec):
+        # every element around one interface dof moved to side 1: both
+        # partitions still cover, and the check names that dof
+        mesh = build_mesh(spec)
+        dec = decompose(mesh, spec)
+        g = dec.interface[dec.n_interface // 2]
+        around = np.flatnonzero((mesh.elements == g).any(axis=1))
+        moved = dataclasses.replace(
+            dec, elements_1=np.union1d(dec.elements_1, around),
+            elements_2=np.setdiff1d(dec.elements_2, around))
+        assert moved.elements_1.size + moved.elements_2.size == mesh.n_elements
+        with pytest.raises(ValueError,
+                           match=f"^interface dof {g} does not touch both sides$"):
+            _check_partition(mesh, moved)

@@ -20,13 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrlab import subsolve
-from rrlab.assembly import build_step_operators
+from rrlab.assembly import (build_global_operators, build_step_operators,
+                            build_subdomain_operators)
 from rrlab.interface import (BlockToeplitz, SteklovOperator, _subdomain_forms,
                              assemble_dense, interface_gram, interface_source,
                              pr_step, robin_trace_map, run_equivalence,
                              solve_robin_resolvent)
-from rrlab.lab import setup_problem
-from rrlab.mesh import ProblemSpec
+from rrlab.lab import mms_spec, setup_problem
+from rrlab.mesh import ProblemSpec, build_mesh, decompose
 from rrlab.subsolve import InterfaceSignal, SubdomainSolver
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None,
@@ -329,3 +330,37 @@ def test_forms_x_norm_equals_dirichlet_field_norm(spec, n_steps, s0, width):
         np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=0)
         for g, w in zip(got[:2], want[:2]):
             assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()
+
+
+def _assert_set_up_equals_the_builders(spec):
+    """setup_problem's three operator sets, made from one shared element
+    pass, equal the public builders' bit for bit."""
+    setup = setup_problem(spec)
+    mesh = build_mesh(spec)
+    dec = decompose(mesh, spec)
+    pairs = [(setup.ops_1, build_subdomain_operators(spec, mesh, dec, 1)),
+             (setup.ops_2, build_subdomain_operators(spec, mesh, dec, 2)),
+             (setup.global_ops, build_global_operators(spec, mesh, dec))]
+    for shared, alone in pairs:
+        arrays = [(shared.loads, alone.loads),
+                  (shared.dof_nodes, alone.dof_nodes)]
+        for name in ("M", "K", "M_gamma"):
+            if hasattr(alone, name):
+                a, b = getattr(shared, name), getattr(alone, name)
+                arrays += [(a.data, b.data), (a.indices, b.indices),
+                           (a.indptr, b.indptr)]
+        for a, b in arrays:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_set_up_operators_equal_the_builders(spec):
+    _assert_set_up_equals_the_builders(spec)
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_set_up_operators_equal_the_builders_time_dependent_source(theta):
+    # the manufactured source varies in time: each step's sample is
+    # shared by the three sets
+    _assert_set_up_equals_the_builders(mms_spec(2, 8, 4, theta))

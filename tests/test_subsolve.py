@@ -156,6 +156,23 @@ class TestFactorization:
             assert np.abs(solve(rhs) - ref).max() \
                 <= 1e-13 * np.abs(ref).max()
 
+    def test_band_is_factored_in_place(self):
+        # the band is made in Fortran order, so dpbtrf factors it where it
+        # lies; a band in C order is copied first, and the peak then holds
+        # two bands (2.2 times the band's bytes here).  The bound leaves
+        # room for the triplets the band is packed from
+        import tracemalloc
+        A, _ = build_step_operators(
+            setup_problem(default_problem(nx=64)).global_ops)
+        order = _band_order(A)
+        tracemalloc.start()
+        try:
+            fac = Factorization(A, order=order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * fac._band.nbytes
+
     @pytest.mark.parametrize("nx", [32, 64])
     def test_default_problem_bands_at_fast_heights(self, nx):
         # RCM gives these factors kd = 15 / 16 (nx = 32) and 31 / 32
